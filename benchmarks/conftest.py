@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark module regenerates one figure, table or numeric claim of the
-paper (see the experiment index in DESIGN.md), measures the relevant
+paper (the ``bench_e*``, ``bench_table*`` and ``bench_figure*`` scripts index
+the experiments by name), measures the relevant
 computation with pytest-benchmark, and prints the regenerated artifact so the
 run's output can be compared against the paper side by side (run with ``-s``
 to see the tables).

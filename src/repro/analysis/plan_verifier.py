@@ -17,8 +17,8 @@ problems into a :class:`PlanVerificationError`.  The engine verifies every
 recipe before it enters the plan cache (``Engine._resolve_plan``, counted by
 ``EngineStats.plans_verified``) and :func:`verify_dispatch` re-checks a plan
 once before its first partition-parallel dispatch
-(:func:`repro.engine.parallel.run_partitioned`), including the
-pickle-safety of process-worker payloads.
+(:func:`repro.engine.parallel.run_partitioned`); the cluster coordinator
+checks the pickle-safety of the first task it ships to a worker.
 
 Checks implemented here:
 
@@ -316,12 +316,12 @@ def verify_plan(plan: QueryPlan) -> list[str]:
 def verify_shard_payload(payload: Mapping | Sequence,
                          label: str = "shard payload",
                          _depth: int = 0) -> list[str]:
-    """Reject process-worker payloads that carry unpicklable callables.
+    """Reject worker payloads that carry unpicklable callables.
 
     Walks the payload's plain containers (dict/list/tuple/set) to a bounded
-    depth; any function, lambda or bound method found there would die inside
-    the process pool as an opaque ``BrokenProcessPool`` — reject it here,
-    with a name, before dispatch.
+    depth; any function, lambda or bound method found there would fail to
+    pickle on its way to a worker process — reject it here, with a name,
+    before dispatch.
     """
     problems: list[str] = []
     if _depth > 6:
@@ -350,7 +350,7 @@ def verify_cluster_task(task: Mapping) -> list[str]:
     """Statically verify a cluster dispatch task before it reaches a worker.
 
     A task is the cluster coordinator's unit of work: identity fields
-    (``task_id``/``shard``/``attempt``), the process-executor shard payload,
+    (``task_id``/``shard``/``attempt``), the shard payload,
     and optionally a chaos-harness ``fault`` directive.  Everything crosses a
     process boundary, so the payload must pass the pickle-safety walk of
     :func:`verify_shard_payload` and the fault directive must be a plain dict
@@ -368,7 +368,7 @@ def verify_cluster_task(task: Mapping) -> list[str]:
     payload = task.get("payload")
     if not isinstance(payload, Mapping):
         problems.append("cluster task needs a mapping 'payload' "
-                        "(the process-executor shard payload)")
+                        "(the shard payload)")
     else:
         problems.extend(verify_shard_payload(payload, label="cluster payload"))
     directive = task.get("fault")

@@ -25,7 +25,6 @@ from repro.engine.fingerprint import (
     statistics_fingerprint,
 )
 from repro.engine.parallel import (
-    PersistentProcessPool,
     choose_partition_atom,
     merge_shard_results,
     run_partitioned,
@@ -39,7 +38,6 @@ __all__ = [
     "PreparedQuery",
     "ClusterConfig",
     "ClusterCoordinator",
-    "PersistentProcessPool",
     "run_shards",
     "LruDict",
     "PlanCache",

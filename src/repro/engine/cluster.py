@@ -1,15 +1,14 @@
 """Fault-tolerant coordinator/worker execution for partitioned plans.
 
 :mod:`repro.engine.parallel` proves the partitioning identity — a plan run
-over disjoint hash shards of one atom unions into exactly the serial answer —
-and ships shards to a ``ProcessPoolExecutor``.  That pool is an all-or-
-nothing machine: one worker dying turns the whole query into
-``BrokenProcessPool``.  This module is the honest-about-failure version of
-the same dataflow, built on the observation that makes the paper's plans
-cheap to ship: a task is *fully determined* by its plan recipe plus an
-encoded shard payload, so re-running it anywhere, any number of times, is
-semantically free.  The coordinator therefore treats every fault as a
-scheduling event, not an error:
+over disjoint hash shards of one atom unions into exactly the serial answer.
+This module is the multi-process executor of that dataflow, built to be
+honest about failure: one worker dying must not fail the query.  It rests on
+the observation that makes the paper's plans cheap to ship: a task is *fully
+determined* by its plan recipe plus an encoded shard payload (built by
+:func:`_shard_payload`, rebuilt by :func:`_execute_shard`), so re-running it
+anywhere, any number of times, is semantically free.  The coordinator
+therefore treats every fault as a scheduling event, not an error:
 
 * **bounded retries** — each shard draws attempts from a
   :class:`~repro.utils.retry.RetryBudget` and backs off on the policy's
@@ -53,9 +52,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.analysis.plan_verifier import assert_valid, verify_cluster_task
-from repro.engine.parallel import _execute_shard, _process_context, _shard_payload
+from repro.relational.database import Database
 from repro.relational.operators import WorkCounter
-from repro.telemetry.trace import get_tracer
+from repro.relational.relation import Relation
+from repro.telemetry.trace import SpanContext, get_tracer
 from repro.utils.cancellation import CancellationToken, QueryCancelledError
 from repro.utils.retry import RetryBudget, RetryPolicy
 
@@ -93,6 +93,122 @@ class ClusterConfig:
     #: Hard stall guard: no dispatch/ack progress for this long abandons the
     #: pool and degrades the remaining shards to serial execution.
     stall_timeout: float = 30.0
+
+
+# ---------------------------------------------------------------------------
+# shard payloads
+# ---------------------------------------------------------------------------
+
+def _database_payload(database: Database) -> dict:
+    """A picklable description of a database, no backend objects.
+
+    Kernel-capable relations ship as ``("encoded", ...)`` — per-column decode
+    lists plus compact ``int64`` code arrays — instead of Python row tuples;
+    everything else falls back to ``("rows", ...)``.  Workers rebuild
+    identical relations either way because dictionary codes are a
+    deterministic function of the column's value set.
+    """
+    payload = {}
+    for name in database.relation_names():
+        relation = database[name]
+        encoded = relation.encoded_payload()
+        if encoded is not None:
+            payload[name] = ("encoded", relation.columns, encoded,
+                             relation.backend_kind)
+        else:
+            payload[name] = ("rows", relation.columns, list(relation.rows),
+                             relation.backend_kind)
+    return payload
+
+
+def _shard_payload(plan, shard_db: Database,
+                   cancellation: CancellationToken | None = None) -> dict:
+    """Everything a worker process needs to re-run ``plan`` on ``shard_db``.
+
+    Cancellation crosses the process boundary as a wall-clock ``deadline``
+    (every worker on the box reads the same clock), so a deadline-exceeded
+    sharded run trips cooperatively inside each worker rather than waiting
+    for the pool to finish.
+
+    The ambient span context ships with the payload so the worker's spans
+    reattach under the coordinator's trace; the coordinator stamps each task
+    with its own id prefix before dispatch.
+    """
+    return {
+        "kind": plan.kind,
+        "query": plan.query,
+        "statistics": plan.statistics,
+        "best_bags": (tuple(plan.decomposition.bags)
+                      if plan.decomposition is not None else None),
+        "decomposition_bags": tuple(tuple(td.bags)
+                                    for td in plan.decompositions),
+        "relations": _database_payload(shard_db),
+        "deadline": cancellation.deadline if cancellation is not None else None,
+        "trace": get_tracer().export_context(),
+    }
+
+
+def _execute_shard(payload: dict):
+    """Worker side: rebuild the database and plan, run, return the result.
+
+    Runs in a separate interpreter, so everything crossing the boundary is
+    plain picklable data; the returned ``ExecutionResult`` keeps the worker's
+    counter (thread-safe counters re-grow their lock on unpickling) and drops
+    the execution details, which may hold arbitrarily large reports.
+    """
+    from repro.decompositions.treedecomp import TreeDecomposition
+    from repro.optimizer.planner import realize_plan
+    from repro.relational.storage import ColumnarBackend
+
+    relations = {}
+    for name, (tag, columns, data, backend) in payload["relations"].items():
+        if tag == "encoded":
+            decodes, code_arrays, length = data
+            relations[name] = Relation._from_backend(
+                name, columns,
+                ColumnarBackend.from_encoded(decodes, code_arrays, length))
+        else:
+            relations[name] = Relation(name, columns, data, backend=backend)
+    database = Database(relations)
+    decomposition = (TreeDecomposition(payload["best_bags"])
+                     if payload["best_bags"] is not None else None)
+    decompositions = tuple(TreeDecomposition(bags)
+                           for bags in payload["decomposition_bags"])
+    plan = realize_plan(payload["kind"], payload["query"], payload["statistics"],
+                        reason="shard worker", decomposition=decomposition,
+                        decompositions=decompositions, validate=False)
+    counter = None
+    if payload.get("deadline") is not None:
+        token = CancellationToken(deadline=payload["deadline"])
+        counter = WorkCounter(cancellation=token)
+    ctx = SpanContext.from_dict(payload.get("trace"))
+    tracer = get_tracer()
+    if ctx is None:
+        result = plan.execute(database, counter=counter)
+        result.details = None
+        return result
+    # A forked worker inherits the parent's tracer state; the shipped
+    # prefix namespaces every id allocated here, so reassembled spans can
+    # never collide with the coordinator's (or a retry twin's).
+    with tracer.span("exec.shard", {"prefix": ctx.prefix},
+                     parent=ctx) as span:
+        result = plan.execute(database, counter=counter)
+        span.set("rows_out", len(result.answer))
+    result.details = None
+    # Ship this process's finished spans home with the result; the
+    # coordinator splices them back via ``Tracer.adopt``.
+    result.spans = tracer.drain_remote(ctx.trace_id, ctx.prefix)
+    return result
+
+
+def _process_context():
+    """Fork when the platform offers it (cheap, inherits the code); else default."""
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context()
 
 
 def _worker_loop(task_queue, result_queue) -> None:
@@ -549,10 +665,10 @@ def run_shards(plan, shard_dbs: Sequence, coordinator: ClusterCoordinator,
                cancellation: CancellationToken | None = None) -> list:
     """Build per-shard task payloads and run them on the coordinator.
 
-    The payloads are exactly the process-executor payloads (recipe structure
-    + encoded shard relations + wall-clock deadline), so a cluster worker
-    rebuilds the same plan and database a pool worker would — the executors
-    are interchangeable answer-wise, which the chaos battery asserts.
+    Each payload is the plan's recipe structure plus the encoded shard
+    relations and the wall-clock deadline, so a worker rebuilds exactly the
+    plan and database the serial loop runs — the two executors are
+    interchangeable answer-wise, which the chaos battery asserts.
     """
     payloads = [_shard_payload(plan, shard_db, cancellation)
                 for shard_db in shard_dbs]

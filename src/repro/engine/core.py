@@ -36,7 +36,7 @@ from repro.engine.fingerprint import (
     query_fingerprint,
     statistics_fingerprint,
 )
-from repro.engine.parallel import PersistentProcessPool, run_partitioned
+from repro.engine.parallel import EXECUTORS, run_partitioned
 from repro.engine.plan_cache import LruDict, PlanCache, PlanRecipe
 from repro.decompositions.treedecomp import TreeDecomposition
 from repro.lp.model import lp_cache_delta, lp_cache_stats
@@ -99,8 +99,7 @@ class EngineStats:
     #: result wins; duplicates are discarded by shard id).
     stragglers_redispatched: int = 0
     #: Worker processes replaced after death or circuit-breaker quarantine
-    #: (cluster executor), plus pool rebuilds after ``BrokenProcessPool``
-    #: (process executor).
+    #: by the cluster executor.
     workers_respawned: int = 0
     #: Queries that fell back to in-process serial execution of remaining
     #: shards after retry/pool exhaustion — degraded, never failed.
@@ -263,12 +262,11 @@ class Engine:
         Default shard count for executions; ``1`` means serial.  Shard counts
         can be overridden per ``prepare``/``execute`` call.
     executor:
-        ``"thread"`` (default; shares warm indexes of unpartitioned
-        relations), ``"process"`` (forked workers, picklable row payloads),
-        ``"cluster"`` (the fault-tolerant coordinator of
-        :mod:`repro.engine.cluster`: retries, straggler re-dispatch, worker
-        respawn, serial degradation) or ``"serial"`` (the sharded dataflow
-        on one core, for debugging).
+        ``"serial"`` (default; runs the shards one after another in this
+        process, sharing warm indexes of unpartitioned relations) or
+        ``"cluster"`` (forked workers under the fault-tolerant coordinator
+        of :mod:`repro.engine.cluster`: retries, straggler re-dispatch,
+        worker respawn, serial degradation).
     cluster_config:
         Optional :class:`~repro.engine.cluster.ClusterConfig` for the
         ``"cluster"`` executor; ``None`` uses the defaults.
@@ -282,9 +280,15 @@ class Engine:
                  max_variables: int = 9,
                  adaptive_threshold: float = 1e-6,
                  shards: int = 1,
-                 executor: str = "thread",
+                 executor: str = "serial",
                  cluster_config=None,
                  measure_degrees: bool = False) -> None:
+        if executor not in EXECUTORS:
+            raise ValueError(
+                f"unknown executor {executor!r}; pick one of {EXECUTORS}")
+        if isinstance(shards, bool) or not isinstance(shards, int) \
+                or shards < 1:
+            raise ValueError(f"shards must be a positive int, got {shards!r}")
         self.database = database
         self.max_variables = max_variables
         self.adaptive_threshold = adaptive_threshold
@@ -297,12 +301,10 @@ class Engine:
         # backend snapshot per query shape ever seen — including superseded
         # backends and their cached indexes — for the engine's lifetime.
         self._stats_memo: LruDict = LruDict(plan_cache_size)
-        # Worker infrastructure is built lazily: a persistent process pool
-        # (heals after BrokenProcessPool) and a cluster coordinator, both
-        # reporting fault counters into this engine's stats.
+        # The cluster coordinator is built lazily, on the first clustered
+        # run, and reports fault counters into this engine's stats.
         self._cluster_config = cluster_config
         self._cluster = None
-        self._process_pool: PersistentProcessPool | None = None
 
     # ------------------------------------------------------------ statistics
     def measured_statistics(self, query: ConjunctiveQuery) -> ConstraintSet:
@@ -446,19 +448,11 @@ class Engine:
                                                stats=self.stats)
         return self._cluster
 
-    def process_pool(self) -> PersistentProcessPool:
-        """This engine's (lazily built) persistent process pool."""
-        if self._process_pool is None:
-            self._process_pool = PersistentProcessPool(stats=self.stats)
-        return self._process_pool
-
     def close(self) -> None:
         """Release worker processes (idempotent; the engine stays usable —
-        the pools rebuild lazily on the next parallel execution)."""
+        the pool rebuilds lazily on the next clustered execution)."""
         if self._cluster is not None:
             self._cluster.shutdown()
-        if self._process_pool is not None:
-            self._process_pool.shutdown()
 
     # -------------------------------------------------------------- internals
     def _plan_key(self, query_digest: str, statistics_digest: str) -> tuple:
@@ -583,14 +577,11 @@ class Engine:
                     cancellation.check()
                 result = None
                 if shards > 1:
-                    pool = (self.process_pool()
-                            if self.executor == "process" else None)
                     cluster = (self.cluster_coordinator()
                                if self.executor == "cluster" else None)
                     result = run_partitioned(chosen, database, shards,
-                                             executor=self.executor,
                                              cancellation=cancellation,
-                                             pool=pool, cluster=cluster)
+                                             cluster=cluster)
                 if result is not None:
                     parallel = True
                 else:

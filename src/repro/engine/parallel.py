@@ -19,96 +19,29 @@ by per-worker :class:`~repro.relational.operators.WorkCounter` objects merged
 at join time (the counters are also individually thread-safe, so sharing one
 would merely serialize updates, not lose them).
 
-Three parallel executors are provided: ``"thread"`` shares the parent's
-relations (copy-on-write facades, so cached indexes of the *unpartitioned*
-relations stay warm across shards), ``"process"`` ships picklable row
-payloads to forked workers and rebuilds the plan from its structural
-description there, and ``"cluster"`` sends the same payloads through the
-fault-tolerant coordinator of :mod:`repro.engine.cluster` (retries,
-straggler re-dispatch, worker respawn, serial degradation).
+Two executors run the shards.  ``"serial"`` (the default) loops over them
+in-process, sharing the parent's relations (copy-on-write facades, so cached
+indexes of the *unpartitioned* relations stay warm across shards).
+``"cluster"`` ships picklable shard payloads to the forked workers of the
+fault-tolerant coordinator in :mod:`repro.engine.cluster` (retries,
+straggler re-dispatch, worker respawn, serial degradation), which rebuild
+the plan from its structural description.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Sequence
 
-from repro.analysis.plan_verifier import (
-    assert_valid,
-    verify_dispatch,
-    verify_shard_payload,
-)
+from repro.analysis.plan_verifier import verify_dispatch
+from repro.engine.cluster import run_shards
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.relational.database import Database
 from repro.relational.operators import WorkCounter
 from repro.relational.relation import Relation
-from repro.telemetry.trace import SpanContext, get_tracer
+from repro.telemetry.trace import get_tracer
 from repro.utils.cancellation import CancellationToken
 
-EXECUTORS = ("thread", "process", "cluster", "serial")
-
-
-class PersistentProcessPool:
-    """A process pool that survives worker death *between* queries.
-
-    ``ProcessPoolExecutor`` is permanently broken once any worker dies: every
-    later submit raises ``BrokenProcessPool``, so an engine holding one
-    failed query would fail all of them.  This wrapper owns the executor,
-    detects brokenness on the dispatch path, discards the carcass, and
-    lazily rebuilds a fresh pool on the next dispatch — the query that hit
-    the dead worker still surfaces a structured error (the rows genuinely
-    were not computed), but the *next* query finds a healthy pool with no
-    manual reset.  Rebuilds after brokenness are reported to ``stats`` as
-    ``workers_respawned``.
-    """
-
-    def __init__(self, stats=None) -> None:
-        self._stats = stats
-        self._executor: ProcessPoolExecutor | None = None
-        self._workers = 0
-        self._broken = False
-        self._lock = threading.Lock()
-
-    def map(self, fn, payloads: Sequence, workers: int) -> list:
-        executor = self._ensure(workers)
-        try:
-            return list(executor.map(fn, payloads))
-        except BrokenProcessPool:
-            self._discard()
-            raise
-
-    def _ensure(self, workers: int) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._executor is not None and workers > self._workers:
-                # Too small for this query: replace (an executor cannot grow).
-                self._executor.shutdown(wait=True, cancel_futures=True)
-                self._executor = None
-            if self._executor is None:
-                healing = self._broken
-                self._executor = ProcessPoolExecutor(
-                    max_workers=workers, mp_context=_process_context())
-                self._workers = workers
-                self._broken = False
-                if healing and self._stats is not None:
-                    self._stats.bump(workers_respawned=workers)
-            return self._executor
-
-    def _discard(self) -> None:
-        with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-            self._workers = 0
-            self._broken = True
-
-    def shutdown(self) -> None:
-        with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-            self._workers = 0
+EXECUTORS = ("serial", "cluster")
 
 
 def choose_partition_atom(query: ConjunctiveQuery,
@@ -168,7 +101,7 @@ def merge_shard_results(query: ConjunctiveQuery, shard_results: Sequence,
     tracer = get_tracer()
     for result in shard_results:
         counter.merge(result.counter)
-        # Splice span records shipped home by process/cluster workers back
+        # Splice span records shipped home by cluster workers back
         # into the coordinator's trace (empty for in-process shards).
         shipped = getattr(result, "spans", None)
         if shipped:
@@ -177,117 +110,8 @@ def merge_shard_results(query: ConjunctiveQuery, shard_results: Sequence,
                            details=[result.details for result in shard_results])
 
 
-# ---------------------------------------------------------------------------
-# workers
-# ---------------------------------------------------------------------------
-
-def _database_payload(database: Database) -> dict:
-    """A picklable description of a database, no backend objects.
-
-    Kernel-capable relations ship as ``("encoded", ...)`` — per-column decode
-    lists plus compact ``int64`` code arrays — instead of Python row tuples;
-    everything else falls back to ``("rows", ...)``.  Workers rebuild
-    identical relations either way because dictionary codes are a
-    deterministic function of the column's value set.
-    """
-    payload = {}
-    for name in database.relation_names():
-        relation = database[name]
-        encoded = relation.encoded_payload()
-        if encoded is not None:
-            payload[name] = ("encoded", relation.columns, encoded,
-                             relation.backend_kind)
-        else:
-            payload[name] = ("rows", relation.columns, list(relation.rows),
-                             relation.backend_kind)
-    return payload
-
-
-def _shard_payload(plan, shard_db: Database,
-                   cancellation: CancellationToken | None = None,
-                   trace_prefix: str = "") -> dict:
-    """Everything a worker process needs to re-run ``plan`` on ``shard_db``.
-
-    Cancellation crosses the process boundary as a wall-clock ``deadline``
-    (every worker on the box reads the same clock), so a deadline-exceeded
-    sharded run trips cooperatively inside each worker rather than waiting
-    for the pool to finish.
-
-    ``trace_prefix`` namespaces the span ids the worker will allocate
-    (``shard-3.s1``, …); the ambient span context ships with the payload so
-    the worker's spans reattach under the coordinator's trace.
-    """
-    return {
-        "kind": plan.kind,
-        "query": plan.query,
-        "statistics": plan.statistics,
-        "best_bags": (tuple(plan.decomposition.bags)
-                      if plan.decomposition is not None else None),
-        "decomposition_bags": tuple(tuple(td.bags)
-                                    for td in plan.decompositions),
-        "relations": _database_payload(shard_db),
-        "deadline": cancellation.deadline if cancellation is not None else None,
-        "trace": get_tracer().export_context(prefix=trace_prefix),
-    }
-
-
-def _execute_shard(payload: dict):
-    """Process-pool worker: rebuild the database and plan, run, return the result.
-
-    Runs in a separate interpreter, so everything crossing the boundary is
-    plain picklable data; the returned ``ExecutionResult`` keeps the worker's
-    counter (thread-safe counters re-grow their lock on unpickling) and drops
-    the execution details, which may hold arbitrarily large reports.
-    """
-    from repro.decompositions.treedecomp import TreeDecomposition
-    from repro.optimizer.planner import realize_plan
-    from repro.relational.storage import ColumnarBackend
-
-    relations = {}
-    for name, (tag, columns, data, backend) in payload["relations"].items():
-        if tag == "encoded":
-            decodes, code_arrays, length = data
-            relations[name] = Relation._from_backend(
-                name, columns,
-                ColumnarBackend.from_encoded(decodes, code_arrays, length))
-        else:
-            relations[name] = Relation(name, columns, data, backend=backend)
-    database = Database(relations)
-    decomposition = (TreeDecomposition(payload["best_bags"])
-                     if payload["best_bags"] is not None else None)
-    decompositions = tuple(TreeDecomposition(bags)
-                           for bags in payload["decomposition_bags"])
-    plan = realize_plan(payload["kind"], payload["query"], payload["statistics"],
-                        reason="shard worker", decomposition=decomposition,
-                        decompositions=decompositions, validate=False)
-    counter = None
-    if payload.get("deadline") is not None:
-        token = CancellationToken(deadline=payload["deadline"])
-        counter = WorkCounter(cancellation=token)
-    ctx = SpanContext.from_dict(payload.get("trace"))
-    tracer = get_tracer()
-    if ctx is None:
-        result = plan.execute(database, counter=counter)
-        result.details = None
-        return result
-    # A forked worker inherits the parent's tracer state; the shipped
-    # prefix namespaces every id allocated here, so reassembled spans can
-    # never collide with the coordinator's (or a retry twin's).
-    with tracer.span("exec.shard", {"prefix": ctx.prefix},
-                     parent=ctx) as span:
-        result = plan.execute(database, counter=counter)
-        span.set("rows_out", len(result.answer))
-    result.details = None
-    # Ship this process's finished spans home with the result; the
-    # coordinator splices them back via ``Tracer.adopt``.
-    result.spans = tracer.drain_remote(ctx.trace_id, ctx.prefix)
-    return result
-
-
 def run_partitioned(plan, database: Database, shards: int,
-                    executor: str = "thread",
                     cancellation: CancellationToken | None = None,
-                    pool: PersistentProcessPool | None = None,
                     cluster=None):
     """Execute ``plan`` over ``shards`` hash-partitions of its heaviest atom.
 
@@ -295,24 +119,18 @@ def run_partitioned(plan, database: Database, shards: int,
     (identical to the serial answer), or ``None`` when the query has no
     partitionable atom, in which case the caller should run serially.
 
-    ``cancellation`` optionally threads a cooperative token through every
-    shard: thread (and serial) workers share the token object directly via
-    per-shard :class:`WorkCounter`\\ s, process workers rebuild an equivalent
-    token from the shipped wall-clock deadline.  The first shard to trip
-    raises :class:`~repro.utils.cancellation.QueryCancelledError`, which
-    propagates out of the pool; the remaining shards observe the same token
-    (or deadline) and stop cooperatively as well.
+    ``cluster`` is a :class:`~repro.engine.cluster.ClusterCoordinator` to
+    dispatch the shards to; ``None`` runs them one after another in this
+    process.
 
-    ``pool`` optionally reuses a :class:`PersistentProcessPool` for the
-    ``"process"`` executor (an engine passes its own so worker forks amortize
-    across queries and brokenness heals); ``cluster`` likewise reuses a
-    :class:`~repro.engine.cluster.ClusterCoordinator` for the ``"cluster"``
-    executor — when omitted, a one-shot coordinator is built and torn down.
+    ``cancellation`` optionally threads a cooperative token through every
+    shard: in-process shards share the token object directly via per-shard
+    :class:`WorkCounter`\\ s, cluster workers rebuild an equivalent token
+    from the shipped wall-clock deadline.  The first shard to trip raises
+    :class:`~repro.utils.cancellation.QueryCancelledError`.
     """
     if shards < 2:
         raise ValueError("partition-parallel execution needs at least 2 shards")
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; pick one of {EXECUTORS}")
     atom = choose_partition_atom(plan.query, database)
     if atom is None:
         return None
@@ -323,69 +141,17 @@ def run_partitioned(plan, database: Database, shards: int,
     if cancellation is not None:
         cancellation.check()
 
-    def shard_counter() -> WorkCounter | None:
-        if cancellation is None:
-            return None
-        return WorkCounter(cancellation=cancellation)
-
     shard_dbs = shard_databases(database, atom, shards)
-    if executor == "serial":
-        # The sharded dataflow on one core: useful for debugging and for
-        # exact parity tests that must not depend on scheduling.
-        shard_results = [plan.execute(shard_db, counter=shard_counter())
-                         for shard_db in shard_dbs]
-    elif executor == "process":
-        payloads = [_shard_payload(plan, shard_db, cancellation,
-                                   trace_prefix=f"shard-{index}")
-                    for index, shard_db in enumerate(shard_dbs)]
-        # Payloads cross the process boundary: reject unpicklable callables
-        # here, by name, instead of dying inside the pool as an opaque
-        # BrokenProcessPool (one payload suffices — they share structure).
-        assert_valid("process shard payload", verify_shard_payload(payloads[0]))
-        if pool is not None:
-            shard_results = pool.map(_execute_shard, payloads, shards)
-        else:
-            with ProcessPoolExecutor(max_workers=shards,
-                                     mp_context=_process_context()) as ephemeral:
-                shard_results = list(ephemeral.map(_execute_shard, payloads))
-    elif executor == "cluster":
-        from repro.engine.cluster import ClusterCoordinator, run_shards
-
-        owned = cluster is None
-        coordinator = ClusterCoordinator() if owned else cluster
-        try:
-            shard_results = run_shards(plan, shard_dbs, coordinator,
-                                       cancellation)
-        finally:
-            if owned:
-                coordinator.shutdown()
+    if cluster is not None:
+        shard_results = run_shards(plan, shard_dbs, cluster, cancellation)
     else:
-        # Contextvars do not cross ThreadPoolExecutor workers on their own:
-        # capture the ambient span context here and re-attach it inside each
-        # worker thread, so shard spans nest under the coordinator's trace.
-        parent_ctx = get_tracer().current_context()
-
-        def run_shard(shard_db: Database):
-            if parent_ctx is None:
-                return plan.execute(shard_db, counter=shard_counter())
-            tracer = get_tracer()
-            with tracer.attach(parent_ctx):
-                with tracer.span("exec.shard",
-                                 {"executor": "thread"}) as span:
-                    result = plan.execute(shard_db, counter=shard_counter())
-                    span.set("rows_out", len(result.answer))
-            return result
-
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            shard_results = list(pool.map(run_shard, shard_dbs))
+        tracer = get_tracer()
+        shard_results = []
+        for index, shard_db in enumerate(shard_dbs):
+            counter = (WorkCounter(cancellation=cancellation)
+                       if cancellation is not None else None)
+            with tracer.span("exec.shard", {"shard": index}) as span:
+                result = plan.execute(shard_db, counter=counter)
+                span.set("rows_out", len(result.answer))
+            shard_results.append(result)
     return merge_shard_results(plan.query, shard_results, database.backend_kind)
-
-
-def _process_context():
-    """Fork when the platform offers it (cheap, inherits the code); else default."""
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()

@@ -152,7 +152,7 @@ class QueryService:
 
     # -------------------------------------------------------------- tenants
     def create_tenant(self, name: str, database: Database, *,
-                      shards: int = 1, executor: str = "thread",
+                      shards: int = 1, executor: str = "serial",
                       plan_cache_size: int = 128, max_variables: int = 9,
                       cluster_config=None,
                       measure_degrees: bool = False) -> Tenant:
@@ -412,9 +412,9 @@ class QueryService:
                 self._cancel_active(f"shutdown grace of {grace}s expired")
         await self._wait_idle()
         self._executor.shutdown(wait=True)
-        # Release every tenant's worker processes (cluster coordinators and
-        # persistent process pools) — daemon workers would die with the
-        # process anyway, but an explicit close keeps shutdown deterministic.
+        # Release every tenant's cluster worker processes — daemon workers
+        # would die with the process anyway, but an explicit close keeps
+        # shutdown deterministic.
         for name in self.registry.names():
             self.registry.get(name).engine.close()
 
@@ -461,8 +461,11 @@ class QueryService:
             if unknown:
                 raise BadRequestError(
                     f"unknown engine options: {sorted(unknown)}")
-            tenant = self.create_tenant(request["name"], database,
-                                        **engine_opts)
+            try:
+                tenant = self.create_tenant(request["name"], database,
+                                            **engine_opts)
+            except ValueError as exc:  # e.g. an unknown executor
+                raise BadRequestError(str(exc)) from exc
             return {"tenant": tenant.name,
                     "relations": database.summary()}
         if op == "drop_tenant":

@@ -79,10 +79,10 @@ class ServiceUnavailableError(ServiceError):
 
 class QueryExecutionError(ServiceError):
     """The engine raised while executing: the tenant's data or plan hit an
-    unexpected condition (e.g. a failing storage backend or a dead worker).
+    unexpected condition (e.g. a failing storage backend).
 
     The original exception type rides along in ``details["cause"]`` so tests
-    can distinguish a flaky index build from a broken process pool without
+    can distinguish one failure cause from another without
     the service ever re-raising the raw exception at a client.
     """
 

@@ -93,7 +93,7 @@ class TenantRegistry:
         return name in self._tenants
 
     def create(self, name: str, database: Database, *,
-               shards: int = 1, executor: str = "thread",
+               shards: int = 1, executor: str = "serial",
                plan_cache_size: int = 128, max_variables: int = 9,
                cluster_config=None,
                measure_degrees: bool = False) -> Tenant:
@@ -122,8 +122,8 @@ class TenantRegistry:
             tenant = self._tenants.pop(name, None)
         if tenant is None:
             raise UnknownTenantError(f"unknown tenant {name!r}")
-        # Dropping a tenant releases its worker processes (cluster pool and
-        # persistent process pool) — engines otherwise hold them for reuse.
+        # Dropping a tenant releases its cluster worker processes — engines
+        # otherwise hold them for reuse.
         tenant.engine.close()
         return tenant
 

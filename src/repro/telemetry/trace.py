@@ -24,7 +24,7 @@ Design constraints, in order:
   path including exceptions, which it records as the span's status.
 
 Timing uses ``time.perf_counter`` (CLOCK_MONOTONIC): monotonic within a
-process and — on the POSIX platforms the fork-based executors run on —
+process and — on the POSIX platforms the fork-based cluster runs on —
 shared across the coordinator and its forked workers, so cross-process span
 timings are directly comparable.
 
@@ -35,7 +35,7 @@ boundaries on their own; callers hop them explicitly:
 * thread pools / asyncio executors: capture ``span.context()`` (or
   ``tracer.export_context()``) before the hop and wrap the work in
   ``tracer.attach(ctx)`` or pass ``parent=ctx`` to the first span;
-* process/cluster workers: ship ``tracer.export_context(prefix=...)`` (a
+* cluster workers: ship ``tracer.export_context(prefix=...)`` (a
   plain picklable dict) in the payload, open worker spans with
   ``parent=SpanContext.from_dict(...)``, then ``drain_remote(...)`` the
   finished span records and return them with the result; the coordinator

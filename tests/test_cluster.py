@@ -3,13 +3,10 @@
 The chaos battery proper (injected kills, stragglers, dropped acks) lives in
 ``test_cluster_chaos.py``; this file covers the executor's steady state —
 answers bit-identical to serial on both backends, lazy pool healing after a
-hard worker crash (for both the cluster coordinator and the persistent
-process pool), stats plumbing, and the static task verifier.
+hard worker crash, stats plumbing, and the static task verifier.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -18,7 +15,7 @@ from repro.analysis.plan_verifier import (
     verify_cluster_task,
 )
 from repro.datagen import random_graph_database
-from repro.engine import ClusterConfig, Engine, PersistentProcessPool
+from repro.engine import ClusterConfig, Engine
 from repro.engine.parallel import EXECUTORS
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.query.library import (
@@ -123,60 +120,6 @@ def test_coordinator_heals_after_externally_killed_worker():
         assert all(worker.alive for worker in coordinator._workers)
     finally:
         engine.close()
-
-
-# ---------------------------------------------------------------------------
-# persistent process pool healing (the BrokenProcessPool regression)
-# ---------------------------------------------------------------------------
-
-def _die_in_worker(payload):
-    """Module-level (hence picklable) shard executor that kills its worker."""
-    os._exit(13)
-
-
-def test_process_pool_heals_after_broken_pool(monkeypatch):
-    """The regression this PR exists for: after ``BrokenProcessPool`` the
-    engine used to hold a permanently dead pool.  Now the pool is discarded
-    on the failure and lazily rebuilt, so the next query succeeds with no
-    manual reset — and the rebuild is observable as ``workers_respawned``."""
-    import repro.engine.parallel as parallel
-
-    query = triangle_query()
-    database = _database(query, seed=23)
-    serial = Engine(database).execute(query)
-    engine = Engine(database, shards=2, executor="process")
-    try:
-        monkeypatch.setattr(parallel, "_execute_shard", _die_in_worker)
-        with pytest.raises(Exception) as excinfo:
-            engine.execute(query)
-        assert "BrokenProcessPool" in type(excinfo.value).__name__
-        monkeypatch.undo()
-
-        result = engine.execute(query)
-        assert set(result.answer.rows) == set(serial.answer.rows)
-        stats = engine.stats.as_dict()
-        assert stats["workers_respawned"] >= 1
-        assert stats["executions"] == 1
-    finally:
-        engine.close()
-
-
-def test_process_pool_grows_to_the_largest_request():
-    pool = PersistentProcessPool()
-    try:
-        assert pool.map(_echo, [1, 2], workers=2) == [1, 2]
-        assert pool._workers == 2
-        assert pool.map(_echo, [1, 2, 3, 4], workers=4) == [1, 2, 3, 4]
-        assert pool._workers == 4
-        # A smaller request reuses the bigger pool rather than shrinking.
-        assert pool.map(_echo, [5], workers=1) == [5]
-        assert pool._workers == 4
-    finally:
-        pool.shutdown()
-
-
-def _echo(value):
-    return value
 
 
 # ---------------------------------------------------------------------------

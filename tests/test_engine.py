@@ -266,12 +266,25 @@ def test_parallel_execution_falls_back_on_self_joins():
 def test_process_executor_matches_serial(four_cycle):
     database = hard_four_cycle_instance(20)
     statistics = collect_statistics(database, four_cycle, include_degrees=False)
-    engine = Engine(database, executor="process")
-    serial = engine.execute(four_cycle, statistics=statistics)
-    forked = engine.execute(four_cycle, statistics=statistics, shards=2)
+    engine = Engine(database, executor="cluster")
+    try:
+        serial = engine.execute(four_cycle, statistics=statistics)
+        forked = engine.execute(four_cycle, statistics=statistics, shards=2)
+    finally:
+        engine.close()
     assert forked.answer.rows == serial.answer.rows
     assert forked.answer.columns == serial.answer.columns
     assert engine.stats.shards_run == 2
+
+
+@pytest.mark.parametrize("options", [{"executor": "process"},
+                                     {"executor": "thread"},
+                                     {"shards": 0},
+                                     {"shards": 2.0}])
+def test_engine_rejects_bad_execution_options_at_construction(options):
+    database = random_graph_database(triangle_query(), 10, 4, seed=1)
+    with pytest.raises(ValueError):
+        Engine(database, **options)
 
 
 def test_hash_shards_partition_exactly():

@@ -8,8 +8,8 @@ hypothesis property sweep), the depth-first trie walk for the generic join
 engine for semiring marginalization.  The fallback ladder is exercised
 explicitly: pack overflow, counting-overflow vetting, and a non-vectorizable
 semiring (top-k min-plus) must take the fallback counters, never wrong
-answers.  The encoded transport path (shard views, pickled payloads, thread
-vs process executors) must preserve the exact-partition merge identity.
+answers.  The encoded transport path (shard views, pickled payloads, serial
+vs cluster executors) must preserve the exact-partition merge identity.
 """
 
 from __future__ import annotations
@@ -292,17 +292,20 @@ def test_encoded_payload_pickle_round_trip():
     assert set(rebuilt.iter_rows()) == relation.rows
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "cluster"])
 def test_partitioned_kernel_execution_matches_serial(executor):
-    """Satellite regression: shard-stable encodings mean thread workers
-    (shared memory) and process workers (pickled encoded payloads) both
-    reproduce the serial answer exactly."""
+    """Shard-stable encodings mean in-process shards (shared memory) and
+    cluster workers (pickled encoded payloads) both reproduce the
+    unsharded answer exactly."""
     query = four_cycle_projected()
     database = random_graph_database(query, 40, 10, seed=21, backend="columnar")
-    with using_kernels(True):
-        engine = Engine(database, executor=executor)
-        serial = engine.execute(query)
-        sharded = engine.execute(query, shards=2)
+    engine = Engine(database, executor=executor)
+    try:
+        with using_kernels(True):
+            serial = engine.execute(query)
+            sharded = engine.execute(query, shards=2)
+    finally:
+        engine.close()
     assert sharded.answer.columns == serial.answer.columns
     assert sharded.answer.rows == serial.answer.rows
     assert engine.stats.shards_run == 2

@@ -1,8 +1,9 @@
 """End-to-end reproduction of the paper's figures, tables and numeric claims.
 
-Each test corresponds to one entry of the experiment index in DESIGN.md; the
-benchmark harness re-runs the same computations and prints the regenerated
-artifacts.
+Each test corresponds to one paper experiment; the ``bench_e*``,
+``bench_table*`` and ``bench_figure*`` scripts under ``benchmarks/`` re-run
+the same computations (one script per experiment, named after it) and print
+the regenerated artifacts.
 """
 
 import math

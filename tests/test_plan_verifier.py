@@ -302,7 +302,7 @@ def test_run_partitioned_rejects_corrupted_decompositions():
     # structure with validate=False and drop the third join silently.
     plan = _static_plan(query, statistics, [varset("XY"), varset("YZ")])
     with pytest.raises(PlanVerificationError) as excinfo:
-        run_partitioned(plan, database, shards=2, executor="serial")
+        run_partitioned(plan, database, shards=2)
     assert "covers no bag for atom" in str(excinfo.value)
 
 
@@ -314,9 +314,9 @@ def test_run_partitioned_verifies_once_per_plan():
     statistics = collect_statistics(database, query, include_degrees=False)
     plan = _static_plan(query, statistics, [varset("XYZ")])
     assert not getattr(plan, "_dispatch_verified", False)
-    first = run_partitioned(plan, database, shards=2, executor="serial")
+    first = run_partitioned(plan, database, shards=2)
     assert plan._dispatch_verified is True
-    second = run_partitioned(plan, database, shards=2, executor="serial")
+    second = run_partitioned(plan, database, shards=2)
     assert first.answer.rows == second.answer.rows
 
 
@@ -355,7 +355,8 @@ def test_shard_payload_accepts_plain_data_and_classes():
 
 
 def test_real_shard_payloads_are_clean():
-    from repro.engine.parallel import _shard_payload, shard_databases
+    from repro.engine.cluster import _shard_payload
+    from repro.engine.parallel import shard_databases
 
     query = triangle_query()
     database = random_graph_database(query, 24, 7, seed=5)

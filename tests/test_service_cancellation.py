@@ -5,8 +5,8 @@ overshoot — it does not run the join to completion and then notice.  The
 bound is checked from :class:`~repro.relational.operators.WorkCounter`
 tallies (the generic join checks its token every ``CHECK_INTERVAL`` explored
 partial assignments, so work past the trip point is at most one interval per
-DFS level), and end-to-end through the engine, the sharded process executor
-and the asyncio service.
+DFS level), and end-to-end through the engine, the sharded serial and cluster
+executors and the asyncio service.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.service import (
     QueryService,
     ServiceConfig,
 )
+from repro.testing.faults import FaultPlan
 from repro.utils.cancellation import CancellationToken, QueryCancelledError
 
 
@@ -126,18 +127,30 @@ def test_engine_counts_already_cancelled_execution():
     assert engine.stats.executions == 0
 
 
-@pytest.mark.parametrize("executor", ["thread", "serial", "process"])
+@pytest.mark.parametrize("executor", ["serial", "cluster"])
 def test_sharded_execution_cancels_across_executors(executor):
-    """Cancellation reaches shard workers: shared token for threads, a
-    wall-clock deadline shipped in the payload for processes."""
-    database = hard_four_cycle_instance(1200)
+    """Cancellation reaches shard workers: the shared token in-process, a
+    wall-clock deadline shipped in the payload to cluster workers.
+
+    Neither case races the clock: the serial token trips after a fixed
+    number of checks, and the cluster's first shard sleeps well past the
+    deadline, so the coordinator observes the expiry before any answer."""
+    database = hard_four_cycle_instance(1200 if executor == "serial" else 100)
     engine = Engine(database, shards=2, executor=executor)
     query = four_cycle_projected()
     prepared = engine.prepare(query)
-    with using_kernels(False):
-        with pytest.raises(QueryCancelledError):
-            prepared.execute(
-                cancellation=CancellationToken.with_timeout(0.15))
+    if executor == "serial":
+        token = TripAfter(4)
+    else:
+        engine.cluster_coordinator().fault_plan = FaultPlan(
+            delay_shard=0, delay_seconds=5.0)
+        token = CancellationToken.with_timeout(0.2)
+    try:
+        with using_kernels(False):
+            with pytest.raises(QueryCancelledError):
+                prepared.execute(cancellation=token)
+    finally:
+        engine.close()
     assert engine.stats.cancelled_executions == 1
 
 

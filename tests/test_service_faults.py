@@ -1,4 +1,4 @@
-"""Fault injection: failing storage backends and dying shard workers.
+"""Fault injection: failing storage backends.
 
 The service contract under test: an engine blowing up mid-query surfaces as
 one structured ``execution-failed`` document — never a hang, never a raw
@@ -9,7 +9,6 @@ afterwards (plan cache intact, counters reconciled, next query succeeds).
 from __future__ import annotations
 
 import asyncio
-import os
 
 import pytest
 
@@ -93,44 +92,6 @@ def test_direct_query_raises_typed_error():
     error = asyncio.run(main())
     assert isinstance(error.cause, RuntimeError)
     assert error.to_dict()["code"] == "execution-failed"
-
-
-def _die_in_worker(payload):
-    """Module-level (hence picklable) stand-in for ``_execute_shard`` that
-    kills the worker process outright — the hard-crash fault."""
-    os._exit(13)
-
-
-def test_worker_death_surfaces_as_structured_error(monkeypatch):
-    """A shard worker dying mid-query (``os._exit``) must not hang the
-    service: the broken pool surfaces as ``execution-failed`` and the next
-    query (on a fresh pool) succeeds."""
-    import repro.engine.parallel as parallel
-
-    query = triangle_query()
-    database = random_graph_database(query, size=60, domain=12, seed=23)
-
-    async def main():
-        service = QueryService(ServiceConfig(max_concurrent=2))
-        service.create_tenant("acme", database, shards=2, executor="process")
-
-        monkeypatch.setattr(parallel, "_execute_shard", _die_in_worker)
-        failed = await service.handle(
-            {"op": "query", "tenant": "acme", "query": query})
-        monkeypatch.undo()
-        healed = await service.handle(
-            {"op": "query", "tenant": "acme", "query": query})
-        await service.shutdown()
-        return service, failed, healed
-
-    service, failed, healed = asyncio.run(main())
-    assert failed["ok"] is False
-    assert failed["error"]["code"] == "execution-failed"
-    assert "BrokenProcessPool" in failed["error"]["details"]["cause"]
-    assert healed["ok"] is True
-    tenant = service.registry.get("acme")
-    assert tenant.failed == 1 and tenant.completed == 1
-    assert tenant.engine.stats.as_dict()["executions"] == 1
 
 
 def test_fault_during_concurrent_load_leaves_other_tenants_unharmed():

@@ -110,6 +110,28 @@ def test_http_round_trip_and_status_mapping():
     assert out["stats"][0] == 200
 
 
+def test_create_tenant_rejects_an_unknown_executor():
+    """A retired executor name is a bad request, not a tenant that fails its
+    first sharded query."""
+    database = random_graph_database(triangle_query(), size=20, domain=6,
+                                     seed=5)
+
+    async def main():
+        service = QueryService(ServiceConfig())
+        frontend = await serve(service)
+        body = dict(_tenant_payload("acme", database),
+                    engine={"shards": 2, "executor": "process"})
+        response = await _request(frontend.port, "POST", "/tenants", body)
+        await frontend.stop()
+        return service, response
+
+    service, (status, doc) = asyncio.run(main())
+    assert status == 400
+    assert doc["error"]["code"] == "bad-request"
+    assert "process" in doc["error"]["message"]
+    assert "acme" not in service.registry
+
+
 def test_streaming_is_lazy_and_pages_reassemble_the_answer():
     query = triangle_query()
     database = random_graph_database(query, size=80, domain=14, seed=9,
