@@ -102,11 +102,13 @@ class ClusterConfig:
 def _database_payload(database: Database) -> dict:
     """A picklable description of a database, no backend objects.
 
-    Kernel-capable relations ship as ``("encoded", ...)`` — per-column decode
-    lists plus compact ``int64`` code arrays — instead of Python row tuples;
+    Kernel-capable relations ship as ``("encoded", ...)`` — per-column code
+    tables plus compact ``int64`` code arrays — instead of Python row tuples;
     everything else falls back to ``("rows", ...)``.  Workers rebuild
-    identical relations either way because dictionary codes are a
-    deterministic function of the column's value set.
+    identical relations either way: encoded columns rebuild exactly the
+    shipped codes (into tables cut down to the values each relation uses),
+    and row-built columns get codes that are a deterministic function of the
+    column's value set.
     """
     payload = {}
     for name in database.relation_names():
@@ -163,10 +165,8 @@ def _execute_shard(payload: dict):
     relations = {}
     for name, (tag, columns, data, backend) in payload["relations"].items():
         if tag == "encoded":
-            decodes, code_arrays, length = data
             relations[name] = Relation._from_backend(
-                name, columns,
-                ColumnarBackend.from_encoded(decodes, code_arrays, length))
+                name, columns, ColumnarBackend.from_encoded(*data))
         else:
             relations[name] = Relation(name, columns, data, backend=backend)
     database = Database(relations)

@@ -6,24 +6,32 @@ here move the hot loops into NumPy over the backends' dictionary-encoded
 ``int64`` code arrays (see
 :class:`~repro.relational.storage.ColumnDictionary`):
 
-* **encode** — each participating column is dictionary-encoded once (cached
-  on the backend, COW-shared like the hash indexes); codes of one side are
-  translated into the other side's code space through a memoized translation
-  table, so equality of codes is equality of values;
-* **kernel** — hash joins and semijoins become sort + ``searchsorted`` range
-  lookups, projections become ``np.unique`` over packed keys, the generic
-  worst-case-optimal join becomes a breadth-first frontier of per-level code
-  arrays, and per-semiring ⊕-marginalization becomes
+* **encode** — each base column is dictionary-encoded once (cached on the
+  backend, COW-shared like the hash indexes) into a
+  :class:`~repro.relational.storage.CodeTable`; codes of one side are
+  translated into the other side's code space through a table memoized on
+  the code table, so equality of codes is equality of values;
+* **kernel** — hash joins, semijoins and the generic worst-case-optimal
+  join's extensions and filters all probe through one helper
+  (:func:`_probe`): a memoized dense table of range bounds over the packed
+  key space when that space fits :func:`_lut_capacity`, two
+  ``searchsorted`` probes beyond it.  Projections become ``np.unique`` over
+  packed keys, the generic join a breadth-first frontier of per-level code
+  arrays, and per-semiring ⊕-marginalization
   ``np.add/minimum/maximum.reduceat`` over sorted groups;
 * **decode** — set-semantics outputs *stay encoded*: kernels return
-  ``(decode lists, int64 code arrays, length)`` triples that become
-  ``ColumnarBackend.from_encoded`` backends, so a chain of joins, semijoins
-  and projections never materialises intermediate Python tuples and each
-  derived backend realises its own dictionaries vectorized
-  (:meth:`ColumnDictionary.from_codes`).  Rows are decoded lazily — by
-  fancy-indexing object-dtype decode columns and ``zip``-ing the original
-  Python value objects back — only when something actually reads them, so
-  results are bit-identical to the reference ``SetBackend`` path.
+  ``(code tables, int64 code arrays, length)`` triples that become
+  ``ColumnarBackend.from_encoded`` backends.  The tables are the base
+  columns' own, shared by reference, so a chain of joins, semijoins and
+  projections never materialises intermediate Python tuples, never
+  rebuilds a dictionary, and finds its translations memoized on a warm
+  re-execution.  A derived column's codes need not be dense over the
+  values it holds.  Rows are decoded lazily — by fancy-indexing
+  object-dtype decode columns and ``zip``-ing the stored Python value
+  objects back — only when something actually reads them, so results are
+  equal to the reference ``SetBackend`` path (values that compare equal
+  across types, such as ``1``, ``1.0`` and ``True``, share one code and
+  decode to one representative object).
 
 Every kernel is *exact or absent*: value domains that cannot be reproduced
 exactly in vector form (non-``int``/``float`` annotations, magnitudes that
@@ -168,6 +176,14 @@ def _memo(backend, key, build):
 # packing and matching primitives
 # ---------------------------------------------------------------------------
 
+def _packed_space(dims) -> int:
+    """Size of the packed key space of ``dims`` (a Python int, so exact)."""
+    space = 1
+    for dim in dims:
+        space *= max(int(dim), 1)
+    return space
+
+
 def _pack(columns: Sequence, dims: Sequence[int], length: int):
     """Horner-pack per-column code arrays into one ``int64`` key per row.
 
@@ -177,11 +193,8 @@ def _pack(columns: Sequence, dims: Sequence[int], length: int):
     """
     if not columns:
         return np.zeros(length, dtype=np.int64)
-    space = 1
-    for dim in dims:
-        space *= max(int(dim), 1)
-        if space > _PACK_LIMIT:
-            return None
+    if _packed_space(dims) > _PACK_LIMIT:
+        return None
     packed = columns[0].astype(np.int64, copy=True)
     for column, dim in zip(columns[1:], dims[1:]):
         packed *= max(int(dim), 1)
@@ -195,79 +208,69 @@ def _pack(columns: Sequence, dims: Sequence[int], length: int):
 _LUT_SPACE_FACTOR = 8
 _LUT_SPACE_FLOOR = 1 << 16
 
-#: Memo sentinel: the packed key space is too large for a dense table.
-_TOO_BIG = "too-big"
-
 
 def _lut_capacity(rows: int) -> int:
     return max(_LUT_SPACE_FLOOR, _LUT_SPACE_FACTOR * max(rows, 1))
 
 
-def _expand_ranges(order, starts, counts):
-    """Expand per-right-row equal ranges of the sorted left side into pairs."""
+def _probe(owner, memo_key, sorted_keys, dims, probes, rows: int):
+    """Equal ranges of ``probes`` in the sorted packed keys ``sorted_keys``.
+
+    Returns ``(starts, counts)``: probe ``i`` matches
+    ``sorted_keys[starts[i]:starts[i] + counts[i]]``.  The probe ``-1``
+    (untranslatable values) matches nothing, because stored keys are always
+    non-negative codes.  When the packed key space of ``dims`` fits
+    ``_lut_capacity(rows)``, a dense table of range bounds over the whole
+    space — memoized on ``owner`` under ``memo_key`` — answers every probe
+    with two gathers; beyond it, two ``searchsorted`` probes do.  This is
+    the one probing path of the joins, the semijoins and the
+    worst-case-optimal join.
+    """
+    space = _packed_space(dims)
+    if space > _lut_capacity(rows):
+        starts = np.searchsorted(sorted_keys, probes, side="left")
+        ends = np.searchsorted(sorted_keys, probes, side="right")
+        return starts, ends - starts
+
+    def build():
+        # bounds[k]:bounds[k + 1] is key k's range.  The trailing 0 makes
+        # probe -1 read bounds[-1]:bounds[0], an empty range.  Positions fit
+        # int32 below 2^31 keys, which halves the memoized table.
+        dtype = np.int32 if sorted_keys.size < (1 << 31) else np.int64
+        bounds = np.zeros(space + 2, dtype=dtype)
+        np.cumsum(np.bincount(sorted_keys, minlength=space),
+                  out=bounds[1:space + 1])
+        return bounds
+    bounds = _memo(owner, memo_key, build)
+    starts = bounds[probes]
+    return starts, bounds[1:][probes] - starts
+
+
+def _expand_ranges(starts, counts):
+    """Expand per-probe equal ranges into ``(sorted positions, probe index)``
+    pairs, without a Python loop."""
     total = int(counts.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    right_idx = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    probe_idx = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     block_starts = np.cumsum(counts) - counts
     within = np.arange(total, dtype=np.int64) - np.repeat(block_starts, counts)
-    left_idx = order[np.repeat(starts, counts) + within]
-    return left_idx, right_idx
+    return np.repeat(starts, counts) + within, probe_idx
 
 
 def _match_pairs(left, left_key, dims, right_keys):
     """All (left row, right row) index pairs with equal packed keys.
 
     The left side's (memoized) stable sort permutation gives each right key
-    an equal range — found through a dense start/count lookup table when the
-    packed key space is small (one gather per side), through two
-    ``searchsorted`` probes otherwise — and the ranges expand without a
-    Python loop.  Negative right keys (untranslatable values) match nothing
-    because left keys are always non-negative codes.
+    an equal range through :func:`_probe`, and the ranges expand without a
+    Python loop.
     """
-    sorted_packed = _sorted_self_keys(left, left_key)
-    order, sorted_keys = sorted_packed
-    lut = _range_lut(left, left_key, dims)
-    if lut is not _TOO_BIG:
-        starts_lut, counts_lut = lut
-        # Slot `space` is a zero-count sentinel for untranslatable rows.
-        probes = np.where(right_keys < 0, starts_lut.size - 1, right_keys)
-        return _expand_ranges(order, starts_lut[probes], counts_lut[probes])
-    starts = np.searchsorted(sorted_keys, right_keys, side="left")
-    ends = np.searchsorted(sorted_keys, right_keys, side="right")
-    return _expand_ranges(order, starts, ends - starts)
-
-
-def _range_lut(backend, positions, dims):
-    """Memoized ``(starts, counts)`` tables over the packed key space.
-
-    ``starts[k]``/``counts[k]`` locate key ``k``'s equal range in the
-    backend's sorted key permutation; the extra final slot holds an empty
-    range for the ``-1`` sentinel.  Returns :data:`_TOO_BIG` when the space
-    does not fit the dense-table budget.
-    """
-    space = 1
-    for dim in dims:
-        space *= max(int(dim), 1)
-    if space > _lut_capacity(len(backend)):
-        return _TOO_BIG
-
-    def build():
-        _, sorted_keys = _sorted_self_keys(backend, positions)
-        counts = np.bincount(sorted_keys, minlength=space).astype(np.int64)
-        starts = np.cumsum(counts) - counts
-        return (np.append(starts, 0), np.append(counts, 0))
-    return _memo(backend, ("ranges", positions), build)
-
-
-def _member_mask(keys, members):
-    """Boolean mask of ``keys`` present in sorted-unique ``members``."""
-    if members.size == 0:
-        return np.zeros(keys.shape, dtype=bool)
-    pos = np.searchsorted(members, keys)
-    pos_clipped = np.minimum(pos, members.size - 1)
-    return (members[pos_clipped] == keys) & (pos < members.size)
+    order, sorted_keys = _sorted_self_keys(left, left_key)
+    starts, counts = _probe(left, ("ranges", left_key), sorted_keys, dims,
+                            right_keys, len(left))
+    positions, right_idx = _expand_ranges(starts, counts)
+    return order[positions], right_idx
 
 
 def _self_keys(backend, positions):
@@ -277,7 +280,7 @@ def _self_keys(backend, positions):
     """
     def build():
         dicts = [backend.dictionary(p) for p in positions]
-        dims = tuple(len(d.decode) for d in dicts)
+        dims = tuple(len(d.table.decode) for d in dicts)
         keys = _pack([d.codes_array() for d in dicts], dims, len(backend))
         if keys is None:
             return None
@@ -313,7 +316,8 @@ def _translated_keys(right, right_key, left_dicts, dims):
         invalid = None
         for left_dict, position in zip(left_dicts, right_key):
             right_dict = right.dictionary(position)
-            codes = right_dict.translate_to(left_dict)[right_dict.codes_array()]
+            codes = right_dict.table.translate_to(left_dict.table)[
+                right_dict.codes_array()]
             missing = codes < 0
             if missing.any():
                 invalid = missing if invalid is None else (invalid | missing)
@@ -325,7 +329,7 @@ def _translated_keys(right, right_key, left_dicts, dims):
         if invalid is not None:
             right_keys = np.where(invalid, -1, right_keys)
         return right_keys
-    uids = tuple(d.uid for d in left_dicts)
+    uids = tuple(d.table.uid for d in left_dicts)
     return _memo(right, ("xlate", right_key, uids), build)
 
 
@@ -340,25 +344,8 @@ def _member_keys(right, right_key, left_dicts, dims):
         if right_keys is None:
             return None
         return np.unique(right_keys[right_keys >= 0])
-    uids = tuple(d.uid for d in left_dicts)
+    uids = tuple(d.table.uid for d in left_dicts)
     return _memo(right, ("members", right_key, uids), build)
-
-
-def _member_lut(right, right_key, left_dicts, dims, space):
-    """Dense boolean membership table over the packed left key space.
-
-    One gather replaces the semijoin's per-row binary search; memoized like
-    :func:`_member_keys`.  Returns ``None`` on pack overflow.
-    """
-    def build():
-        members = _member_keys(right, right_key, left_dicts, dims)
-        if members is None:
-            return None
-        table = np.zeros(space, dtype=bool)
-        table[members] = True
-        return table
-    uids = tuple(d.uid for d in left_dicts)
-    return _memo(right, ("memberlut", right_key, uids), build)
 
 
 def take_rows(backend, indices, width: int) -> list[tuple]:
@@ -373,15 +360,56 @@ def take_rows(backend, indices, width: int) -> list[tuple]:
 def gather_encoded(backend, indices, width: int):
     """``backend``'s rows at ``indices`` as an encoded-columns triple.
 
-    Returns ``(decode lists, int64 code arrays, length)`` — the arguments of
+    Returns ``(code tables, int64 code arrays, length)`` — the arguments of
     ``ColumnarBackend.from_encoded`` — without touching a single Python value
-    object: the parent's decode lists are shared by reference and only the
+    object: the parent's code tables are shared by reference and only the
     code arrays are gathered.
     """
     dictionaries = [backend.dictionary(p) for p in range(width)]
-    return ([d.decode for d in dictionaries],
+    return ([d.table for d in dictionaries],
             [d.codes_array()[indices] for d in dictionaries],
             int(indices.size))
+
+
+def slice_tables(tables, code_arrays):
+    """Each distinct table cut down to the values its columns use.
+
+    Returns ``(tables, code arrays)`` for shipping an encoded relation to a
+    worker process.  A shard view or derived column shares its base
+    column's whole table, most of which its rows may not use; shipping that
+    table as it is would pickle the full decode list once per shard.
+    Columns that share a table keep sharing one sliced table, codes keep
+    their relative order, and a table whose values are all used ships
+    unchanged.
+    """
+    from repro.relational.storage import CodeTable
+    remaps = {}
+    for table in tables:
+        if id(table) in remaps:
+            continue
+        used = np.zeros(len(table.decode), dtype=bool)
+        for other, codes in zip(tables, code_arrays):
+            if other is table:
+                used[codes] = True
+        if used.all():
+            remaps[id(table)] = (table, None)
+        else:
+            present = np.flatnonzero(used).tolist()
+            remaps[id(table)] = (CodeTable([table.decode[c] for c in present]),
+                                 np.cumsum(used, dtype=np.int64) - 1)
+    sliced_tables, sliced_codes = [], []
+    for table, codes in zip(tables, code_arrays):
+        sliced, remap = remaps[id(table)]
+        sliced_tables.append(sliced)
+        sliced_codes.append(codes if remap is None else remap[codes])
+    return sliced_tables, sliced_codes
+
+
+def _empty_encoded(width: int):
+    """An encoded-columns triple holding no rows."""
+    from repro.relational.storage import CodeTable
+    return ([CodeTable([]) for _ in range(width)],
+            [np.empty(0, dtype=np.int64) for _ in range(width)], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +421,19 @@ def join_encoded(left, right, left_key: Sequence[int],
                  left_width: int):
     """Array hash join, output encoded: left columns + right extras.
 
-    The sort + ``searchsorted`` matching makes this a sort-merge join over
-    hashed-free integer keys — both classical kernels collapse into one here
-    because dictionary codes are already dense integers.  Returns an
-    ``(decode lists, code arrays, length)`` triple for
-    ``ColumnarBackend.from_encoded`` (the output rows are unique because the
-    duplicate-free inputs contribute every one of their columns), or ``None``
-    to fall back on pack overflow.
+    The sorted build side probed through :func:`_probe` makes this a
+    sort-merge join over hash-free integer keys — both classical kernels
+    collapse into one here because dictionary codes are already integers.
+    Returns a ``(code tables, code arrays, length)`` triple for
+    ``ColumnarBackend.from_encoded`` whose columns share the inputs' code
+    tables (the output rows are unique because the duplicate-free inputs
+    contribute every one of their columns), or ``None`` to fall back on pack
+    overflow.
     """
     width = left_width + len(right_extra)
     if len(left) == 0 or len(right) == 0:
         _count("join_kernels")
-        return ([[] for _ in range(width)],
-                [np.empty(0, dtype=np.int64) for _ in range(width)], 0)
+        return _empty_encoded(width)
     left_key = tuple(left_key)
     packed = _self_keys(left, left_key)
     if packed is None:
@@ -423,17 +451,17 @@ def join_encoded(left, right, left_key: Sequence[int],
         # Both sides are zero-column relations; the only possible output row
         # is the empty tuple, present iff anything matched.
         return [], [], (1 if left_idx.size else 0)
-    decodes = []
+    tables = []
     codes = []
     for position in range(left_width):
         dictionary = left.dictionary(position)
-        decodes.append(dictionary.decode)
+        tables.append(dictionary.table)
         codes.append(dictionary.codes_array()[left_idx])
     for position in right_extra:
         dictionary = right.dictionary(position)
-        decodes.append(dictionary.decode)
+        tables.append(dictionary.table)
         codes.append(dictionary.codes_array()[right_idx])
-    return decodes, codes, int(left_idx.size)
+    return tables, codes, int(left_idx.size)
 
 
 def semijoin_keep(left, right, left_key: Sequence[int],
@@ -453,50 +481,42 @@ def semijoin_keep(left, right, left_key: Sequence[int],
         return None
     left_keys, dims = packed
     left_dicts = [left.dictionary(p) for p in left_key]
-    space = 1
-    for dim in dims:
-        space *= max(int(dim), 1)
-    if space <= _lut_capacity(len(left)):
-        table = _member_lut(right, tuple(right_key), left_dicts, dims, space)
-        if table is None:
-            _count("semijoin_fallbacks")
-            return None
-        mask = table[left_keys]
-    else:
-        members = _member_keys(right, tuple(right_key), left_dicts, dims)
-        if members is None:
-            _count("semijoin_fallbacks")
-            return None
-        mask = _member_mask(left_keys, members)
+    right_key = tuple(right_key)
+    members = _member_keys(right, right_key, left_dicts, dims)
+    if members is None:
+        _count("semijoin_fallbacks")
+        return None
+    uids = tuple(d.table.uid for d in left_dicts)
+    _, counts = _probe(right, ("memberranges", right_key, uids), members, dims,
+                       left_keys, len(left))
     _count("semijoin_kernels")
-    return np.flatnonzero(mask)
+    return np.flatnonzero(counts)
 
 
 def distinct_encoded(backend, positions: Sequence[int]):
     """The distinct projection onto ``positions``, output encoded.
 
-    Returns an ``(decode lists, code arrays, length)`` triple for
-    ``ColumnarBackend.from_encoded``, or ``None`` on pack overflow.
+    Returns a ``(code tables, code arrays, length)`` triple for
+    ``ColumnarBackend.from_encoded`` whose columns share ``backend``'s code
+    tables, or ``None`` on pack overflow.
     """
     length = len(backend)
     if length == 0:
         _count("projection_kernels")
-        return ([[] for _ in positions],
-                [np.empty(0, dtype=np.int64) for _ in positions], 0)
+        return _empty_encoded(len(positions))
     if not positions:
         _count("projection_kernels")
         return [], [], 1
     dicts = [backend.dictionary(p) for p in positions]
-    dims = [len(d.decode) for d in dicts]
+    dims = [len(d.table.decode) for d in dicts]
     keys = _pack([d.codes_array() for d in dicts], dims, length)
     if keys is None:
         _count("projection_fallbacks")
         return None
     _, representative = np.unique(keys, return_index=True)
+    columns = [d.codes_array()[representative] for d in dicts]
     _count("projection_kernels")
-    return ([d.decode for d in dicts],
-            [d.codes_array()[representative] for d in dicts],
-            int(representative.size))
+    return [d.table for d in dicts], columns, int(columns[0].size)
 
 
 def shard_assignments(backend, width: int, count: int):
@@ -548,7 +568,7 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
     of partial assignments the DFS enters).
 
     Returns ``(encoded output triple, explored)`` — the triple being the
-    ``(decode lists, code arrays, length)`` arguments of
+    ``(code tables, code arrays, length)`` arguments of
     ``ColumnarBackend.from_encoded`` over the free variables — or ``None``
     to fall back.
     """
@@ -573,7 +593,7 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
         anchor are dropped — they can never meet the frontier).  Memoized per
         ``(positions, anchor uids)`` — the vectorized analogue of the cached
         prefix tries, rebuilt only when the stored relations change.  Returns
-        ``(keys, dims)`` or ``None`` on pack overflow."""
+        ``(keys, dims, memo key)`` or ``None`` on pack overflow."""
         backend, positions, levels = specs[spec_index]
         dims = tuple(anchor_dims[levels[j]] for j in range(rank + 1))
 
@@ -582,7 +602,7 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
             invalid = None
             for j in range(rank + 1):
                 column_dict = backend.dictionary(positions[j])
-                codes = column_dict.translate_to(anchors[levels[j]])[
+                codes = column_dict.table.translate_to(anchors[levels[j]])[
                     column_dict.codes_array()]
                 missing = codes < 0
                 if missing.any():
@@ -597,7 +617,9 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
             return np.unique(keys), dims
 
         uids = tuple(anchors[levels[j]].uid for j in range(rank + 1))
-        return _memo(backend, ("wcoj", positions[:rank + 1], uids), build)
+        memo_key = ("wcoj", positions[:rank + 1], uids)
+        packed = _memo(backend, memo_key, build)
+        return None if packed is None else packed + (memo_key,)
 
     for level in range(depth_total):
         if check is not None:
@@ -605,7 +627,7 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
         entries = plans[level]
         ext_index, ext_rank = entries[0]
         backend, positions, levels = specs[ext_index]
-        anchor = backend.dictionary(positions[ext_rank])
+        anchor = backend.dictionary(positions[ext_rank]).table
         anchors[level] = anchor
         anchor_dims[level] = max(len(anchor.decode), 1)
 
@@ -613,10 +635,10 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
         if packed is None:
             _count("wcoj_fallbacks")
             return None
-        pair_keys, pair_dims = packed
+        pair_keys, pair_dims, memo_key = packed
         value_dim = pair_dims[-1]
+        # pair_keys is sorted (np.unique), so its prefixes are too.
         prefix_keys = pair_keys // value_dim
-        pair_values = pair_keys % value_dim
 
         prefix_levels = levels[:ext_rank]
         frontier_keys = _pack([assign[l] for l in prefix_levels],
@@ -624,24 +646,13 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
         if frontier_keys is None:
             _count("wcoj_fallbacks")
             return None
-        # prefix_keys is sorted (np.unique), so probe it directly.
-        starts = np.searchsorted(prefix_keys, frontier_keys, side="left")
-        ends = np.searchsorted(prefix_keys, frontier_keys, side="right")
-        counts = ends - starts
-        total = int(counts.sum())
-        if total == 0:
-            assign = [array[:0] for array in assign]
-            assign.append(np.empty(0, dtype=np.int64))
-            frontier = 0
-        else:
-            parent_idx = np.repeat(np.arange(frontier, dtype=np.int64), counts)
-            block_starts = np.cumsum(counts) - counts
-            within = (np.arange(total, dtype=np.int64)
-                      - np.repeat(block_starts, counts))
-            pair_pos = np.repeat(starts, counts) + within
-            assign = [array[parent_idx] for array in assign]
-            assign.append(pair_values[pair_pos])
-            frontier = total
+        starts, counts = _probe(backend, ("wcoj-prefixes",) + memo_key[1:],
+                                prefix_keys, pair_dims[:-1], frontier_keys,
+                                len(backend))
+        pair_pos, parent_idx = _expand_ranges(starts, counts)
+        assign = [array[parent_idx] for array in assign]
+        assign.append(pair_keys[pair_pos] % value_dim)
+        frontier = int(pair_pos.size)
 
         for spec_index, rank in entries[1:]:
             if frontier == 0:
@@ -650,20 +661,17 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
             if packed is None:
                 _count("wcoj_fallbacks")
                 return None
-            member_keys, member_dims = packed
-            rel_levels = specs[spec_index][2][:rank + 1]
-            frontier_keys = _pack([assign[l] for l in rel_levels],
+            member_keys, member_dims, memo_key = packed
+            member_backend, _, member_levels = specs[spec_index]
+            frontier_keys = _pack([assign[l] for l in member_levels[:rank + 1]],
                                   member_dims, frontier)
             if frontier_keys is None:
                 _count("wcoj_fallbacks")
                 return None
-            pos = np.searchsorted(member_keys, frontier_keys)
-            if member_keys.size == 0:
-                mask = np.zeros(frontier, dtype=bool)
-            else:
-                clipped = np.minimum(pos, member_keys.size - 1)
-                mask = (member_keys[clipped] == frontier_keys) & (
-                    pos < member_keys.size)
+            _, counts = _probe(member_backend, ("wcoj-members",) + memo_key[1:],
+                               member_keys, member_dims, frontier_keys,
+                               len(member_backend))
+            mask = counts > 0
             if not mask.all():
                 assign = [array[mask] for array in assign]
                 frontier = int(mask.sum())
@@ -671,9 +679,7 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
         explored += frontier
         if frontier == 0:
             _count("wcoj_kernels")
-            empty = ([[] for _ in free_levels],
-                     [np.empty(0, dtype=np.int64) for _ in free_levels], 0)
-            return empty, explored
+            return _empty_encoded(len(free_levels)), explored
 
     free_levels = tuple(free_levels)
     if not free_levels:
@@ -686,7 +692,7 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
         return None
     _, representative = np.unique(keys, return_index=True)
     _count("wcoj_kernels")
-    encoded = ([anchors[l].decode for l in free_levels],
+    encoded = ([anchors[l] for l in free_levels],
                [assign[l][representative] for l in free_levels],
                int(representative.size))
     return encoded, explored
@@ -844,7 +850,7 @@ def join_marginalize_dict(left, right, left_key: Sequence[int],
             codes = dictionary.codes_array()[right_idx]
         out_dicts.append(dictionary)
         out_codes.append(codes)
-    group_keys = _pack(out_codes, [len(d.decode) for d in out_dicts],
+    group_keys = _pack(out_codes, [len(d.table.decode) for d in out_dicts],
                        left_idx.size)
     if group_keys is None:
         _count("join_marginalize_fallbacks")
@@ -852,7 +858,7 @@ def join_marginalize_dict(left, right, left_key: Sequence[int],
     representative, aggregated = _grouped_reduce(kind, reduce_at, group_keys,
                                                  products)
     _count("join_marginalize_kernels")
-    pieces = [dictionary.decode_array()[codes[representative]]
+    pieces = [dictionary.table.decode_array()[codes[representative]]
               for dictionary, codes in zip(out_dicts, out_codes)]
     grouped_rows = list(zip(*pieces)) if pieces else [()] * len(aggregated)
     return dict(zip(grouped_rows, aggregated))

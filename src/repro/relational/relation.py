@@ -301,7 +301,7 @@ class Relation:
         assignment = kernels.shard_assignments(self._backend,
                                                len(self.columns), count)
         if assignment is not None:
-            # Zero-copy shard views: each shard shares the parent's decode
+            # Zero-copy shard views: each shard shares the parent's code
             # tables and holds only sliced int64 code arrays.  Sharding always
             # happens in the parent (workers receive ready shards), so any
             # deterministic assignment preserves the merge identity.
@@ -320,20 +320,27 @@ class Relation:
     def encoded_payload(self):
         """Compact dictionary-encoded form for process-worker transport.
 
-        Returns ``(decode lists, int64 code arrays, row count)`` — the
+        Returns ``(code tables, int64 code arrays, row count)`` — the
         arguments of :meth:`ColumnarBackend.from_encoded` — or ``None`` when
-        the backend cannot serve the kernel path.  Shipping codes instead of
-        Python row tuples is what keeps partition-parallel serialization
-        proportional to the data, not to the number of Python objects.
+        the backend cannot serve the kernel path.  Each table ships cut down
+        to the values this relation's rows use
+        (:func:`~repro.relational.kernels.slice_tables`), so a shard view
+        does not pickle its base column's whole table; together with
+        shipping codes instead of Python row tuples this keeps
+        partition-parallel serialization proportional to the shard's data,
+        not to the number of Python objects.  A table shared by several
+        columns pickles once, and the worker rebuilds exactly the shipped
+        codes with no recompaction.
         """
         backend = self._backend
         if not kernels.kernel_ready(backend):
             return None
         width = len(self.columns)
         dictionaries = [backend.dictionary(p) for p in range(width)]
-        return ([d.decode for d in dictionaries],
-                [d.codes_array() for d in dictionaries],
-                len(backend))
+        tables, codes = kernels.slice_tables(
+            [d.table for d in dictionaries],
+            [d.codes_array() for d in dictionaries])
+        return tables, codes, len(backend)
 
     # ------------------------------------------------------------------ joins
     def prefix_trie(self, positions: Sequence[int]) -> list[dict[tuple, set]]:

@@ -319,19 +319,18 @@ class SetBackend(StorageBackend):
         return SetBackend(self._compute_key_set(positions), assume_unique=True)
 
 
-_dictionary_uids = itertools.count()
+_table_uids = itertools.count()
 
 
 def _dictionary_sort_key(value) -> tuple[str, str]:
     """Deterministic value order for dictionary codes.
 
     Sorting distinct values by ``(type name, repr)`` makes the code
-    assignment a pure function of the value *set* — independent of row
-    order, process hash salting, and insertion history — which is what lets
-    worker processes rebuilding a shard from an encoded payload arrive at
-    exactly the parent's codes.  (Ties — distinct values sharing a repr,
-    e.g. two NaN objects — keep their first-appearance order via the stable
-    sort, which is still deterministic given the same row list.)
+    assignment of a column built from rows a pure function of the value
+    *set* — independent of row order, process hash salting, and insertion
+    history.  (Ties — distinct values sharing a repr, e.g. two NaN objects —
+    keep their first-appearance order via the stable sort, which is still
+    deterministic given the same row list.)
     """
     return (value.__class__.__name__, repr(value))
 
@@ -344,79 +343,126 @@ def _object_array(values: Sequence):
     return array
 
 
-class ColumnDictionary:
-    """A lazily built dictionary encoding of one column.
+class CodeTable:
+    """The value side of a dictionary encoding, shared between columns.
 
-    ``codes[r]`` is the integer code of row ``r``'s value in this column and
-    ``decode[code]`` recovers the value.  Grouping and distinct-counting over
-    small integer codes is cheaper than over arbitrary values, and the
-    dictionary itself doubles as the column's distinct-value index.
+    ``decode[code]`` is the value behind a code and :attr:`encode` the
+    inverse map (built lazily — most tables are only ever decoded).  A table
+    is created once per *base* column (:meth:`ColumnDictionary.from_values`)
+    and then shared by reference with every relation derived from that
+    column: kernel join outputs, semijoin gathers, distinct projections and
+    shard views.  So the table, its ``uid`` and its memoized translations live as
+    long as the base relation, and a warm re-execution finds every
+    translation it needs already built.
 
-    Codes are assigned in the deterministic :func:`_dictionary_sort_key`
-    order (not first appearance), so equal column contents always produce
-    equal codes — the invariant partition-parallel workers rely on.  For the
-    vectorized kernels the dictionary also materialises (lazily, cached):
-
-    * :meth:`codes_array` — the codes as an ``int64`` NumPy array;
-    * :meth:`decode_array` / :meth:`object_column` — object-dtype decode
-      table and the fully decoded column (fancy-indexable, zips back into
-      the original Python value objects);
-    * :meth:`translate_to` — a memoized ``int64`` table mapping this
-      dictionary's codes into another dictionary's code space (``-1`` for
-      values the other side has never seen).
+    A derived column's codes are *not* dense over the values it holds: the
+    table may hold values none of its rows carry.
     """
 
-    __slots__ = ("decode", "uid", "_codes", "_encode", "_codes_array",
-                 "_decode_array", "_column", "_translations")
+    __slots__ = ("decode", "uid", "_encode", "_decode_array", "_translations")
 
-    def __init__(self, values: Iterable) -> None:
+    def __init__(self, decode: list) -> None:
+        self.decode = decode
+        self._encode: dict | None = None
+        self._decode_array = None
+        self._translations: dict[int, object] = {}
+        self.uid = next(_table_uids)
+
+    # Memoized arrays and per-process uids do not cross pickle.  (A
+    # one-element tuple, never a falsy state, so ``__setstate__`` always runs.)
+    def __getstate__(self) -> tuple:
+        return (self.decode,)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(state[0])
+
+    @property
+    def encode(self) -> dict:
+        """``value -> code`` (lazily built)."""
+        if self._encode is None:
+            self._encode = {value: code for code, value in enumerate(self.decode)}
+        return self._encode
+
+    def decode_array(self):
+        """The decode table as a cached object-dtype NumPy array."""
+        if self._decode_array is None:
+            self._decode_array = _object_array(self.decode)
+        return self._decode_array
+
+    def translate_to(self, other: "CodeTable"):
+        """``int64`` table mapping this table's codes into ``other``'s.
+
+        Entry ``c`` is ``other``'s code for ``self.decode[c]``, or ``-1``
+        when the value is absent there.  Memoized per target table, so
+        repeated joins against the same base relations pay the translation
+        once; every build that has to loop over the values in Python is
+        counted as ``translation_builds`` in
+        :func:`~repro.relational.kernels.kernel_stats`.
+        """
+        table = self._translations.get(other.uid)
+        if table is None:
+            if other is self:
+                table = _np.arange(len(self.decode), dtype=_np.int64)
+            else:
+                kernels._count("translation_builds")
+                table = _np.full(len(self.decode), -1, dtype=_np.int64)
+                other_encode = other.encode
+                for code, value in enumerate(self.decode):
+                    mapped = other_encode.get(value)
+                    if mapped is not None:
+                        table[code] = mapped
+            if len(self._translations) >= kernels._MEMO_CAPACITY:
+                # Base tables outlive the transient relations they may be
+                # translated into; reset like the backends' kernel memos.
+                self._translations.clear()
+            self._translations[other.uid] = table
+        return table
+
+
+class ColumnDictionary:
+    """One column's dictionary encoding: codes into a :class:`CodeTable`.
+
+    ``codes[r]`` is the integer code of row ``r``'s value in this column and
+    ``table.decode[code]`` recovers the value.  Grouping and
+    distinct-counting over small integer codes is cheaper than over
+    arbitrary values.  The table may be shared with other columns (see
+    :class:`CodeTable`); only the codes belong to this column.
+
+    A column built from values (:meth:`from_values`) gets a fresh table in
+    the deterministic :func:`_dictionary_sort_key` order (not first
+    appearance), so equal column contents always produce equal codes.  For
+    the vectorized kernels the dictionary also materialises (lazily,
+    cached):
+
+    * :meth:`codes_array` — the codes as an ``int64`` NumPy array;
+    * :meth:`object_column` — the fully decoded column (fancy-indexable,
+      zips back into the original Python value objects).
+
+    Decoding and translating between code spaces go through the table
+    (``table.decode``, ``table.translate_to``), where they are shared and
+    memoized.
+    """
+
+    __slots__ = ("table", "_codes", "_codes_array", "_column")
+
+    def __init__(self, table: CodeTable, codes=None, codes_array=None) -> None:
+        self.table = table
+        self._codes: list[int] | None = codes
+        self._codes_array = codes_array
+        self._column = None
+
+    @classmethod
+    def from_values(cls, values: Iterable) -> "ColumnDictionary":
+        """Encode a column of Python values under a fresh, canonically
+        ordered table."""
         seen: dict = {}
         materialised = list(values)
         for value in materialised:
             if value not in seen:
                 seen[value] = None
-        decode = sorted(seen, key=_dictionary_sort_key)
-        encode = {value: code for code, value in enumerate(decode)}
-        self._codes: list[int] | None = [encode[value] for value in materialised]
-        self.decode = decode
-        self._encode = encode
-        self._codes_array = None
-        self._decode_array = None
-        self._column = None
-        self._translations: dict[int, object] = {}
-        self.uid = next(_dictionary_uids)
-
-    @classmethod
-    def from_codes(cls, codes, decode_source: Sequence) -> "ColumnDictionary":
-        """A dictionary for a column given as codes into ``decode_source``.
-
-        ``decode_source`` must be canonically ordered (any existing
-        dictionary's ``decode`` qualifies); the distinct codes present keep
-        that order, so the child dictionary is exactly what
-        ``ColumnDictionary(decoded values)`` would build — without touching a
-        single Python value object.  This is how encoded shard views and
-        encoded kernel outputs realise their dictionaries vectorized.
-        """
-        space = len(decode_source)
-        if space <= max(1 << 16, 8 * codes.size):
-            # Dense remap: O(rows + space) beats the sort inside np.unique.
-            counts = _np.bincount(codes, minlength=space)
-            present = _np.flatnonzero(counts)
-            remap = _np.zeros(space, dtype=_np.int64)
-            remap[present] = _np.arange(present.size, dtype=_np.int64)
-            child_codes = remap[codes]
-        else:
-            present, child_codes = _np.unique(codes, return_inverse=True)
-        self = cls.__new__(cls)
-        self.decode = [decode_source[code] for code in present.tolist()]
-        self._encode = {value: code for code, value in enumerate(self.decode)}
-        self._codes = None
-        self._codes_array = child_codes.astype(_np.int64, copy=False)
-        self._decode_array = None
-        self._column = None
-        self._translations = {}
-        self.uid = next(_dictionary_uids)
-        return self
+        table = CodeTable(sorted(seen, key=_dictionary_sort_key))
+        encode = table.encode
+        return cls(table, codes=[encode[value] for value in materialised])
 
     @property
     def codes(self) -> list[int]:
@@ -425,18 +471,12 @@ class ColumnDictionary:
             self._codes = self._codes_array.tolist()
         return self._codes
 
-    # Memoized arrays and per-process uids do not cross pickle.
+    # Memoized arrays do not cross pickle; the table pickles by reference.
     def __getstate__(self) -> tuple:
-        return (self.codes, self.decode)
+        return (self.table, self.codes_array())
 
     def __setstate__(self, state: tuple) -> None:
-        self._codes, self.decode = state
-        self._encode = {value: code for code, value in enumerate(self.decode)}
-        self._codes_array = None
-        self._decode_array = None
-        self._column = None
-        self._translations = {}
-        self.uid = next(_dictionary_uids)
+        self.__init__(state[0], codes_array=state[1])
 
     def codes_array(self):
         """The codes as a cached ``int64`` NumPy array."""
@@ -444,39 +484,11 @@ class ColumnDictionary:
             self._codes_array = _np.array(self._codes, dtype=_np.int64)
         return self._codes_array
 
-    def decode_array(self):
-        """The decode table as a cached object-dtype NumPy array."""
-        if self._decode_array is None:
-            self._decode_array = _object_array(self.decode)
-        return self._decode_array
-
     def object_column(self):
         """The fully decoded column (original value objects), cached."""
         if self._column is None:
-            self._column = self.decode_array()[self.codes_array()]
+            self._column = self.table.decode_array()[self.codes_array()]
         return self._column
-
-    def translate_to(self, other: "ColumnDictionary"):
-        """``int64`` table mapping this dictionary's codes into ``other``'s.
-
-        Entry ``c`` is ``other``'s code for ``self.decode[c]``, or ``-1``
-        when the value is absent there.  Memoized per target dictionary, so
-        repeated joins against the same base relations pay the translation
-        once.
-        """
-        table = self._translations.get(other.uid)
-        if table is None:
-            if other is self:
-                table = _np.arange(len(self.decode), dtype=_np.int64)
-            else:
-                table = _np.full(len(self.decode), -1, dtype=_np.int64)
-                other_encode = other._encode
-                for code, value in enumerate(self.decode):
-                    mapped = other_encode.get(value)
-                    if mapped is not None:
-                        table[code] = mapped
-            self._translations[other.uid] = table
-        return table
 
 
 class ColumnarBackend(StorageBackend):
@@ -509,10 +521,9 @@ class ColumnarBackend(StorageBackend):
             self._rows = unique
             self._rowset = seen
         self._length = len(self._rows)
-        #: Encoded-only state: ``(decode lists, int64 code arrays)`` when the
-        #: backend was built by :meth:`from_encoded` and rows have not been
-        #: materialised yet.
-        self._encoded: tuple[list[list], list] | None = None
+        #: Encoded-only state: ``(code tables, int64 code arrays)`` when the
+        #: backend was built by :meth:`from_encoded`.
+        self._encoded: tuple[list[CodeTable], list] | None = None
         self._frozen: frozenset[tuple] | None = None
         self._dictionaries: dict[int, ColumnDictionary] = {}
         self._hash_indexes: dict[IndexKey, dict[tuple, list[tuple]]] = {}
@@ -527,45 +538,38 @@ class ColumnarBackend(StorageBackend):
         self._kernel_memos: dict[tuple, object] = {}
 
     @classmethod
-    def from_encoded(cls, decodes: Sequence[list], code_arrays: Sequence,
+    def from_encoded(cls, tables: Sequence[CodeTable], code_arrays: Sequence,
                      length: int) -> "ColumnarBackend":
         """A backend over dictionary-encoded columns, rows materialised lazily.
 
-        ``decodes[p]`` is column ``p``'s decode list and ``code_arrays[p]``
-        its ``int64`` codes.  The decode lists are shared by reference (a
-        shard view or kernel join output costs no value copies in-process)
-        and the code arrays are the compact payload shipped to process
-        workers instead of Python row tuples.  ``decodes[p]`` must be
-        canonically ordered (any existing dictionary's ``decode`` qualifies):
-        the backend's own dictionaries are then realised vectorized through
-        :meth:`ColumnDictionary.from_codes`, which re-establishes the
-        deterministic-code invariant (codes cover exactly the values
-        *present*) without touching the Python value objects.
+        ``tables[p]`` is column ``p``'s :class:`CodeTable` and
+        ``code_arrays[p]`` its ``int64`` codes into it.  The tables are taken
+        by reference: column ``p``'s dictionary is exactly
+        ``(tables[p], code_arrays[p])``, with no recompaction, so a kernel
+        output, semijoin gather, distinct projection or shard view shares
+        its base column's table — and that table's memoized translations —
+        and costs no value copies.  The same triple, with each table cut
+        down to the values the rows use, is the payload shipped to cluster
+        workers instead of Python row tuples
+        (:meth:`~repro.relational.relation.Relation.encoded_payload`).
         """
         backend = cls()
         backend._rows = None
         backend._rowset = None
         backend._length = int(length)
-        backend._encoded = (list(decodes), list(code_arrays))
+        backend._encoded = (list(tables), list(code_arrays))
         return backend
 
     # -- core storage ----------------------------------------------------------
     def _row_list(self) -> list[tuple]:
         """The rows as a list, decoding the encoded columns on first use."""
         if self._rows is None:
-            decodes, codes = self._encoded  # type: ignore[misc]
-            pieces = [_object_array(decode)[column]
-                      for decode, column in zip(decodes, codes)]
+            tables, codes = self._encoded  # type: ignore[misc]
+            pieces = [table.decode_array()[column]
+                      for table, column in zip(tables, codes)]
             self._rows = list(zip(*pieces)) if pieces \
                 else [()] * self._length
         return self._rows
-
-    def _column_values(self, position: int):
-        """One column's values, straight off the codes when rows are lazy."""
-        if self._rows is None:
-            decodes, codes = self._encoded  # type: ignore[misc]
-            return _object_array(decodes[position])[codes[position]]
-        return [row[position] for row in self._rows]
 
     def __len__(self) -> int:
         return len(self._rows) if self._rows is not None else self._length
@@ -616,13 +620,14 @@ class ColumnarBackend(StorageBackend):
         if dictionary is None:
             self._count("dictionary_builds")
             if self._encoded is not None:
-                # Encoded construction (shard view / kernel output): realise
-                # the dictionary vectorized off the parent's decode table.
-                decodes, codes = self._encoded
-                dictionary = ColumnDictionary.from_codes(codes[position],
-                                                         decodes[position])
+                # Encoded construction (shard view / kernel output): the
+                # column keeps its base column's shared table.
+                tables, codes = self._encoded
+                dictionary = ColumnDictionary(tables[position],
+                                              codes_array=codes[position])
             else:
-                dictionary = ColumnDictionary(self._column_values(position))
+                dictionary = ColumnDictionary.from_values(
+                    row[position] for row in self._row_list())
             self._dictionaries[position] = dictionary
         else:
             self._count("dictionary_hits")
@@ -633,17 +638,17 @@ class ColumnarBackend(StorageBackend):
         """``count`` encoded shard backends selected by ``assignment``.
 
         ``assignment[r]`` is row ``r``'s shard index.  Each view shares the
-        parent's decode lists by reference and holds only its own sliced
+        parent's code tables by reference and holds only its own sliced
         ``int64`` code arrays — no Python row tuples are built here.
         """
         dictionaries = [self.dictionary(p) for p in range(width)]
-        decodes = [d.decode for d in dictionaries]
+        tables = [d.table for d in dictionaries]
         code_columns = [d.codes_array() for d in dictionaries]
         views = []
         for index in range(count):
             mask = assignment == index
             views.append(ColumnarBackend.from_encoded(
-                decodes, [column[mask] for column in code_columns],
+                tables, [column[mask] for column in code_columns],
                 int(mask.sum())))
         return views
 
@@ -653,7 +658,7 @@ class ColumnarBackend(StorageBackend):
         return list(zip(*columns)) if columns else [()] * len(self)
 
     def _decode(self, code_key: tuple[int, ...], positions: IndexKey) -> tuple:
-        return tuple(self._dictionaries[p].decode[code]
+        return tuple(self._dictionaries[p].table.decode[code]
                      for p, code in zip(positions, code_key))
 
     # -- cached access structures ---------------------------------------------
@@ -745,19 +750,13 @@ class ColumnarBackend(StorageBackend):
             self._count("project_hits")
             return cached
         self._count("project_builds")
-        backend = None
-        if len(positions) == 1:
-            distinct: Iterable[tuple] = [(value,)
-                                         for value in self.dictionary(positions[0]).decode]
+        encoded = (kernels.distinct_encoded(self, positions)
+                   if kernels.kernel_ready(self) else None)
+        if encoded is not None:
+            backend = ColumnarBackend.from_encoded(*encoded)
         else:
-            kernel_distinct = (kernels.distinct_encoded(self, positions)
-                               if kernels.kernel_ready(self) else None)
-            if kernel_distinct is not None:
-                backend = ColumnarBackend.from_encoded(*kernel_distinct)
-            else:
-                distinct = self._compute_key_set(positions)
-        if backend is None:
-            backend = ColumnarBackend(distinct, assume_unique=True)
+            backend = ColumnarBackend(self._compute_key_set(positions),
+                                      assume_unique=True)
         self._projections[positions] = backend
         return backend
 
@@ -1020,7 +1019,8 @@ class ColumnarAnnotatedBackend(AnnotatedBackend):
         dictionary = self._dictionaries.get(position)
         if dictionary is None:
             self._count("dictionary_builds")
-            dictionary = ColumnDictionary(row[position] for row in self.rows_list())
+            dictionary = ColumnDictionary.from_values(
+                row[position] for row in self.rows_list())
             self._dictionaries[position] = dictionary
         else:
             self._count("dictionary_hits")

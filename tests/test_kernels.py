@@ -20,14 +20,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import generic_join
+from repro.algorithms import evaluate_yannakakis, generic_join
 from repro.datagen import random_graph_database
 from repro.engine import Engine
-from repro.query import four_cycle_projected, triangle_query
+from repro.query import (
+    Atom,
+    ConjunctiveQuery,
+    four_cycle_projected,
+    path_query,
+    triangle_query,
+)
 from repro.relational import (
     COUNTING_SEMIRING,
     AnnotatedRelation,
     ColumnarBackend,
+    Database,
     Relation,
     WorkCounter,
     kernel_stats,
@@ -221,9 +228,35 @@ def test_top_k_semiring_falls_back_everywhere():
 # worst-case-optimal join
 # ---------------------------------------------------------------------------
 
-def test_wcoj_kernel_matches_reference_answers_and_explored():
-    query = triangle_query()
-    database = random_graph_database(query, 60, 12, seed=5, backend="columnar")
+#: A ternary atom first in the order makes the extension at Z probe a
+#: two-variable (X, Y) prefix, not only the filters.
+_TERNARY = ConjunctiveQuery((Atom("R", ("X", "Y", "Z")), Atom("S", ("X", "Y")),
+                             Atom("T", ("Y", "Z"))), name="Ternary")
+
+
+@pytest.mark.parametrize("query,size,domain,dense", [
+    # Domain 12: every packed key space fits the dense tables.
+    (triangle_query(), 60, 12, True),
+    # ~370 distinct values per column: the two-variable key spaces (over
+    # 130k keys) are beyond `_lut_capacity`, so those probes use
+    # searchsorted — the filter through T(Z, X) here ...
+    (triangle_query(), 1000, 400, False),
+    # ... and the extension through R's (X, Y) prefix here.
+    (_TERNARY, 1000, 400, False),
+], ids=["dense", "searchsorted-filter", "searchsorted-extension"])
+def test_wcoj_kernel_matches_reference_answers_and_explored(
+        monkeypatch, query, size, domain, dense):
+    database = random_graph_database(query, size, domain, seed=5,
+                                     backend="columnar")
+    probed = []
+    probe = kernels._probe
+
+    def recording_probe(owner, memo_key, sorted_keys, dims, probes, rows):
+        fits = kernels._packed_space(dims) <= kernels._lut_capacity(rows)
+        probed.append((memo_key[0], fits))
+        return probe(owner, memo_key, sorted_keys, dims, probes, rows)
+
+    monkeypatch.setattr(kernels, "_probe", recording_probe)
     with using_kernels(True):
         kernel_counter = WorkCounter()
         before = kernel_stats()
@@ -234,6 +267,12 @@ def test_wcoj_kernel_matches_reference_answers_and_explored():
         reference_answer = generic_join(query, database,
                                         counter=reference_counter)
     assert moved.get("wcoj_kernels", 0) > 0
+    sparse = {tag for tag, fits in probed if not fits}
+    if dense:
+        assert probed and not sparse
+    else:
+        expected = "wcoj-prefixes" if query is _TERNARY else "wcoj-members"
+        assert expected in sparse
     assert kernel_answer.rows == reference_answer.rows
     # The breadth-first array frontier explores exactly the tuples the
     # depth-first trie walk explores — the worst-case-optimality accounting
@@ -241,6 +280,98 @@ def test_wcoj_kernel_matches_reference_answers_and_explored():
     assert kernel_counter.intermediate_tuples == \
         reference_counter.intermediate_tuples
     assert kernel_counter.max_intermediate == reference_counter.max_intermediate
+
+
+# ---------------------------------------------------------------------------
+# shared code tables: derived relations, the warm path, value equality
+# ---------------------------------------------------------------------------
+
+def test_derived_relations_share_base_code_tables():
+    with using_kernels(True):
+        left, right = _pair(MIXED_LEFT, MIXED_RIGHT, "columnar")
+        joined = left.hash_join(right)
+        reduced = left.semijoin(right)
+        projected = left.project(("y",))
+    assert len(reduced) < len(left), "the semijoin must filter"
+
+    def table(relation, position):
+        return relation._backend.dictionary(position).table
+
+    assert table(joined, 0) is table(left, 0)
+    assert table(joined, 2) is table(right, 1)
+    assert table(reduced, 1) is table(left, 1)
+    assert table(projected, 0) is table(left, 1)
+
+
+@pytest.mark.parametrize("query", [
+    triangle_query(), path_query(3, free_variables=("X1", "X2"))],
+    ids=["triangle", "p3"])
+def test_warm_execution_builds_no_translations(query):
+    """Derived relations share their base columns' tables, so a second
+    execution finds every code translation already memoized."""
+    database = random_graph_database(query, 200, 30, seed=13,
+                                     backend="columnar")
+    with using_kernels(True):
+        prepared = Engine(database).prepare(query)
+        before = kernel_stats()
+        first = prepared.execute().answer
+        cold = kernel_stats_delta(before)
+        before = kernel_stats()
+        second = prepared.execute().answer
+        warm = kernel_stats_delta(before)
+    assert cold.get("translation_builds", 0) > 0
+    assert warm.get("translation_builds", 0) == 0
+    assert second.rows == first.rows
+
+
+#: ``1 == 1.0 == True`` (and they hash equal): one value to a set, one code
+#: to a dictionary.
+_EQUAL_VALUES = [1, 1.0, True]
+
+
+def _equal_value_database(backend: str) -> Database:
+    rows = [(value, other) for value in _EQUAL_VALUES + [2, "a"]
+            for other in (2, 1.0, "a")]
+    return Database([Relation(name, ("c1", "c2"), rows[offset:] + rows[:offset],
+                              backend=backend)
+                     for offset, name in enumerate(("R", "S", "T"))])
+
+
+def test_equal_values_of_different_types_match_the_set_backend():
+    """Pins today's equality semantics for ``1``, ``1.0`` and ``True``: every
+    kernel returns the same row set and count as the ``set`` reference."""
+    answers = {}
+    for backend in ("set", "columnar"):
+        database = _equal_value_database(backend)
+        r, s = database["R"], database["S"].rename({"c1": "c2", "c2": "c3"})
+        with using_kernels(True):
+            before = kernel_stats()
+            answers[backend] = [
+                r.hash_join(s), r.semijoin(s.project(("c2",))),
+                r.project(("c1",)),
+                generic_join(triangle_query(), database),
+                evaluate_yannakakis(path_query(3, free_variables=("X1", "X3")),
+                                    Database({"R1": database["R"],
+                                              "R2": database["S"],
+                                              "R3": database["T"]}))]
+            moved = kernel_stats_delta(before)
+    for kernel in ("join", "semijoin", "projection", "wcoj"):
+        assert moved.get(f"{kernel}_kernels", 0) > 0, kernel
+    for reference, columnar in zip(answers["set"], answers["columnar"]):
+        assert columnar.rows == reference.rows
+        assert len(columnar) == len(reference)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "equal values of different types share one code, and decoding returns "
+    "the column's first-seen representative, not the stored object"))
+def test_columnar_join_returns_the_stored_value_object():
+    s_rows = [("c", True), ("b", 1.0)]
+    with using_kernels(True):
+        left, right = _pair([(2, "b")], s_rows, "columnar")
+        (row,) = left.hash_join(right).rows
+    assert row == (2, "b", 1.0)
+    assert type(row[2]) is float
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +407,7 @@ def test_shard_dictionary_encodings_are_insertion_order_stable():
     backward = Relation("R", ("x",), list(reversed(rows)), backend="columnar")
     forward_dictionary = forward._backend.dictionary(0)
     backward_dictionary = backward._backend.dictionary(0)
-    assert forward_dictionary.decode == backward_dictionary.decode
+    assert forward_dictionary.table.decode == backward_dictionary.table.decode
     assert sorted(forward_dictionary.codes) == sorted(backward_dictionary.codes)
 
 
@@ -290,6 +421,46 @@ def test_encoded_payload_pickle_round_trip():
     rebuilt = ColumnarBackend.from_encoded(*revived)
     assert len(rebuilt) == len(relation)
     assert set(rebuilt.iter_rows()) == relation.rows
+
+    # A self-join's output holds two columns over one base table that also
+    # holds a value (9) no output row uses: the payload ships that table cut
+    # down to the used values, still one object for both columns, and the
+    # worker side rebuilds exactly the shipped codes.
+    edges = Relation("E", ("x", "y"), [(1, 2), (2, 3), (3, 1), (2, 1), (4, 9)],
+                     backend="columnar")
+    with using_kernels(True):
+        joined = edges.hash_join(edges.rename({"x": "y", "y": "z"}))
+        payload = joined.encoded_payload()
+    assert joined._backend.dictionary(1).table.decode == [1, 2, 3, 9]
+    tables, codes, length = payload
+    assert tables[1] is tables[2]
+    assert tables[1].decode == [1, 2, 3]
+    revived_tables, revived_codes, revived_length = pickle.loads(
+        pickle.dumps(payload))
+    assert revived_tables[1] is revived_tables[2]
+    assert revived_tables[0] is not revived_tables[1]
+    rebuilt = ColumnarBackend.from_encoded(revived_tables, revived_codes,
+                                           revived_length)
+    for position in range(3):
+        dictionary = rebuilt.dictionary(position)
+        assert dictionary.codes == codes[position].tolist()
+        assert dictionary.table is revived_tables[position]
+    assert set(rebuilt.iter_rows()) == joined.rows
+
+    # Shard views share their base column's whole table; each shard's payload
+    # carries only the values its own rows hold.
+    wide = Relation("W", ("k", "v"), [(i, i % 3) for i in range(40)],
+                    backend="columnar")
+    with using_kernels(True):
+        shards = wide.hash_shards(4)
+        payloads = [shard.encoded_payload() for shard in shards]
+    base_table = wide._backend.dictionary(0).table
+    for shard, payload in zip(shards, payloads):
+        assert shard._backend.dictionary(0).table is base_table
+        tables, codes, length = pickle.loads(pickle.dumps(payload))
+        assert sorted(tables[0].decode) == sorted(row[0] for row in shard.rows)
+        assert set(ColumnarBackend.from_encoded(tables, codes,
+                                                length).iter_rows()) == shard.rows
 
 
 @pytest.mark.parametrize("executor", ["serial", "cluster"])
