@@ -27,6 +27,13 @@ every summand of ``Φ(t)`` is nonnegative, each individual one is at most
 live table, at *every* step, so truncating strictly below the true ``1/B``
 only ever removes junk.  The delicate part is "strictly below the true
 ``1/B``" — see :data:`TRUNCATION_SLACK`.
+
+On a columnar database with kernels on, every measure table stays encoded
+from initialisation to the heads (see :mod:`repro.panda.measures`): the
+steps, the atom filters and the truncation run as NumPy kernels over the
+guard relations' own code tables, and each head comes out as an encoded
+columnar relation.  The ``dict`` backend and ``using_kernels(False)`` replay
+the same steps with the tuple-at-a-time reference algebra.
 """
 
 from __future__ import annotations
@@ -271,17 +278,7 @@ def _filter_with_atoms(measure: UnconditionalMeasure,
                 if set(relation.columns) <= column_set and relation.columns]
     if not relevant:
         return measure
-    keys = []
-    for relation in relevant:
-        indices = [measure.variables.index(column) for column in relation.columns]
-        allowed = {tuple(row) for row in relation.project(relation.columns)}
-        keys.append((indices, allowed))
-    weights = {}
-    for row, weight in measure.weights.items():
-        if all(tuple(row[i] for i in indices) in allowed for indices, allowed in keys):
-            weights[row] = weight
-    return UnconditionalMeasure(measure.variables, weights,
-                                backend=measure.backend_kind)
+    return measure.semijoin(relevant)
 
 
 def _apply_monotonicity(step: MonotonicityStep, entries: list[_Entry]) -> None:

@@ -31,7 +31,13 @@ here move the hot loops into NumPy over the backends' dictionary-encoded
   objects back — only when something actually reads them, so results are
   equal to the reference ``SetBackend`` path (values that compare equal
   across types, such as ``1``, ``1.0`` and ``True``, share one code and
-  decode to one representative object).
+  decode to one representative object);
+* **measures** — PANDA's sub-probability tables stay encoded too: code
+  tables, ``int64`` codes and ``float64`` weights
+  (``ColumnarAnnotatedBackend.from_encoded``), with conditionals as
+  :class:`EncodedConditional` segments.  Initialisation, the ``"real-sum"``
+  marginal, conditionals, truncation, atom filters and composition
+  (:func:`compose_encoded`, which keeps PANDA's output bound) are kernels.
 
 Every kernel is *exact or absent*: value domains that cannot be reproduced
 exactly in vector form (non-``int``/``float`` annotations, magnitudes that
@@ -54,7 +60,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 try:  # numpy is a declared runtime dependency, but stay importable without it
     import numpy as np
@@ -303,6 +309,32 @@ def _sorted_self_keys(backend, positions):
     return _memo(backend, ("sorted", positions), build)
 
 
+def _pack_into(backend, positions, tables, dims, rows=None):
+    """``backend``'s columns at ``positions`` packed in ``tables``' code spaces.
+
+    Codes are translated through the memoized :meth:`CodeTable.translate_to`
+    and packed over ``dims``; ``rows`` selects a subset of the rows.  Rows
+    holding a value unknown to a table get key ``-1``.  Returns ``None`` on
+    pack overflow.
+    """
+    columns = []
+    invalid = None
+    for position, table in zip(positions, tables):
+        dictionary = backend.dictionary(position)
+        codes = dictionary.codes_array()
+        codes = dictionary.table.translate_to(table)[
+            codes if rows is None else codes[rows]]
+        missing = codes < 0
+        if missing.any():
+            invalid = missing if invalid is None else (invalid | missing)
+            codes = np.where(missing, 0, codes)
+        columns.append(codes)
+    keys = _pack(columns, dims, len(backend) if rows is None else rows.size)
+    if keys is not None and invalid is not None:
+        keys = np.where(invalid, -1, keys)
+    return keys
+
+
 def _translated_keys(right, right_key, left_dicts, dims):
     """``right``'s key columns packed in the *left* dictionaries' code space.
 
@@ -311,26 +343,10 @@ def _translated_keys(right, right_key, left_dicts, dims):
     and masking all happen once.  Rows holding values unknown to the left get
     key ``-1``; returns ``None`` on pack overflow.
     """
-    def build():
-        right_cols = []
-        invalid = None
-        for left_dict, position in zip(left_dicts, right_key):
-            right_dict = right.dictionary(position)
-            codes = right_dict.table.translate_to(left_dict.table)[
-                right_dict.codes_array()]
-            missing = codes < 0
-            if missing.any():
-                invalid = missing if invalid is None else (invalid | missing)
-                codes = np.where(missing, 0, codes)
-            right_cols.append(codes)
-        right_keys = _pack(right_cols, dims, len(right))
-        if right_keys is None:
-            return None
-        if invalid is not None:
-            right_keys = np.where(invalid, -1, right_keys)
-        return right_keys
-    uids = tuple(d.table.uid for d in left_dicts)
-    return _memo(right, ("xlate", right_key, uids), build)
+    tables = [d.table for d in left_dicts]
+    uids = tuple(table.uid for table in tables)
+    return _memo(right, ("xlate", right_key, uids),
+                 lambda: _pack_into(right, right_key, tables, dims))
 
 
 def _member_keys(right, right_key, left_dicts, dims):
@@ -346,6 +362,13 @@ def _member_keys(right, right_key, left_dicts, dims):
         return np.unique(right_keys[right_keys >= 0])
     uids = tuple(d.table.uid for d in left_dicts)
     return _memo(right, ("members", right_key, uids), build)
+
+
+def decode_rows(tables, code_arrays, length: int) -> list[tuple]:
+    """Row tuples of encoded columns (``length`` of them, which matters only
+    for zero columns), decoded by fancy-indexing each table's decode array."""
+    pieces = [table.decode_array()[codes] for table, codes in zip(tables, code_arrays)]
+    return list(zip(*pieces)) if pieces else [()] * length
 
 
 def take_rows(backend, indices, width: int) -> list[tuple]:
@@ -491,6 +514,37 @@ def semijoin_keep(left, right, left_key: Sequence[int],
                        left_keys, len(left))
     _count("semijoin_kernels")
     return np.flatnonzero(counts)
+
+
+def union_encoded(left, right, width: int):
+    """``left ∪ right`` in ``left``'s code tables, output encoded.
+
+    Keeps ``left``'s rows, then ``right``'s rows that are new, in first
+    appearance order — the reference union's order.  Returns ``None`` to
+    fall back when a value of ``right`` is absent from ``left``'s tables (it
+    has no code there) or on pack overflow.
+    """
+    positions = tuple(range(width))
+    packed = _self_keys(left, positions)
+    if packed is None:
+        _count("union_fallbacks")
+        return None
+    left_keys, dims = packed
+    tables = [left.dictionary(p).table for p in positions]
+    right_keys = _pack_into(right, positions, tables, dims)
+    if right_keys is None or (right_keys < 0).any():
+        _count("union_fallbacks")
+        return None
+    fresh = np.flatnonzero(~np.isin(right_keys, left_keys))
+    _, first = np.unique(right_keys[fresh], return_index=True)
+    fresh = fresh[np.sort(first)]
+    codes = []
+    for position, table in zip(positions, tables):
+        dictionary = right.dictionary(position)
+        added = dictionary.table.translate_to(table)[dictionary.codes_array()[fresh]]
+        codes.append(np.concatenate([left.dictionary(position).codes_array(), added]))
+    _count("union_kernels")
+    return tables, codes, len(left) + int(fresh.size)
 
 
 def distinct_encoded(backend, positions: Sequence[int]):
@@ -702,12 +756,25 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
 # semiring kernels: marginalization and fused join+eliminate
 # ---------------------------------------------------------------------------
 
+def _sequential_sum_at(values, starts):
+    """Per-segment float sums, each folded left to right.
+
+    ``np.add.reduceat`` sums float segments pairwise, which rounds
+    differently from the reference's ``a + b`` fold; ``np.bincount`` adds
+    in input order starting from ``0.0``, which is exactly that fold.
+    """
+    counts = np.diff(starts, append=values.size)
+    ids = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
+    return np.bincount(ids, weights=values, minlength=starts.size)
+
+
 #: ``semiring name -> (value kind, grouped ⊕ reduction, ⊗ pair combiner)``.
 #: Only reductions whose vector form is *exactly* the reference fold are
 #: registered: integer sums (guarded against int64 overflow), float
-#: min/max (order-independent, pick an existing IEEE value), and the
-#: all-``True`` boolean case.  Everything else — e.g. the top-k min-plus
-#: semiring with tuple values — falls back to the Python path.
+#: min/max (order-independent, pick an existing IEEE value), float sums
+#: folded in row order (``"real-sum"``, the ⊕ of PANDA's measure tables),
+#: and the all-``True`` boolean case.  Everything else — e.g. the top-k
+#: min-plus semiring with tuple values — falls back to the Python path.
 def _build_semiring_specs():
     return {
         "counting": ("int", np.add.reduceat,
@@ -719,6 +786,8 @@ def _build_semiring_specs():
                     lambda a, b: np.minimum(a, b)),
         "max-times": ("float", np.maximum.reduceat,
                       lambda a, b: a * b),
+        "real-sum": ("float", _sequential_sum_at,
+                     lambda a, b: a * b),
     }
 
 
@@ -736,28 +805,72 @@ def kernel_supported_semirings() -> frozenset[str]:
     return frozenset(_SEMIRING_SPECS)
 
 
-def _scalar(kind: str, value):
-    """Convert one aggregated numpy scalar back to the reference Python type."""
-    if kind == "int":
-        return int(value)
-    if kind == "float":
-        return float(value)
-    return True
+def _segments(keys):
+    """Stable sort of ``keys`` and the start of each run of equal keys.
 
-
-def _grouped_reduce(kind: str, reduce_at, keys, values):
-    """⊕-reduce ``values`` grouped by ``keys``; returns (rep index, list)."""
+    Returns ``(order, starts)``: ``keys[order]`` is sorted, rows with equal
+    keys keep their relative order, and run ``g`` is
+    ``order[starts[g]:starts[g + 1]]``.
+    """
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     boundaries = np.empty(sorted_keys.size, dtype=bool)
-    boundaries[0] = True
+    boundaries[:1] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundaries[1:])
-    group_starts = np.flatnonzero(boundaries)
+    return order, np.flatnonzero(boundaries)
+
+
+def _grouped_reduce(kind: str, reduce_at, keys, values):
+    """⊕-reduce ``values`` grouped by ``keys``.
+
+    Returns ``(representative row per group, aggregated array)``; the array
+    is ``None`` for the boolean kind, whose aggregates are all ``True``.
+    """
+    order, group_starts = _segments(keys)
     representative = order[group_starts]
     if kind == "true":
-        return representative, [True] * group_starts.size
-    aggregated = reduce_at(values[order], group_starts)
-    return representative, [_scalar(kind, value) for value in aggregated]
+        return representative, None
+    return representative, reduce_at(values[order], group_starts)
+
+
+def _scalars(aggregated, count: int) -> list:
+    """Aggregated numpy values back as reference Python objects (``int`` or
+    ``float``; ``None`` stands for ``count`` boolean ``True``s)."""
+    if aggregated is None:
+        return [True] * count
+    return aggregated.tolist()
+
+
+def marginal_encoded(backend, keep_positions: Sequence[int], semiring_name: str):
+    """⊕-marginal of an annotated backend grouped by ``keep_positions``,
+    output encoded.
+
+    Returns ``(code tables, int64 code arrays, aggregated values)`` — the
+    arguments of ``ColumnarAnnotatedBackend.from_encoded``; the tables are
+    ``backend``'s own, the values a numpy array (``None`` for the boolean
+    kind) — or ``None`` to fall back.  Groups come out ordered by their
+    packed key codes.
+    """
+    spec = _SEMIRING_SPECS.get(semiring_name)
+    if spec is None:
+        _count("marginal_fallbacks")
+        return None
+    kind, reduce_at, _ = spec
+    keep_positions = tuple(keep_positions)
+    if len(backend) == 0:
+        _count("marginal_kernels")
+        tables, codes, _ = _empty_encoded(len(keep_positions))
+        return tables, codes, np.empty(0, dtype=np.float64)
+    values = backend.kernel_values(kind)
+    packed = _self_keys(backend, keep_positions) if values is not None else None
+    if packed is None:
+        _count("marginal_fallbacks")
+        return None
+    representative, aggregated = _grouped_reduce(kind, reduce_at, packed[0], values)
+    _count("marginal_kernels")
+    dicts = [backend.dictionary(p) for p in keep_positions]
+    return ([d.table for d in dicts],
+            [d.codes_array()[representative] for d in dicts], aggregated)
 
 
 def marginal_dict(backend, keep_positions: Sequence[int], semiring_name: str):
@@ -766,31 +879,12 @@ def marginal_dict(backend, keep_positions: Sequence[int], semiring_name: str):
     Returns the aggregated ``{key tuple: value}`` dict (same contents as the
     reference ``_compute_marginal``) or ``None`` to fall back.
     """
-    spec = _SEMIRING_SPECS.get(semiring_name)
-    if spec is None:
-        _count("marginal_fallbacks")
+    encoded = marginal_encoded(backend, keep_positions, semiring_name)
+    if encoded is None:
         return None
-    kind, reduce_at, _ = spec
-    length = len(backend)
-    if length == 0:
-        _count("marginal_kernels")
-        return {}
-    values = backend.kernel_values(kind)
-    if values is None:
-        _count("marginal_fallbacks")
-        return None
-    keep_positions = tuple(keep_positions)
-    packed = _self_keys(backend, keep_positions)
-    if packed is None:
-        _count("marginal_fallbacks")
-        return None
-    keys, _ = packed
-    dicts = [backend.dictionary(p) for p in keep_positions]
-    representative, aggregated = _grouped_reduce(kind, reduce_at, keys, values)
-    _count("marginal_kernels")
-    pieces = [d.object_column()[representative] for d in dicts]
-    grouped_keys = list(zip(*pieces)) if pieces else [()] * len(aggregated)
-    return dict(zip(grouped_keys, aggregated))
+    tables, codes, aggregated = encoded
+    count = int(codes[0].size) if codes else min(len(backend), 1)
+    return dict(zip(decode_rows(tables, codes, count), _scalars(aggregated, count)))
 
 
 def join_marginalize_dict(left, right, left_key: Sequence[int],
@@ -858,10 +952,283 @@ def join_marginalize_dict(left, right, left_key: Sequence[int],
     representative, aggregated = _grouped_reduce(kind, reduce_at, group_keys,
                                                  products)
     _count("join_marginalize_kernels")
-    pieces = [dictionary.table.decode_array()[codes[representative]]
-              for dictionary, codes in zip(out_dicts, out_codes)]
-    grouped_rows = list(zip(*pieces)) if pieces else [()] * len(aggregated)
-    return dict(zip(grouped_rows, aggregated))
+    count = int(representative.size)
+    grouped_rows = decode_rows([d.table for d in out_dicts],
+                               [codes[representative] for codes in out_codes], count)
+    return dict(zip(grouped_rows, _scalars(aggregated, count)))
+
+
+# ---------------------------------------------------------------------------
+# measure kernels: PANDA's sub-probability tables
+# ---------------------------------------------------------------------------
+
+class EncodedConditional(NamedTuple):
+    """A conditional measure ``p(target | key)`` as code and weight arrays.
+
+    Entries are sorted by group and, within a group, by decreasing weight
+    (ties in row order).  Group ``g`` holds entries
+    ``offsets[g]:offsets[g + 1]``; its key is ``key_codes[i][g]`` in
+    ``key_tables[i]``, and ``group_keys[g]`` is that key packed over
+    ``key_dims`` (ascending, the sorted side of :func:`_probe`).
+    ``search_keys`` is ``group + 1j * -weight`` per entry: NumPy orders
+    complex numbers lexicographically, so one ``searchsorted`` finds a
+    weight cutoff inside any group.
+    """
+
+    key_tables: list
+    key_codes: list
+    key_dims: tuple
+    group_keys: object
+    offsets: object
+    target_tables: list
+    target_codes: list
+    weights: object
+    search_keys: object
+
+
+def decode_conditional(encoded: EncodedConditional) -> dict:
+    """The reference ``key -> [(target tuple, weight), ...]`` group dict."""
+    keys = decode_rows(encoded.key_tables, encoded.key_codes, encoded.offsets.size - 1)
+    targets = decode_rows(encoded.target_tables, encoded.target_codes,
+                          encoded.weights.size)
+    entries = list(zip(targets, encoded.weights.tolist()))
+    bounds = encoded.offsets.tolist()
+    return {key: entries[bounds[g]:bounds[g + 1]] for g, key in enumerate(keys)}
+
+
+def _search_keys(groups, weights):
+    """``groups + 1j * -weights``, built part by part: complex arithmetic
+    would turn an infinite weight's real part into NaN."""
+    keys = np.empty(groups.size, dtype=np.complex128)
+    keys.real = groups
+    keys.imag = -weights
+    return keys
+
+
+def _conditional(key_tables, key_codes, key_dims, group_keys, counts,
+                 target_tables, target_codes, weights) -> EncodedConditional:
+    groups = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return EncodedConditional(list(key_tables), list(key_codes), tuple(key_dims),
+                              group_keys, offsets, list(target_tables),
+                              list(target_codes), weights,
+                              _search_keys(groups, weights))
+
+
+def _row_weights(backend):
+    """An annotated backend's float weights; ``1.0`` per row of a plain one."""
+    if hasattr(backend, "kernel_values"):
+        return backend.kernel_values("float")
+    return np.ones(len(backend), dtype=np.float64)
+
+
+def conditional_encoded(backend, given: Sequence[int], target: Sequence[int],
+                        normalise: bool = True):
+    """Group ``backend``'s rows by ``given`` into an :class:`EncodedConditional`.
+
+    Each row's weight (``1.0`` per row of a plain backend) is divided by its
+    group's row-order sum when ``normalise`` is set, and groups whose sum is
+    not positive are dropped — the reference ``conditional_on``.  Without
+    ``normalise`` the weights are kept as they are (the submodularity step's
+    ``h(Y) → h(Y|Z)``).  Over a plain backend this is the per-group uniform
+    measure ``1/deg``.  One stable sort by key, one ``lexsort`` by
+    (group, -weight); memoized on ``backend``.  Returns ``None`` to fall back.
+    """
+    given, target = tuple(given), tuple(target)
+
+    def build():
+        values = _row_weights(backend)
+        packed = _self_keys(backend, given) if values is not None else None
+        if packed is None:
+            return None
+        keys, dims = packed
+        order, starts = _segments(keys)
+        counts = np.diff(starts, append=order.size)
+        weights = values[order]
+        if normalise:
+            totals = _sequential_sum_at(weights, starts)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                weights = weights / np.repeat(totals, counts)
+            live = totals > 0
+            if not live.all():
+                entries = np.repeat(live, counts)
+                order, weights = order[entries], weights[entries]
+                starts, counts = starts[live], counts[live]
+        groups = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        within = np.lexsort((-weights, groups))
+        order, weights = order[within], weights[within]
+        firsts = order[np.cumsum(counts) - counts]
+        key_dicts = [backend.dictionary(p) for p in given]
+        target_dicts = [backend.dictionary(p) for p in target]
+        return _conditional([d.table for d in key_dicts],
+                            [d.codes_array()[firsts] for d in key_dicts],
+                            dims, keys[firsts], counts,
+                            [d.table for d in target_dicts],
+                            [d.codes_array()[order] for d in target_dicts],
+                            weights)
+
+    encoded = _memo(backend, ("conditional", given, target, normalise), build)
+    _count("conditional_fallbacks" if encoded is None else "conditional_kernels")
+    return encoded
+
+
+def conditional_from_groups(groups, key_width: int, target_width: int):
+    """Encode a reference ``key -> [(target, weight), ...]`` group dict.
+
+    Returns ``None`` (fall back) unless every weight is a ``float`` and
+    every group is sorted by decreasing weight, the order the scalar
+    composition loop relies on.
+    """
+    from repro.relational.storage import ColumnDictionary
+    keys = list(groups)
+    key_dicts = [ColumnDictionary.from_values(key[i] for key in keys)
+                 for i in range(key_width)]
+    dims = tuple(len(d.table.decode) for d in key_dicts)
+    packed = _pack([d.codes_array() for d in key_dicts], dims, len(keys))
+    if packed is None:
+        _count("conditional_fallbacks")
+        return None
+    order = np.argsort(packed, kind="stable")
+    entries = [entry for g in order.tolist() for entry in groups[keys[g]]]
+    weights = vet_values([weight for _, weight in entries], "float")
+    counts = np.array([len(groups[keys[g]]) for g in order.tolist()], dtype=np.int64)
+    same_group = np.repeat(np.arange(counts.size), counts)
+    if weights is None or np.any((same_group[1:] == same_group[:-1])
+                                 & (weights[1:] > weights[:-1])):
+        _count("conditional_fallbacks")
+        return None
+    target_dicts = [ColumnDictionary.from_values(value[i] for value, _ in entries)
+                    for i in range(target_width)]
+    _count("conditional_kernels")
+    return _conditional([d.table for d in key_dicts],
+                        [d.codes_array()[order] for d in key_dicts], dims,
+                        packed[order], counts, [d.table for d in target_dicts],
+                        [d.codes_array() for d in target_dicts], weights)
+
+
+def uniform_encoded(backend, width: int, weight: float):
+    """Weight ``weight`` on every row of a plain backend, as
+    ``ColumnarAnnotatedBackend.from_encoded`` arguments sharing its tables."""
+    dicts = [backend.dictionary(p) for p in range(width)]
+    return ([d.table for d in dicts], [d.codes_array() for d in dicts],
+            np.full(len(backend), weight, dtype=np.float64))
+
+
+def take_measure(backend, indices, width: int):
+    """A float-weighted backend's rows at ``indices``, as
+    ``ColumnarAnnotatedBackend.from_encoded`` arguments."""
+    tables, codes, _ = gather_encoded(backend, indices, width)
+    return tables, codes, backend.kernel_values("float")[indices]
+
+
+def truncate_encoded(backend, width: int, threshold: float):
+    """The rows of weight at least ``threshold`` (encoded), or ``None``."""
+    values = backend.kernel_values("float")
+    if values is None:
+        _count("truncate_fallbacks")
+        return None
+    _count("truncate_kernels")
+    return take_measure(backend, np.flatnonzero(values >= threshold), width)
+
+
+def semijoin_all_encoded(backend, width: int, filters: Sequence[tuple]):
+    """The rows that :func:`semijoin_keep` keeps against every
+    ``(right backend, left key, right key)`` of ``filters``, encoded with
+    their weights, or ``None`` to fall back."""
+    if backend.kernel_values("float") is None:
+        _count("semijoin_fallbacks")
+        return None
+    keep = np.ones(len(backend), dtype=bool)
+    for right, left_key, right_key in filters:
+        kept = semijoin_keep(backend, right, left_key, right_key)
+        if kept is None:
+            return None
+        mask = np.zeros(len(backend), dtype=bool)
+        mask[kept] = True
+        keep &= mask
+    return take_measure(backend, np.flatnonzero(keep), width)
+
+
+def compose_encoded(marginal, key_positions: Sequence[int],
+                    conditional: EncodedConditional, threshold: float,
+                    out_sources: Sequence[tuple[str, int]]):
+    """``p(x)·p(y|x)`` truncated at ``threshold``, output encoded.
+
+    ``key_positions`` are the marginal's columns of the conditional's key
+    variables, and ``out_sources`` names each output column as
+    ``('m', marginal position)`` or ``('c', conditional target index)``.
+    Keeps exactly what the scalar loop keeps: marginal rows of weight at
+    least ``threshold``, and of each one's group the prefix with
+    ``base * w >= threshold``.  The work is proportional to the kept entries
+    plus the rows probed, not to the groups' sizes:
+
+    1. each kept row's key is probed into the groups (:func:`_probe`);
+    2. its cutoff ``threshold / base`` is searched in the group's
+       descending weights (one ``searchsorted`` over ``search_keys``);
+    3. the entries on either side of each found boundary are re-checked
+       with the product, because the division can round across it;
+    4. only the kept prefixes are expanded (:func:`_expand_ranges`).
+
+    Every conditional entry read in steps 3 and 4 is counted as
+    ``compose_entries_examined`` in :func:`kernel_stats`.  Returns
+    ``(code tables, code arrays, weights)`` for
+    ``ColumnarAnnotatedBackend.from_encoded``, or ``None`` to fall back.
+    """
+    values = marginal.kernel_values("float")
+    if values is None:
+        _count("compose_fallbacks")
+        return None
+    rows = np.flatnonzero(values >= threshold)
+    probes = _pack_into(marginal, key_positions, conditional.key_tables,
+                        conditional.key_dims, rows)
+    # No memo owner: a conditional is composed once.
+    group_at, matched = _probe(None, None, conditional.group_keys,
+                               conditional.key_dims, probes,
+                               conditional.group_keys.size)
+    matched = matched > 0
+    rows, groups = rows[matched], group_at[matched]
+    base = values[rows]
+    starts = conditional.offsets[groups]
+    limits = conditional.offsets[groups + 1]
+    weights = conditional.weights
+    search = conditional.search_keys
+    cutoffs = np.full(base.size, -np.inf)
+    np.divide(threshold, base, out=cutoffs, where=base > 0)
+    ends = np.searchsorted(search, _search_keys(groups, cutoffs), side="right")
+    examined = 0
+    # Products fall with the weight, so a failing last entry fails with every
+    # entry of its weight (cut before the first of them), and a passing next
+    # entry passes with every entry of its weight (cut after the last).
+    for side in ("left", "right"):
+        pending = np.arange(base.size)
+        while pending.size:
+            if side == "left":
+                pending = pending[ends[pending] > starts[pending]]
+                probe_at = ends[pending] - 1
+                moved = base[pending] * weights[probe_at] < threshold
+            else:
+                pending = pending[ends[pending] < limits[pending]]
+                probe_at = ends[pending]
+                moved = base[pending] * weights[probe_at] >= threshold
+            examined += int(pending.size)
+            pending, probe_at = pending[moved], probe_at[moved]
+            ends[pending] = np.searchsorted(search, search[probe_at], side=side)
+    positions, which = _expand_ranges(starts, ends - starts)
+    examined += int(positions.size)
+    _count("compose_kernels")
+    _count("compose_entries_examined", examined)
+    marginal_rows = rows[which]
+    tables, codes = [], []
+    for source, index in out_sources:
+        if source == "m":
+            dictionary = marginal.dictionary(index)
+            tables.append(dictionary.table)
+            codes.append(dictionary.codes_array()[marginal_rows])
+        else:
+            tables.append(conditional.target_tables[index])
+            codes.append(conditional.target_codes[index][positions])
+    return tables, codes, values[marginal_rows] * weights[positions]
 
 
 # ---------------------------------------------------------------------------

@@ -451,6 +451,12 @@ class Relation:
         reordered = other.project(self.columns)
         if len(self) == 0:
             return reordered.copy(out_name)
+        if kernels.kernel_ready(self._backend, reordered._backend):
+            encoded = kernels.union_encoded(self._backend, reordered._backend,
+                                            len(self.columns))
+            if encoded is not None:
+                return Relation._from_backend(out_name, self.columns,
+                                              ColumnarBackend.from_encoded(*encoded))
         rows = list(self._backend.iter_rows())
         rows.extend(reordered._backend.iter_rows())
         return self._derive(out_name, self.columns, rows, unique=False)

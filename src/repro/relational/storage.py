@@ -564,11 +564,7 @@ class ColumnarBackend(StorageBackend):
     def _row_list(self) -> list[tuple]:
         """The rows as a list, decoding the encoded columns on first use."""
         if self._rows is None:
-            tables, codes = self._encoded  # type: ignore[misc]
-            pieces = [table.decode_array()[column]
-                      for table, column in zip(tables, codes)]
-            self._rows = list(zip(*pieces)) if pieces \
-                else [()] * self._length
+            self._rows = kernels.decode_rows(*self._encoded, self._length)  # type: ignore[misc]
         return self._rows
 
     def __len__(self) -> int:
@@ -962,7 +958,9 @@ class ColumnarAnnotatedBackend(AnnotatedBackend):
     immutable (new annotations always spawn a new backend).  Repeated FAQ
     evaluation over the same database reuses the cached per-variable
     elimination indexes instead of rebuilding them, which is what
-    ``benchmarks/bench_faq_backends.py`` measures.
+    ``benchmarks/bench_faq_backends.py`` measures.  A backend built by
+    :meth:`from_encoded` (PANDA's measure tables) holds only code and weight
+    arrays until something reads its rows.
     """
 
     kind = "columnar"
@@ -971,7 +969,11 @@ class ColumnarAnnotatedBackend(AnnotatedBackend):
 
     def __init__(self, pairs: Iterable[tuple[tuple, object]] = ()) -> None:
         super().__init__()
-        self._annotations: dict[tuple, object] = dict(pairs)
+        self._annotations: dict[tuple, object] | None = dict(pairs)
+        self._length = len(self._annotations)
+        #: Encoded-only state: ``(code tables, int64 code arrays)`` when the
+        #: backend was built by :meth:`from_encoded`.
+        self._encoded: tuple[list[CodeTable], list] | None = None
         self._probe_indexes: dict[IndexKey, dict[tuple, list[tuple]]] = {}
         self._key_sets: dict[IndexKey, set[tuple]] = {}
         self._marginals: dict[tuple[IndexKey, str], dict[tuple, object]] = {}
@@ -987,16 +989,37 @@ class ColumnarAnnotatedBackend(AnnotatedBackend):
         #: member sets); annotated backends are immutable, so never cleared.
         self._kernel_memos: dict[tuple, object] = {}
 
+    @classmethod
+    def from_encoded(cls, tables: Sequence[CodeTable], code_arrays: Sequence,
+                     weights) -> "ColumnarAnnotatedBackend":
+        """A backend over encoded columns and a ``float64`` weight array.
+
+        The annotated mirror of :meth:`ColumnarBackend.from_encoded`: column
+        ``p``'s dictionary is ``(tables[p], code_arrays[p])`` with the tables
+        shared by reference, ``weights[r]`` is row ``r``'s annotation, and
+        the rows must be distinct.  The row tuples and the annotation dict
+        are built only when something reads them, so PANDA's measure algebra
+        runs on the arrays alone.
+        """
+        backend = cls()
+        backend._annotations = None
+        backend._length = int(weights.size)
+        backend._encoded = (list(tables), list(code_arrays))
+        backend._kernel_values["float"] = weights
+        return backend
+
     def __len__(self) -> int:
-        return len(self._annotations)
+        return self._length
 
     def items(self) -> Iterator[tuple[tuple, object]]:
-        return iter(self._annotations.items())
+        return iter(self.mapping().items())
 
     def get(self, row: tuple, default=None):
-        return self._annotations.get(row, default)
+        return self.mapping().get(row, default)
 
     def mapping(self) -> Mapping[tuple, object]:
+        if self._annotations is None:
+            self._annotations = dict(zip(self.rows_list(), self.values_list()))
         return self._annotations
 
     # -- kernel surface -------------------------------------------------------
@@ -1005,13 +1028,19 @@ class ColumnarAnnotatedBackend(AnnotatedBackend):
     def rows_list(self) -> list[tuple]:
         """The rows as a list, aligned with :meth:`values_list`."""
         if self._rows_list is None:
-            self._rows_list = list(self._annotations.keys())
+            if self._encoded is not None:
+                self._rows_list = kernels.decode_rows(*self._encoded, self._length)
+            else:
+                self._rows_list = list(self.mapping().keys())
         return self._rows_list
 
     def values_list(self) -> list:
         """The annotation values as a list, aligned with :meth:`rows_list`."""
         if self._values_list is None:
-            self._values_list = list(self._annotations.values())
+            if self._encoded is not None:
+                self._values_list = self._kernel_values["float"].tolist()
+            else:
+                self._values_list = list(self.mapping().values())
         return self._values_list
 
     def dictionary(self, position: int) -> ColumnDictionary:
@@ -1019,8 +1048,13 @@ class ColumnarAnnotatedBackend(AnnotatedBackend):
         dictionary = self._dictionaries.get(position)
         if dictionary is None:
             self._count("dictionary_builds")
-            dictionary = ColumnDictionary.from_values(
-                row[position] for row in self.rows_list())
+            if self._encoded is not None:
+                tables, codes = self._encoded
+                dictionary = ColumnDictionary(tables[position],
+                                              codes_array=codes[position])
+            else:
+                dictionary = ColumnDictionary.from_values(
+                    row[position] for row in self.rows_list())
             self._dictionaries[position] = dictionary
         else:
             self._count("dictionary_hits")

@@ -6,6 +6,8 @@ join, generic join, Yannakakis, static plan, FAQ, adaptive PANDA) on random
 ``datagen`` instances under both the set and the columnar backend and asserts
 bit-identical answers, plus edge cases for degree computation and
 degree-based partitioning on empty relations and empty variable sets.
+Adaptive PANDA also has a broader differential test
+(``tests/test_panda_differential.py``).
 """
 
 import pytest

@@ -44,6 +44,7 @@ from repro.relational import (
     using_kernels,
 )
 from repro.relational import kernels
+from repro.relational.storage import ColumnarAnnotatedBackend
 
 PROPERTY = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -117,6 +118,35 @@ def test_kernel_projection_parity_and_counter():
     assert result.columns == reference.columns
     assert result.rows == reference.rows
     assert moved.get("projection_kernels", 0) > 0
+
+
+def test_kernel_union_keeps_the_reference_rows_and_order():
+    """Relations derived from one base share its tables, so their union
+    stays encoded; a value the left side's tables lack falls back."""
+    rows = [(i % 5, f"v{i % 3}") for i in range(15)] + [(1.0, "v1"), (True, "v9")]
+    keys = {"low": [(0,), (1,)], "high": [(True,), (4,), (3,)]}
+    bases, unions, moved = {}, {}, {}
+    for kernels_on in (True, False):
+        with using_kernels(kernels_on):
+            base = bases[kernels_on] = Relation("B", ("x", "y"), rows, backend="columnar")
+            low, high = (base.semijoin(Relation(name, ("x",), key_rows, backend="columnar"))
+                         for name, key_rows in keys.items())
+            foreign = Relation("F", ("y", "x"), [("w", 7), ("v0", 3)], backend="columnar")
+            before = kernel_stats()
+            unions[kernels_on] = (low.union(high), low.union(foreign))
+            moved[kernels_on] = kernel_stats_delta(before)
+            # left's rows, then right's new rows in first-appearance order
+            for union, right in zip(unions[kernels_on], (high, foreign.project(("x", "y")))):
+                expected = list(low)
+                expected += [row for row in dict.fromkeys(right) if row not in low.rows]
+                assert list(union) == expected
+    for encoded, reference in zip(unions[True], unions[False]):
+        assert encoded.columns == reference.columns
+        assert encoded.rows == reference.rows
+    assert moved[True].get("union_kernels", 0) == 1
+    assert moved[True].get("union_fallbacks", 0) == 1
+    table = unions[True][0]._backend.dictionary(0).table
+    assert table is bases[True]._backend.dictionary(0).table
 
 
 @PROPERTY
@@ -199,6 +229,19 @@ def test_counting_overflow_falls_back_in_marginalization():
     assert outputs["columnar"] == outputs["dict"]
     assert deltas["columnar"].get("marginal_fallbacks", 0) > 0
     assert deltas["columnar"].get("marginal_kernels", 0) == 0
+
+
+def test_real_sum_marginal_folds_like_the_reference():
+    """The measure tables' ⊕ rounds exactly like the reference ``a + b`` fold
+    in row order (``np.add.reduceat`` sums pairwise and gives 100.0 here)."""
+    pairs = [((index % 2, index), 0.1) for index in range(2000)]
+    expected: dict = {}
+    for (key, _), weight in pairs:
+        expected[(key,)] = expected[(key,)] + weight if (key,) in expected else weight
+    assert expected[(0,)] != 100.0
+    with using_kernels(True):
+        backend = ColumnarAnnotatedBackend(pairs)
+        assert kernels.marginal_dict(backend, (0,), "real-sum") == expected
 
 
 def test_top_k_semiring_falls_back_everywhere():
@@ -304,11 +347,14 @@ def test_derived_relations_share_base_code_tables():
 
 
 @pytest.mark.parametrize("query", [
-    triangle_query(), path_query(3, free_variables=("X1", "X2"))],
-    ids=["triangle", "p3"])
+    triangle_query(), path_query(3, free_variables=("X1", "X2")),
+    four_cycle_projected()],
+    ids=["triangle", "p3", "four-cycle-adaptive"])
 def test_warm_execution_builds_no_translations(query):
     """Derived relations share their base columns' tables, so a second
-    execution finds every code translation already memoized."""
+    execution finds every code translation already memoized and falls back
+    nowhere.  The 4-cycle runs adaptive PANDA, whose measures, heads and
+    unioned bags all keep the guard relations' tables."""
     database = random_graph_database(query, 200, 30, seed=13,
                                      backend="columnar")
     with using_kernels(True):
@@ -321,6 +367,8 @@ def test_warm_execution_builds_no_translations(query):
         warm = kernel_stats_delta(before)
     assert cold.get("translation_builds", 0) > 0
     assert warm.get("translation_builds", 0) == 0
+    assert not [event for event, count in warm.items()
+                if event.endswith("_fallbacks") and count]
     assert second.rows == first.rows
 
 

@@ -19,7 +19,8 @@ from repro.panda import (
 )
 from repro.panda.executor import PandaExecutionError
 from repro.query import four_cycle_boolean, four_cycle_projected, triangle_query
-from repro.relational import Database, Relation
+from repro.relational import Database, Relation, using_kernels
+from repro.relational.kernels import kernel_stats, kernel_stats_delta
 from repro.stats import collect_statistics, statistics_for_query
 from repro.utils.varsets import varset
 
@@ -28,9 +29,28 @@ from repro.utils.varsets import varset
 # measures
 # ---------------------------------------------------------------------------
 
-def test_uniform_measure_from_relation():
-    relation = Relation("R", ("X", "Y"), [(1, "a"), (2, "b")])
+@pytest.fixture(params=[("dict", True), ("dict", False),
+                        ("columnar", True), ("columnar", False)],
+                ids=["dict-kernels-on", "dict-kernels-off",
+                     "columnar-kernels-on", "columnar-kernels-off"])
+def measure_backend(request):
+    """Each measure test runs on the reference ``dict`` backend and on the
+    ``columnar`` one, with kernels on and off; only ``columnar`` with kernels
+    on takes the encoded kernel path."""
+    kind, kernels_on = request.param
+    with using_kernels(kernels_on):
+        yield kind
+
+
+def _relation_backend(measure_backend):
+    return "set" if measure_backend == "dict" else "columnar"
+
+
+def test_uniform_measure_from_relation(measure_backend):
+    relation = Relation("R", ("X", "Y"), [(1, "a"), (2, "b")],
+                        backend=_relation_backend(measure_backend))
     measure = UnconditionalMeasure.uniform_from_relation(relation, {"X", "Y"}, 4)
+    assert measure.backend_kind == measure_backend
     assert len(measure) == 2
     assert measure.total_mass() == pytest.approx(0.5)
     assert measure.truncate(0.2).weights == measure.weights
@@ -42,8 +62,9 @@ def test_uniform_measure_from_relation():
     assert all(set(assignment) == {"X", "Y"} for assignment, _ in assignments)
 
 
-def test_marginal_and_conditional_decomposition_is_consistent():
-    relation = Relation("R", ("X", "Y"), [(1, "a"), (1, "b"), (2, "a")])
+def test_marginal_and_conditional_decomposition_is_consistent(measure_backend):
+    relation = Relation("R", ("X", "Y"), [(1, "a"), (1, "b"), (2, "a")],
+                        backend=_relation_backend(measure_backend))
     joint = UnconditionalMeasure.uniform_from_relation(relation, {"X", "Y"}, 3)
     marginal = joint.marginal({"X"})
     assert marginal.weights[(1,)] == pytest.approx(2 / 3)
@@ -53,12 +74,18 @@ def test_marginal_and_conditional_decomposition_is_consistent():
     assert sorted(weight for _, weight in group) == pytest.approx([0.5, 0.5])
     # Recomposition recovers the joint measure exactly (threshold 0 keeps all).
     recomposed = compose(marginal, conditional, threshold=0.0)
+    assert set(recomposed.weights) == set(joint.weights)
     for row, weight in joint.weights.items():
         assert recomposed.weights[row] == pytest.approx(weight)
+    # A group whose weights sum to zero has no conditional distribution.
+    degenerate = UnconditionalMeasure(("X", "Y"), {(1, "a"): 0.5, (2, "b"): 0.0},
+                                      backend=measure_backend)
+    assert set(degenerate.conditional_on({"X"}).groups) == {(1,)}
 
 
-def test_per_group_uniform_conditional_measure():
-    relation = Relation("S", ("Y", "Z"), [("a", 1), ("a", 2), ("b", 3)])
+def test_per_group_uniform_conditional_measure(measure_backend):
+    relation = Relation("S", ("Y", "Z"), [("a", 1), ("a", 2), ("b", 3)],
+                        backend=_relation_backend(measure_backend))
     conditional = ConditionalMeasure.per_group_uniform(relation, {"Z"}, {"Y"})
     assert conditional.max_group_size() == 2
     assert len(conditional) == 3
@@ -67,8 +94,9 @@ def test_per_group_uniform_conditional_measure():
     assert conditional.group_for({"Y": "missing"}) == []
 
 
-def test_compose_truncates_at_threshold():
-    marginal = UnconditionalMeasure(("X",), {(1,): 0.5, (2,): 0.01})
+def test_compose_truncates_at_threshold(measure_backend):
+    marginal = UnconditionalMeasure(("X",), {(1,): 0.5, (2,): 0.01},
+                                    backend=measure_backend)
     conditional = ConditionalMeasure(("Y",), ("X",),
                                      {(1,): [(("a",), 0.9), (("b",), 0.05)],
                                       (2,): [(("c",), 1.0)]})
@@ -76,7 +104,60 @@ def test_compose_truncates_at_threshold():
     assert set(combined.weights) == {(1, "a")}
     assert combined.weights[(1, "a")] == pytest.approx(0.45)
     with pytest.raises(ValueError):
-        compose(UnconditionalMeasure(("Z",), {(1,): 1.0}), conditional, 0.0)
+        compose(UnconditionalMeasure(("Z",), {(1,): 1.0}, backend=measure_backend),
+                conditional, 0.0)
+
+
+def test_compose_rejects_a_conditional_that_rebinds_a_marginal_variable(measure_backend):
+    # Composing would overwrite the marginal's Y='a' with Y='b' and emit a
+    # tuple that contradicts the marginal.
+    marginal = UnconditionalMeasure(("X", "Y"), {(1, "a"): 0.5}, backend=measure_backend)
+    conditional = ConditionalMeasure(("Y",), ("X",), {(1,): [(("b",), 1.0)]})
+    with pytest.raises(ValueError, match="target variables"):
+        compose(marginal, conditional, 0.0)
+
+
+@pytest.mark.parametrize("base, weight, threshold", [
+    # threshold / base says keep the tied weights, base * weight says drop them
+    (0.0254458609934608, 0.5414124727934966, 0.013776706522829193),
+    # threshold / base says drop the tied weights, base * weight says keep them
+    (0.7214844075832684, 0.7111917696952796, 0.5131137726366951),
+], ids=["division-keeps-too-many", "division-keeps-too-few"])
+def test_compose_kernel_keeps_exactly_the_scalar_loops_prefix(base, weight, threshold):
+    # Row 2's weight equals the threshold, which keeps it.
+    conditional = ConditionalMeasure(("Y",), ("X",), {
+        (1,): [(("a",), 1.0), (("b",), weight), (("c",), weight), (("d",), weight / 4)],
+        (2,): [(("e",), 1.0), (("f",), 0.5)]})
+    composed = {}
+    for kernels_on in (True, False):
+        with using_kernels(kernels_on):
+            marginal = UnconditionalMeasure(("X",), {(1,): base, (2,): threshold},
+                                            backend="columnar")
+            composed[kernels_on] = compose(marginal, conditional, threshold).weights
+    expected = {(1, y) for y in ("a", "b", "c")
+                if base * {"a": 1.0}.get(y, weight) >= threshold} | {(2, "e")}
+    assert set(composed[False]) == expected
+    assert composed[True] == composed[False]
+
+
+def test_compose_kernel_work_is_bounded_by_the_kept_tuples():
+    """One marginal row against a group of 100,000 descending weights, of
+    which the threshold keeps 10: the kernel reads the kept entries plus one
+    boundary entry on each side, never the whole group."""
+    group_size, kept = 100_000, 10
+    weights = [1.0 - index / group_size for index in range(group_size)]
+    conditional = ConditionalMeasure(
+        ("Y",), ("X",), {(1,): [((index,), weight) for index, weight in enumerate(weights)]})
+    marginal = UnconditionalMeasure(("X",), {(1,): 0.5}, backend="columnar")
+    threshold = 0.5 * weights[kept - 1]
+    with using_kernels(True):
+        conditional.encoded()  # encoding the group is the conditional's cost
+        before = kernel_stats()
+        combined = compose(marginal, conditional, threshold)
+        moved = kernel_stats_delta(before)
+    assert sorted(combined.weights) == [(1, index) for index in range(kept)]
+    assert moved["compose_kernels"] == 1
+    assert moved["compose_entries_examined"] <= kept + 2 * len(marginal)
 
 
 # ---------------------------------------------------------------------------
