@@ -16,8 +16,12 @@ The solver here works in two phases:
 
 1. solve the dual LP numerically (HiGHS) over variables ``(λ, w, σ)``;
 2. reconstruct ``λ`` and ``w`` as small-denominator rationals and re-derive an
-   exact ``σ`` with the exact rational simplex, then verify the identity
-   coefficient-by-coefficient.
+   exact ``σ`` with the exact simplex of :mod:`repro.lp.exact`, then verify
+   the identity coefficient-by-coefficient.  That simplex pivots an integer
+   tableau (numerators over a row denominator) and is handed the subset ×
+   elemental incidence as plain ints, built once per call and shared with
+   phase 1's σ block; its pivots are those of a ``Fraction`` tableau, so the
+   certificate does not depend on the arithmetic.
 
 The result is an exact certificate whose identity form feeds the
 proof-sequence construction.
@@ -26,9 +30,9 @@ Both phases are deterministic in ``(targets, ground set, statistics)``, and
 adaptive PANDA re-derives the same certificates on every evaluation of the
 same query shape (one per bag selector, per run), so verified certificates
 are memoized on exactly that key — the statistics participate through their
-content fingerprint.  A hit skips the dual-LP row construction (which touches
-every subset × every elemental inequality), the HiGHS solve *and* the exact
-rational witness recovery; the ``flow_builds`` / ``flow_hits`` counters of
+content fingerprint.  A hit skips the dual-LP row construction (and the
+subset × elemental incidence it reads), the HiGHS solve *and* the exact
+witness recovery; the ``flow_builds`` / ``flow_hits`` counters of
 :func:`repro.lp.model.lp_cache_stats` make the reuse observable.  The dual
 LP itself also benefits from the compiled sparse substrate and the memoized
 elemental family.
@@ -288,7 +292,13 @@ def find_shannon_flow(targets: Sequence[Iterable[str]],
             return _copy_flow(cached, statistics)
 
     elementals = elemental_inequalities(ground)
-    subsets = [subset for subset in powerset(ground) if subset]
+    # The subset × elemental incidence as plain ints, built once: the σ block
+    # of the dual LP and the exact witness's matrix both read it.
+    incidence: dict[frozenset[str], list[tuple[int, int]]] = {
+        subset: [] for subset in powerset(ground) if subset}
+    for i, inequality in enumerate(elementals):
+        for subset, coefficient in inequality.coefficients:
+            incidence[subset].append((i, coefficient))
 
     program = LinearProgram("shannon-flow-dual")
     lam_names = [f"lam{i}" for i in range(len(target_sets))]
@@ -298,7 +308,7 @@ def find_shannon_flow(targets: Sequence[Iterable[str]],
         program.add_variable(name, lower=0.0)
 
     # One identity row per non-empty subset of the ground set.
-    for subset in subsets:
+    for subset, entries in incidence.items():
         row: dict[str, float] = {}
         for i, constraint in enumerate(constraints):
             union = constraint.target | constraint.given
@@ -309,10 +319,8 @@ def find_shannon_flow(targets: Sequence[Iterable[str]],
                 coefficient -= 1.0
             if coefficient:
                 row[w_names[i]] = row.get(w_names[i], 0.0) + coefficient
-        for i, inequality in enumerate(elementals):
-            coefficient = dict(inequality.coefficients).get(subset, 0)
-            if coefficient:
-                row[sigma_names[i]] = row.get(sigma_names[i], 0.0) - float(coefficient)
+        for i, coefficient in entries:
+            row[sigma_names[i]] = -float(coefficient)
         for i, target in enumerate(target_sets):
             if subset == target:
                 row[lam_names[i]] = row.get(lam_names[i], 0.0) - 1.0
@@ -331,7 +339,7 @@ def find_shannon_flow(targets: Sequence[Iterable[str]],
                for i in range(len(constraints))
                if solution.value(w_names[i]) > 1e-9}
     lam = _renormalize(lam)
-    sigma = _exact_witness(lam, weights, ground, elementals)
+    sigma = _exact_witness(lam, weights, incidence, elementals)
     flow = ShannonFlowInequality(targets=lam, sources=weights, witness=sigma,
                                  statistics=statistics)
     if not flow.verify():
@@ -352,13 +360,15 @@ def _renormalize(lam: dict[frozenset[str], Fraction]) -> dict[frozenset[str], Fr
 
 def _exact_witness(lam: Mapping[frozenset[str], Fraction],
                    weights: Mapping[DegreeConstraint, Fraction],
-                   ground: frozenset[str],
+                   incidence: Mapping[frozenset[str], Sequence[tuple[int, int]]],
                    elementals: Sequence[ElementalInequality]) -> dict[ElementalInequality, Fraction]:
     """Recover exact Farkas multipliers σ for given exact (λ, w).
 
     Solves the exact feasibility problem
     ``Σ_e σ_e · coeff_e(S) = Σ w·a(S) − Σ λ·[S = B]`` for all subsets ``S``
     with ``σ >= 0``, minimising ``Σ σ`` (any feasible point would do).
+    ``incidence`` lists each subset's ``(elemental index, coefficient)``
+    pairs; the exact solver gets those ints as its matrix.
     """
     required: dict[frozenset[str], Fraction] = {}
 
@@ -377,14 +387,14 @@ def _exact_witness(lam: Mapping[frozenset[str], Fraction],
     for target, weight in lam.items():
         bump(target, -weight)
 
-    subsets = [subset for subset in powerset(ground) if subset]
     matrix = []
-    rhs = []
-    for subset in subsets:
-        row = [Fraction(dict(e.coefficients).get(subset, 0)) for e in elementals]
+    for entries in incidence.values():
+        row = [0] * len(elementals)
+        for i, coefficient in entries:
+            row[i] = coefficient
         matrix.append(row)
-        rhs.append(required.get(subset, Fraction(0)))
-    costs = [Fraction(1)] * len(elementals)
+    rhs = [required.get(subset, 0) for subset in incidence]
+    costs = [1] * len(elementals)
     try:
         solution = solve_min_with_inequalities(costs, [], [], matrix, rhs)
     except ExactLPError as exc:

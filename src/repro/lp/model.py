@@ -78,7 +78,8 @@ def count_lp_event(event: str, amount: int = 1) -> None:
 def lp_cache_stats() -> dict[str, int]:
     """Build/hit counters for every LP-layer cache (compiled matrices,
     polymatroid regions, elemental-inequality memo, Shannon-flow certificates,
-    edge-cover programs, deduplicated rows)."""
+    edge-cover programs, deduplicated rows), plus the exact simplex's
+    ``exact_solves`` and ``exact_pivots`` work counts."""
     with _STATS_LOCK:
         return dict(_STATS)
 

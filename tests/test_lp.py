@@ -3,6 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from repro.lp import (
     ExactLPError,
@@ -268,3 +271,73 @@ def test_exact_fractional_solution_is_exact():
     # min x  s.t.  3x = 1  ->  x = 1/3 exactly.
     solution = solve_min_with_inequalities([1], [], [], [[3]], [1])
     assert solution.values[0] == Fraction(1, 3)
+
+
+def test_exact_terminates_on_beales_cycling_example():
+    # Beale's LP cycles under the largest-coefficient rule; Bland's rule must
+    # terminate at the unique optimum x4 = x6 = 1 with value -5/4, in the six
+    # pivots the rational (Fraction) tableau takes.
+    costs = [Fraction(-3, 4), 20, Fraction(-1, 2), 6]
+    le_matrix = [[Fraction(1, 4), -8, -1, 9],
+                 [Fraction(1, 2), -12, Fraction(-1, 2), 3],
+                 [0, 0, 1, 0]]
+    before = lp_cache_stats().get("exact_pivots", 0)
+    solution = solve_min_with_inequalities(costs, le_matrix, [0, 0, 1])
+    assert lp_cache_stats()["exact_pivots"] - before == 6
+    assert solution.objective == Fraction(-5, 4)
+    assert solution.values == [1, 0, 1, 0]
+
+
+def test_exact_redundant_equality_keeps_artificial_basic_at_zero():
+    # The second row is twice the first: after phase one its artificial stays
+    # basic at level 0 (no original column can drive it out), phase two must
+    # still reach the optimum, and the whole solve is phase one's one pivot.
+    before = lp_cache_stats()
+    solution = solve_standard_form([1, 2], [[1, 1], [2, 2]], [2, 4])
+    after = lp_cache_stats()
+    assert solution.objective == 2
+    assert solution.values == [2, 0]
+    assert after["exact_solves"] - before.get("exact_solves", 0) == 1
+    assert after["exact_pivots"] - before.get("exact_pivots", 0) == 1
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def _small_standard_form_lp(draw):
+    """``min c·x, A x = b, x >= 0`` with int/Fraction entries; ``b`` may be
+    negative, and half the programs are made feasible by a drawn point."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    matrix = draw(st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    costs = draw(st.lists(_ENTRIES, min_size=cols, max_size=cols))
+    if draw(st.booleans()):
+        point = draw(st.lists(st.integers(0, 3), min_size=cols, max_size=cols))
+        rhs = [sum((a * x for a, x in zip(row, point)), Fraction(0)) for row in matrix]
+    else:
+        rhs = draw(st.lists(_ENTRIES, min_size=rows, max_size=rows))
+    return costs, matrix, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_standard_form_lp())
+# The artificial of the redundant row is driven out on a negative entry.
+@example(([0, -1], [[-1, -2], [1, 2]], [0, 0]))
+def test_exact_simplex_is_exact_and_agrees_with_highs(problem):
+    costs, matrix, rhs = problem
+    reference = linprog([float(c) for c in costs],
+                        A_eq=[[float(a) for a in row] for row in matrix],
+                        b_eq=[float(b) for b in rhs], bounds=(0, None), method="highs")
+    if reference.status in (2, 3):  # infeasible or unbounded
+        with pytest.raises(ExactLPError):
+            solve_standard_form(costs, matrix, rhs)
+        return
+    assert reference.status == 0
+    solution = solve_standard_form(costs, matrix, rhs)
+    assert all(value >= 0 for value in solution.values)
+    for row, b in zip(matrix, rhs):
+        assert sum((a * x for a, x in zip(row, solution.values)), Fraction(0)) == b
+    assert solution.objective == sum(c * x for c, x in zip(costs, solution.values))
+    assert float(solution.objective) == pytest.approx(reference.fun, abs=1e-9)

@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 
 from repro.bounds import ddr_polymatroid_bound, polymatroid_bound
+from repro.ddr import bag_selectors
+from repro.decompositions.enumerate import enumerate_tree_decompositions
 from repro.flows import ShannonFlowError, find_shannon_flow, shannon_flow_for_cq
+from repro.lp.model import clear_lp_caches, lp_cache_stats
 from repro.paperdata import four_cycle_cardinality_statistics, four_cycle_full_statistics
-from repro.query import four_cycle_full, triangle_query
+from repro.query import four_cycle_full, four_cycle_projected, triangle_query
 from repro.stats import ConstraintSet, statistics_for_query
 from repro.utils.varsets import varset
 
@@ -109,3 +112,74 @@ def test_flow_for_unbounded_target_raises_or_is_large():
     stats.add_cardinality("XY", 100, guard="R")
     with pytest.raises(Exception):
         find_shannon_flow([varset("XZ")], stats, variables=varset("XYZ"))
+
+
+def _submodularity(first: str, second: str, whole: str, context: str = "") -> str:
+    context_term = f" - h{{{context}}}" if context else ""
+    return (f"h{{{first}}} + h{{{second}}} - h{{{whole}}}{context_term} >= 0  "
+            "[submodularity]")
+
+
+HALF = Fraction(1, 2)
+
+#: The certificates (λ, w, σ) of Q_box's four bag selectors on the degree
+#: statistics below, keyed by the selector's sorted bags.  They (and the pivot
+#: count below) were recorded with the ``Fraction`` tableau; the exact simplex
+#: must reproduce them.
+PINNED_Q_BOX_FLOWS = {
+    ("WXY", "WXZ"): (
+        {"WXY": HALF, "WXZ": HALF},
+        {"|{X,Y}| <= 1000 in R": HALF, "|{W,Z}| <= 1000 in T": HALF,
+         "|{W,X}| <= 700 in U": HALF},
+        {_submodularity("W,Z", "X,Z", "W,X,Z", "Z"): HALF,
+         _submodularity("W,X", "X,Y", "W,X,Y", "X"): HALF,
+         _submodularity("X", "Z", "X,Z"): HALF}),
+    ("WXY", "XYZ"): (
+        {"WXY": HALF, "XYZ": HALF},
+        {"|{X,Y}| <= 1000 in R": HALF, "|{Y,Z}| <= 900 in S": HALF,
+         "|{W,X}| <= 700 in U": HALF},
+        {_submodularity("W,X", "X,Y", "W,X,Y", "X"): HALF,
+         _submodularity("X,Z", "Y,Z", "X,Y,Z", "Z"): HALF,
+         _submodularity("X", "Z", "X,Z"): HALF}),
+    ("WXZ", "WYZ"): (
+        {"WXZ": HALF, "WYZ": HALF},
+        {"|{Y,Z}| <= 900 in S": HALF, "|{W,Z}| <= 1000 in T": HALF,
+         "|{W,X}| <= 700 in U": HALF},
+        {_submodularity("W,Z", "Y,Z", "W,Y,Z", "Z"): HALF,
+         _submodularity("W,X", "X,Z", "W,X,Z", "X"): HALF,
+         _submodularity("X", "Z", "X,Z"): HALF}),
+    ("WYZ", "XYZ"): (
+        {"WYZ": HALF, "XYZ": HALF},
+        {"|{X,Y}| <= 1000 in R": HALF, "|{Y,Z}| <= 900 in S": HALF,
+         "|{W,Z}| <= 1000 in T": HALF},
+        {_submodularity("W,Z", "Y,Z", "W,Y,Z", "Z"): HALF,
+         _submodularity("X,Y", "Y,Z", "X,Y,Z", "Y"): HALF,
+         _submodularity("Y", "Z", "Y,Z"): HALF}),
+}
+
+
+def test_q_box_flows_match_pinned_certificates():
+    """Every bag selector of Q_box yields exactly the pinned certificate, so a
+    change to the exact simplex's arithmetic cannot move a pivot unnoticed."""
+    statistics = ConstraintSet(base=1000)
+    for relation, (first, second), size, forward, backward in (
+            ("R", "XY", 1000, 60, 200), ("S", "YZ", 900, 100, 40),
+            ("T", "ZW", 1000, 300, 50), ("U", "WX", 700, 80, 120)):
+        statistics.add_cardinality(first + second, size, guard=relation)
+        statistics.add_degree(second, first, forward, guard=relation)
+        statistics.add_degree(first, second, backward, guard=relation)
+    query = four_cycle_projected()
+    clear_lp_caches()
+    pivots_before = lp_cache_stats().get("exact_pivots", 0)
+    found = {}
+    for selector in bag_selectors(enumerate_tree_decompositions(query)):
+        flow = find_shannon_flow(list(selector), statistics, variables=query.variables)
+        assert flow.verify()
+        key = tuple(sorted("".join(sorted(bag)) for bag in selector))
+        found[key] = ({"".join(sorted(target)): weight
+                       for target, weight in flow.targets.items()},
+                      {str(constraint): weight for constraint, weight in flow.sources.items()},
+                      {str(inequality): weight for inequality, weight in flow.witness.items()})
+    assert found == PINNED_Q_BOX_FLOWS
+    # The four exact witnesses take the rational tableau's 83 pivots.
+    assert lp_cache_stats()["exact_pivots"] - pivots_before == 83
