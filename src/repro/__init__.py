@@ -34,20 +34,17 @@ Quickstart::
     print(len(result.answer), "answers")
 
 Storage backend selection — relations live on a pluggable storage engine
-(:mod:`repro.relational.storage`).  ``"set"`` is the always-recompute
-semantics reference; ``"columnar"`` caches hash indexes, key sets, degree
-structures and prefix tries across evaluations (the right choice when the
-same queries run repeatedly against the same database)::
+(:mod:`repro.relational.storage`), and the engine a relation holds is the
+only thing that selects its code path.  ``"set"`` (the default) is the
+always-recompute semantics reference; ``"columnar"`` runs the vectorized
+NumPy kernels over dictionary-encoded columns and memoizes their outputs
+across evaluations (the right choice for anything but tiny data)::
 
-    from repro import Database, Relation, set_default_backend, using_backend
+    from repro import Database, Relation
 
     edges = Relation("E", ("src", "dst"), [(1, 2), (2, 3)], backend="columnar")
     database = Database([edges], backend="columnar")   # pins every relation
-    database.cache_stats()                             # index build/hit counters
-
-    set_default_backend("columnar")                    # process-wide default
-    with using_backend("columnar"):                    # or scoped
-        fresh = Relation("F", ("a", "b"), [(1, 1)])
+    database.cache_stats()                             # build/hit counters
 """
 
 from repro.query import (
@@ -67,8 +64,6 @@ from repro.relational import (
     SetBackend,
     StorageBackend,
     get_default_backend,
-    set_default_backend,
-    using_backend,
 )
 from repro.stats import ConstraintSet, DegreeConstraint, LpNormConstraint, collect_statistics
 from repro.bounds import agm_bound, ddr_polymatroid_bound, polymatroid_bound
@@ -105,8 +100,6 @@ __all__ = [
     "SetBackend",
     "ColumnarBackend",
     "get_default_backend",
-    "set_default_backend",
-    "using_backend",
     "ConstraintSet",
     "DegreeConstraint",
     "LpNormConstraint",

@@ -12,13 +12,12 @@ semirings and this module is the reference evaluator for counting.
 
 The evaluator runs on the annotated storage engine
 (:mod:`repro.relational.storage`): factors come from the database's memoized
-annotated bindings, eliminations go through each factor's (possibly cached)
-per-variable probe indexes, and the eliminated variable is ⊕-aggregated *on
-the fly* during its last join (aggregation pushdown) instead of being
-projected out of a materialised intermediate.  Under the columnar annotated
-engine, repeated evaluation of the same query family against the same
-database reuses every base-factor index — the speedup measured by
-``benchmarks/bench_faq_backends.py``.
+annotated bindings, eliminations go through each factor's per-variable
+probe indexes, and the eliminated variable is ⊕-aggregated *on the fly*
+during its last join (aggregation pushdown) instead of being projected out
+of a materialised intermediate.  Under the columnar annotated engine,
+repeated evaluation of the same query family against the same database
+reuses every base factor's memoized kernel structures.
 
 Each elimination step is a :meth:`AnnotatedRelation.join_marginalize`, which
 on kernel-capable backends (:mod:`repro.relational.kernels`) fuses the

@@ -9,10 +9,8 @@ experiment E9 measures.
 
 This implementation indexes each relation by every prefix of the global
 variable order restricted to the relation's variables, so candidate lookups
-are hash probes rather than scans.  The prefix tries live on the relations'
-storage backends (:meth:`Relation.prefix_trie`): under the columnar backend
-they are memoized, so re-evaluating a query against the same database skips
-the index-building phase entirely.
+are hash probes rather than scans.  The prefix tries come from the
+relations' storage backends (:meth:`Relation.prefix_trie`).
 
 The enumeration itself runs off a precomputed per-level probe plan.  Because
 each relation's variables are kept sorted by the global order, the set of
@@ -24,8 +22,9 @@ When every bound relation lives on a kernel-capable backend (see
 :mod:`repro.relational.kernels`), the recursion is replaced wholesale by a
 breadth-first vectorized frontier over dictionary-encoded code arrays — same
 answers, same reported work count, but the per-level intersection probes run
-as NumPy ``searchsorted`` batches instead of per-tuple hash lookups.
-``using_kernels(False)`` restores the depth-first trie path.
+as NumPy ``searchsorted`` batches instead of per-tuple hash lookups.  The
+``set`` backend, and a columnar join whose kernel declines (a packed key
+space past its limit), take the depth-first trie path.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ class _IndexedRelation:
         self.variables = [v for v in order if v in relation.column_set]
         positions = tuple(relation.column_index(v) for v in self.variables)
         # index[k] maps a length-k prefix of this relation's variables to the
-        # set of values of variable k+1 compatible with it.  Served (and, for
-        # caching backends, memoized) by the relation's storage backend.
+        # set of values of variable k+1 compatible with it.  Built by the
+        # relation's storage backend.
         self.index: list[dict[tuple, set]] = relation.prefix_trie(positions)
 
 

@@ -80,9 +80,15 @@ def enumerate_tree_decompositions(query: ConjunctiveQuery,
         to_eliminate = sorted(query.bound_variables)
 
     found: set[TreeDecomposition] = set()
+    # Many orders induce the same decomposition (Star4's 120 give 12), and
+    # the checks below depend on the decomposition alone: run them once each.
+    checked: set[TreeDecomposition] = set()
     if to_eliminate:
         for order in permutations(to_eliminate):
             decomposition = decomposition_from_elimination_order(query, order)
+            if decomposition in checked:
+                continue
+            checked.add(decomposition)
             if not decomposition.is_valid_for(query):
                 continue
             if not decomposition.is_free_connex_for(query.free_variables):

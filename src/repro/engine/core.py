@@ -299,7 +299,7 @@ class Engine:
         self.stats = EngineStats()
         # LRU-bounded like the plan cache: an unbounded memo would pin one
         # backend snapshot per query shape ever seen — including superseded
-        # backends and their cached indexes — for the engine's lifetime.
+        # backends and their memoized encodings — for the engine's lifetime.
         self._stats_memo: LruDict = LruDict(plan_cache_size)
         # The cluster coordinator is built lazily, on the first clustered
         # run, and reports fault counters into this engine's stats.

@@ -66,7 +66,7 @@ def shard_databases(database: Database, atom: Atom, count: int) -> list[Database
     """``count`` databases that differ only in the shard of ``atom``'s relation.
 
     Every other relation is shared by backend (copy-on-write facades), so
-    index caches built by one shard's worker serve the others — sharding
+    encodings built by one shard's worker serve the others — sharding
     multiplies only the partitioned relation, not the whole database.
     """
     shards = database[atom.relation].hash_shards(count)

@@ -212,8 +212,8 @@ def plan_and_execute(query: ConjunctiveQuery, database: Database,
     this wrapper deliberately starts with a cold plan cache on every call.
 
     ``backend`` optionally pins the execution to a storage engine (e.g.
-    ``"columnar"`` for cached indexes); the database is converted before the
-    plan runs.
+    ``"columnar"`` for the vectorized kernels); the database is converted
+    before the plan runs.
     """
     from repro.engine import Engine
 

@@ -28,12 +28,12 @@ live table, at *every* step, so truncating strictly below the true ``1/B``
 only ever removes junk.  The delicate part is "strictly below the true
 ``1/B``" — see :data:`TRUNCATION_SLACK`.
 
-On a columnar database with kernels on, every measure table stays encoded
-from initialisation to the heads (see :mod:`repro.panda.measures`): the
-steps, the atom filters and the truncation run as NumPy kernels over the
-guard relations' own code tables, and each head comes out as an encoded
-columnar relation.  The ``dict`` backend and ``using_kernels(False)`` replay
-the same steps with the tuple-at-a-time reference algebra.
+On a columnar database, every measure table stays encoded from
+initialisation to the heads (see :mod:`repro.panda.measures`): the steps, the
+atom filters and the truncation run as NumPy kernels over the guard
+relations' own code tables, and each head comes out as an encoded columnar
+relation.  The ``dict`` backend replays the same steps with the
+tuple-at-a-time reference algebra, as does any step whose kernel declines.
 """
 
 from __future__ import annotations

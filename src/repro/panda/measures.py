@@ -30,9 +30,9 @@ implementations:
   Initialisation, marginals, conditionals, truncation, composition and the
   executor's atom filters are NumPy kernels, and Python tuples appear only
   when something reads ``.weights``, ``.groups`` or a head relation's rows.
-* **Reference path.** The ``dict`` backend, ``using_kernels(False)`` and
-  weights that are not floats run the tuple-at-a-time algebra below, which
-  the kernel path is tested against.
+* **Reference path.** The ``dict`` backend, weights that are not floats and
+  kernels that decline (a packed key space past its limit) run the
+  tuple-at-a-time algebra below, which the kernel path is tested against.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ class UnconditionalMeasure:
     """A weighted table over ``variables``: a sub-probability measure.
 
     ``backend`` selects the annotated storage engine (``"dict"`` reference or
-    index-caching ``"columnar"``; plain kinds like ``"set"`` map to their
-    annotated pair), a ready backend instance, or ``None`` for the process
-    default.
+    kernel-backed ``"columnar"``; plain kinds like ``"set"`` map to their
+    annotated pair), a ready backend instance, or ``None`` for the default.
     """
 
     def __init__(self, variables: tuple[str, ...],
@@ -269,9 +268,8 @@ class ConditionalMeasure:
         measure is a genuine conditional probability per group and every
         weight is at least ``1/deg(Y|X) >= 1/N_{Y|X}``.
 
-        On the reference path the grouping is served by the relation's cached
-        group-by structure (:meth:`Relation.grouped_values`) — the same index
-        degree statistics are measured from.  On the kernel path it is the
+        On the reference path the grouping is the relation's group-by
+        structure (:meth:`Relation.grouped_values`).  On the kernel path it is the
         projection's encoded columns grouped by key, memoized on the
         projection's backend.
         """

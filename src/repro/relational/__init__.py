@@ -1,18 +1,15 @@
 """The in-memory relational engine substrate.
 
 Relations are facades over pluggable storage backends (``"set"`` is the
-semantics reference, ``"columnar"`` adds cached indexes); see
-:mod:`repro.relational.storage` for backend selection helpers.
+semantics reference, ``"columnar"`` runs the vectorized kernels); see
+:mod:`repro.relational.storage`.
 """
 
 from repro.relational.kernels import (
     kernel_ready,
     kernel_stats,
     kernel_stats_delta,
-    kernels_enabled,
     reset_kernel_stats,
-    set_kernels_enabled,
-    using_kernels,
 )
 from repro.relational.storage import (
     ANNOTATED_BACKENDS,
@@ -24,11 +21,8 @@ from repro.relational.storage import (
     SetBackend,
     StorageBackend,
     get_default_backend,
-    register_backend,
     resolve_annotated_backend,
-    set_default_backend,
     stable_row_hash,
-    using_backend,
 )
 from repro.relational.relation import Relation, relation_from_pairs
 from repro.relational.database import Database, database_from_edges
@@ -62,18 +56,12 @@ __all__ = [
     "ColumnarAnnotatedBackend",
     "ANNOTATED_BACKENDS",
     "resolve_annotated_backend",
-    "register_backend",
     "get_default_backend",
-    "set_default_backend",
     "stable_row_hash",
-    "using_backend",
     "kernel_ready",
     "kernel_stats",
     "kernel_stats_delta",
-    "kernels_enabled",
     "reset_kernel_stats",
-    "set_kernels_enabled",
-    "using_kernels",
     "Relation",
     "relation_from_pairs",
     "Database",

@@ -9,7 +9,7 @@ The database is also the engine-level cache boundary: atom bindings are
 memoized (a bound atom is a rename, which shares the stored relation's
 storage backend), so every consumer of the same atom — statistics collection,
 PANDA partitioning, the join algorithms — hits the same backend and therefore
-the same cached indexes.  Cache entries are validated by backend identity and
+the same memoized encodings.  Cache entries are validated by backend identity and
 drop out automatically when a relation is replaced or mutated (copy-on-write
 forks change the backend object).
 """
@@ -141,8 +141,8 @@ class Database:
         Binding is positional: the i-th column of the stored relation becomes
         the i-th variable of the atom.  Bindings are memoized per
         ``(relation, variables)`` pair; the bound facade shares the stored
-        relation's backend, so index caches are shared across every query
-        that binds the same atom.
+        relation's backend, so its memoized encodings are shared across every
+        query that binds the same atom.
         """
         relation = self[atom.relation]
         cache_key = (atom.relation, tuple(atom.variables))
@@ -152,8 +152,8 @@ class Database:
             if relation._backend is stored_backend:
                 # Hand out a fresh facade sharing the cached backend: callers
                 # get independent snapshot semantics (mutating one bound
-                # relation forks only that facade) while index caches stay
-                # shared.
+                # relation forks only that facade) while memoized encodings
+                # stay shared.
                 return bound.copy(bound.name)
         if len(relation.columns) != len(atom.variables):
             raise ValueError(

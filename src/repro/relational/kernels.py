@@ -1,13 +1,11 @@
 """Vectorized NumPy kernels over dictionary-encoded columns.
 
-The columnar backends cache the *right* access structures, but until this
-module the joins themselves still ran tuple-at-a-time in Python.  The kernels
-here move the hot loops into NumPy over the backends' dictionary-encoded
-``int64`` code arrays (see
+The columnar backends run their joins, projections and aggregations here, in
+NumPy over their dictionary-encoded ``int64`` code arrays (see
 :class:`~repro.relational.storage.ColumnDictionary`):
 
 * **encode** — each base column is dictionary-encoded once (cached on the
-  backend, COW-shared like the hash indexes) into a
+  backend and shared copy-on-write with it) into a
   :class:`~repro.relational.storage.CodeTable`; codes of one side are
   translated into the other side's code space through a table memoized on
   the code table, so equality of codes is equality of values;
@@ -49,23 +47,18 @@ process-wide (:func:`kernel_stats`) and surfaced through
 (``dictionary_builds``/``dictionary_hits``) flow through
 ``Database.cache_stats`` like every other index counter.
 
-The kernels are selected via a backend capability flag
-(``supports_kernels``) plus the process-wide :func:`kernels_enabled` toggle —
-``using_kernels(False)`` restores the reference path everywhere, which is how
-the parity suites and the ``bench_vectorized_kernels`` benchmark compare the
-two implementations.
+The backend alone selects the kernels: they run whenever every operand's
+backend advertises ``supports_kernels`` (the columnar engines), and never on
+the ``set``/``dict`` reference engines, which the parity suites compare them
+against.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import Iterable, NamedTuple, Sequence
 
-try:  # numpy is a declared runtime dependency, but stay importable without it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on broken installs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 #: Packed join keys must stay below this bound so Horner-packed ``int64``
 #: keys cannot overflow (tests shrink it to force the fallback path).
@@ -81,42 +74,16 @@ _COUNT_PAIR_LIMIT = 1 << 22
 #: Per-backend kernel memo dicts reset wholesale past this many entries.
 _MEMO_CAPACITY = 512
 
-_enabled = True
 _stats: dict[str, int] = {}
 _stats_lock = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
-# toggle, capability flag, counters
+# capability flag, counters
 # ---------------------------------------------------------------------------
 
-def kernels_enabled() -> bool:
-    """Whether the vectorized kernel path is active (and numpy importable)."""
-    return _enabled and np is not None
-
-
-def set_kernels_enabled(flag: bool) -> None:
-    """Switch the process-wide kernel toggle (see :func:`using_kernels`)."""
-    global _enabled
-    _enabled = bool(flag)
-
-
-@contextmanager
-def using_kernels(flag: bool):
-    """Temporarily force the kernel toggle (for tests and benchmarks)."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(flag)
-    try:
-        yield
-    finally:
-        _enabled = previous
-
-
 def kernel_ready(*backends) -> bool:
-    """True when kernels are on and every backend advertises support."""
-    if not kernels_enabled():
-        return False
+    """True when every backend advertises kernel support."""
     return all(getattr(backend, "supports_kernels", False)
                for backend in backends)
 
@@ -153,11 +120,11 @@ def _memo(backend, key, build):
 
     Packed key arrays, sort permutations and member sets are pure functions
     of a backend's stored rows (plus the target dictionaries' ``uid``s baked
-    into ``key``), so they are cached exactly like the backends' other access
-    structures — until the next mutation — and repeated evaluations only pay
-    the probes.  Build/hit counters flow through the backend's ``stats`` like
-    every other index counter.  ``None`` results (pack overflow) are not
-    cached; those callers fall back anyway.
+    into ``key``), so they are cached like the backends' dictionaries — until
+    the next mutation — and repeated evaluations only pay the probes.
+    Build/hit counters flow through the backend's ``stats`` like every other
+    index counter.  ``None`` results (pack overflow) are not cached; those
+    callers fall back anyway.
     """
     memos = getattr(backend, "_kernel_memos", None)
     if memos is None:
@@ -791,7 +758,7 @@ def _build_semiring_specs():
     }
 
 
-_SEMIRING_SPECS = _build_semiring_specs() if np is not None else {}
+_SEMIRING_SPECS = _build_semiring_specs()
 
 
 def kernel_supported_semirings() -> frozenset[str]:
@@ -1243,8 +1210,6 @@ def vet_values(values: Iterable, kind: str):
     ``bool`` is deliberately excluded from the ``int`` kind (``type`` check,
     not ``isinstance``) so counting annotations stay genuine integers.
     """
-    if np is None:
-        return None
     if kind == "true":
         return True if all(value is True for value in values) else None
     if kind == "int":

@@ -8,11 +8,12 @@ degree computation and degree-based partitioning — and nothing more.
 
 Physical storage is delegated to a pluggable
 :class:`~repro.relational.storage.StorageBackend` (see that module for the
-set-of-tuples reference backend and the index-caching columnar backend).  The
-facade shares backends structurally: ``rename``/``copy`` and no-op algebra
-results reuse the same backend object, so an index built once — e.g. while
-collecting degree statistics — is hit again by every later consumer.  Sharing
-is made safe by copy-on-write: mutating a shared backend forks it first.
+set-of-tuples reference backend and the kernel-backed columnar backend), and
+the backend alone decides whether an operator runs as a vectorized kernel or
+as the tuple-at-a-time reference.  The facade shares backends structurally:
+``rename``/``copy`` and no-op algebra results reuse the same backend object,
+so an encoding built once is hit again by every later consumer.  Sharing is
+made safe by copy-on-write: mutating a shared backend forks it first.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class Relation:
     backend:
         Storage engine selection: a backend kind name (``"set"`` or
         ``"columnar"``), a ready :class:`StorageBackend` instance (trusted to
-        hold rows of the right arity), or ``None`` for the process default
-        (see :func:`~repro.relational.storage.set_default_backend`).
+        hold rows of the right arity), or ``None`` for the default ``"set"``
+        (:data:`~repro.relational.storage.DEFAULT_BACKEND`).
     """
 
     def __init__(self, name: str, columns: Sequence[str],
@@ -166,8 +167,8 @@ class Relation:
     def rename(self, mapping: Mapping[str, str], name: str | None = None) -> "Relation":
         """Rename columns according to ``mapping`` (missing columns unchanged).
 
-        The result shares this relation's backend (copy-on-write), so indexes
-        built against either facade serve both.
+        The result shares this relation's backend (copy-on-write), so
+        encodings built against either facade serve both.
         """
         new_columns = tuple(mapping.get(column, column) for column in self.columns)
         if len(set(new_columns)) != len(new_columns):
@@ -230,21 +231,18 @@ class Relation:
                       given: Iterable[str]) -> dict[tuple, int]:
         """The full degree vector ``x -> deg_R(target | given = x)``.
 
-        Keys are ``given`` values in column order.  The vector is served from
-        the backend's cached group-by structure when available; the returned
-        dict is a copy, safe for callers to mutate.
+        Keys are ``given`` values in column order.  The returned dict is
+        safe for callers to mutate.
         """
         given_idx, target_idx = self._split_positions(target, given)
-        return dict(self._backend.degree_index(given_idx, target_idx))
+        return self._backend.degree_index(given_idx, target_idx)
 
     def grouped_values(self, target: Iterable[str],
                        given: Iterable[str]) -> Mapping[tuple, tuple[tuple, ...]]:
         """``given values -> distinct target values`` (both in column order).
 
-        This is the cached group-by structure behind :meth:`degree_vector`;
-        PANDA's measure initialisation uses it directly so that statistics
-        collection and execution share one index.  Treat the result as
-        read-only — it may alias the backend's cache.
+        This is the group-by structure behind :meth:`degree_vector`; PANDA's
+        reference measure initialisation uses it directly.
         """
         given_idx, target_idx = self._split_positions(target, given)
         return self._backend.group_index(given_idx, target_idx)
@@ -344,7 +342,7 @@ class Relation:
 
     # ------------------------------------------------------------------ joins
     def prefix_trie(self, positions: Sequence[int]) -> list[dict[tuple, set]]:
-        """The backend's (possibly cached) prefix trie over ``positions``.
+        """The backend's prefix trie over ``positions``.
 
         Used by the generic worst-case-optimal join: level ``d`` of the trie
         maps a prefix of values at ``positions[:d]`` to the distinct values at
@@ -358,8 +356,7 @@ class Relation:
         The output schema is a deterministic function of the two input
         schemas — ``self.columns`` followed by the remaining columns of
         ``other`` in their order — regardless of which side ends up being
-        hashed (the build side is the one with a cached index, else the
-        smaller one).
+        hashed (the smaller one, off the kernel path).
         """
         shared = [c for c in self.columns if c in other.column_set]
         self_key = tuple(self.column_index(c) for c in shared)
@@ -378,11 +375,8 @@ class Relation:
                 # and rows decode lazily only if something reads them.
                 return Relation._from_backend(
                     out_name, out_columns, ColumnarBackend.from_encoded(*encoded))
-        build_self = self._backend.has_cached_index(self_key) or (
-            not other._backend.has_cached_index(other_key)
-            and len(self) <= len(other))
         out_rows: list[tuple] = []
-        if build_self:
+        if len(self) <= len(other):
             index = self._backend.hash_index(self_key)
             for row in other._backend.iter_rows():
                 matches = index.get(tuple(row[i] for i in other_key))
@@ -415,27 +409,22 @@ class Relation:
                                          self_key, other_key)
             if kept is not None:
                 if kept.size == len(self):
-                    # Nothing was filtered: share the backend, keep indexes warm.
+                    # Nothing was filtered: share the backend, keep memos warm.
                     return self.copy(name)
                 encoded = kernels.gather_encoded(self._backend, kept,
                                                  len(self.columns))
                 return Relation._from_backend(
                     name or self.name, self.columns,
                     ColumnarBackend.from_encoded(*encoded))
+        if len(self) == 0:
+            # Nothing to filter (the kernel returns at once here too): never
+            # build ``other``'s key set for it.
+            return self.copy(name)
         other_keys = other._backend.key_set(other_key)
-        # On a caching backend, probing bucket-by-bucket through the hash
-        # index costs the same as a row scan the first time (the index build
-        # is one pass) and O(distinct keys + output) on every later call.
-        if self._backend.caches_indexes or self._backend.has_cached_index(self_key):
-            rows = []
-            for key, bucket in self._backend.hash_index(self_key).items():
-                if key in other_keys:
-                    rows.extend(bucket)
-        else:
-            rows = [row for row in self._backend.iter_rows()
-                    if tuple(row[i] for i in self_key) in other_keys]
+        rows = [row for row in self._backend.iter_rows()
+                if tuple(row[i] for i in self_key) in other_keys]
         if len(rows) == len(self):
-            # Nothing was filtered: share the backend so its indexes stay warm.
+            # Nothing was filtered: share the backend so its encodings stay warm.
             return self.copy(name)
         return self._derive(name or self.name, self.columns, rows, unique=True)
 

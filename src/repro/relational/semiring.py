@@ -11,10 +11,10 @@ Annotated relations are facades over pluggable
 :class:`~repro.relational.storage.AnnotatedBackend` engines, mirroring how
 plain relations delegate to :class:`~repro.relational.storage.StorageBackend`:
 the ``dict`` reference engine recomputes every join index and marginal
-group-by on demand, while the ``columnar`` engine memoizes them (annotated
-facades are immutable, so backends are shared freely and caches never go
-stale), and repeated FAQ runs over the same database reuse the cached
-elimination indexes.
+group-by on demand, while the ``columnar`` engine runs them as vectorized
+kernels and memoizes their outputs (annotated facades are immutable, so
+backends are shared freely and memos never go stale), and repeated FAQ runs
+over the same database reuse them.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ class AnnotatedRelation(Generic[K]):
     or ``"columnar"``), a plain kind name (``"set"`` maps to the uncached
     ``dict`` engine), a ready :class:`AnnotatedBackend` instance (trusted to
     hold zero-free annotations), or ``None`` for the engine paired with the
-    process-default plain backend.
+    default plain backend.
     """
 
     def __init__(self, name: str, columns: Sequence[str],
@@ -297,9 +297,7 @@ class AnnotatedRelation(Generic[K]):
         This is the aggregation-pushdown primitive of the FAQ evaluator: the
         full join is never materialised — each matched pair is multiplied and
         immediately ⊕-folded into the output keyed by the surviving columns.
-        The probe side is the relation that already has a cached join index
-        for the shared columns (else the smaller side), so repeated
-        evaluation against the same base relations reuses their indexes.
+        Off the kernel path, the probe index is built on the smaller side.
         """
         self._check_semiring(other)
         drop = set(drop)
@@ -321,18 +319,12 @@ class AnnotatedRelation(Generic[K]):
                 out_source, self.semiring.name)
             if result is not None:
                 return self._spawn(out_name, out_columns, result.items())
-        # Build (or reuse) the probe index on the side that caches; iterate
-        # the other.  Preferring an already-cached index keeps base-relation
-        # indexes hot across repeated runs.
-        probe_other = other._backend.has_cached_probe(other_key) or (
-            not self._backend.has_cached_probe(self_key)
-            and len(other) <= len(self))
         semiring = self.semiring
         multiply, add = semiring.multiply, semiring.add
         out_positions = tuple(joined_columns.index(c) for c in out_columns)
         identity = out_positions == tuple(range(len(joined_columns)))
         annotations: dict[tuple, K] = {}
-        if probe_other:
+        if len(other) <= len(self):
             index = other._backend.probe_index(other_key)
             extra_idx = other._positions(other_extra)
             for row, value in self._backend.items():
@@ -384,7 +376,7 @@ class AnnotatedRelation(Generic[K]):
         """``self ⋉ other``: keep rows whose shared columns match ``other``.
 
         Annotations of ``self`` pass through unchanged — this is junk
-        removal, not multiplication.  Served by ``other``'s cached key set.
+        removal, not multiplication.
         """
         self._check_semiring(other)
         shared = [c for c in self.columns if c in other.column_set]

@@ -1,40 +1,42 @@
 """Pluggable storage backends for relations.
 
 A :class:`~repro.relational.relation.Relation` is a thin facade over a
-:class:`StorageBackend`: the backend owns the physical tuple storage and every
-derived access structure the evaluation algorithms need — hash indexes keyed
-by a column subset, distinct-key sets for semijoins, group-by structures for
-degree statistics, prefix tries for worst-case-optimal joins and memoized
-distinct projections.
+:class:`StorageBackend`: the backend owns the physical tuple storage and the
+access structures the evaluation algorithms need — hash indexes keyed by a
+column subset, distinct-key sets for semijoins, group-by structures for
+degree statistics, prefix tries for worst-case-optimal joins and distinct
+projections.
 
-Two implementations ship with the library:
+Two implementations ship with the library, and the backend a relation holds
+is the only thing that selects its code path:
 
-* :class:`SetBackend` — the original ``set[tuple]`` substrate, kept as the
-  semantics reference.  Every access structure is recomputed on demand, which
-  makes the backend trivially correct and a faithful model of the seed
-  implementation's per-call costs.
+* :class:`SetBackend` — a plain ``set[tuple]``, the semantics reference.
+  Every access structure is recomputed on demand by the base class's one
+  tuple-at-a-time algorithm.
 * :class:`ColumnarBackend` — tuples stored once in insertion order with
-  lazily realised dictionary-encoded columns, plus caches for every access
-  structure, invalidated on mutation.  Repeated evaluation of the same query
-  against the same database reuses the cached indexes instead of rebuilding
-  them, which is where the speedups measured by
-  ``benchmarks/bench_storage_backends.py`` come from.
+  lazily realised dictionary-encoded columns.  Its operators run as the
+  vectorized kernels of :mod:`repro.relational.kernels`, whose outputs
+  (dictionaries, packed keys, sort permutations, distinct projections) are
+  memoized until the next mutation.  Where a kernel declines (say, a packed
+  key space past its limit), the operator falls back to the same uncached
+  reference algorithm the set backend runs.
 
 Backends are shared *structurally* between facades: renaming or copying a
-relation reuses the same backend (so caches built while collecting statistics
-are also hit by the executor).  Mutation goes through copy-on-write — a facade
-that wants to ``add`` a row to a shared backend forks it first — so sharing is
-never observable through the ``Relation`` API.
+relation reuses the same backend (so encodings built while collecting
+statistics are also hit by the executor).  Mutation goes through
+copy-on-write — a facade that wants to ``add`` a row to a shared backend
+forks it first — so sharing is never observable through the ``Relation``
+API.
 
 The same split exists for *annotated* (weighted) relations: the
 :class:`AnnotatedBackend` interface maps duplicate-free rows to semiring
-annotations, with :class:`DictAnnotatedBackend` as the uncached reference and
-:class:`ColumnarAnnotatedBackend` memoizing probe indexes, semijoin key sets,
-⊕-marginal group-bys and sorted conditional groups.  Semiring-annotated
-relations, FAQ factors and PANDA's measure tables are all facades over it.
+annotations, with :class:`DictAnnotatedBackend` as the reference and
+:class:`ColumnarAnnotatedBackend` running kernels over encoded columns and
+memoizing ⊕-marginal group-bys.  Semiring-annotated relations, FAQ factors
+and PANDA's measure tables are all facades over it.
 
-Every cache records build/hit counters in :attr:`StorageBackend.stats`, which
-the benchmarks use to make cached index reuse observable.
+Every build and memo hit records a counter in :attr:`StorageBackend.stats`
+(and process-wide, :func:`storage_stats`).
 """
 
 from __future__ import annotations
@@ -42,15 +44,11 @@ from __future__ import annotations
 import itertools
 import threading
 import zlib
-from contextlib import contextmanager
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.relational import kernels
+import numpy as _np
 
-try:  # numpy is a declared runtime dependency, but stay importable without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on broken installs
-    _np = None  # type: ignore[assignment]
+from repro.relational import kernels
 
 
 IndexKey = tuple[int, ...]
@@ -111,11 +109,8 @@ class StorageBackend:
     """
 
     kind: str = "abstract"
-    #: Whether access structures are memoized.  Operators use this to decide
-    #: if building an index just-in-time will pay off on later calls.
-    caches_indexes: bool = False
     #: Whether the vectorized kernel path (:mod:`repro.relational.kernels`)
-    #: may run against this backend.  Only backends exposing the
+    #: runs against this backend.  Only backends exposing the
     #: ``dictionary`` protocol over NumPy code arrays opt in; the set/dict
     #: reference engines stay on the tuple-at-a-time path so the parity
     #: suites always have an untouched semantics reference.
@@ -180,43 +175,10 @@ class StorageBackend:
         """
         return type(self)(rows, assume_unique=assume_unique)  # type: ignore[call-arg]
 
-    # -- access structures (may cache) -----------------------------------------
-    def hash_index(self, key_positions: IndexKey) -> Mapping[tuple, Sequence[tuple]]:
+    # -- access structures: the reference algorithm, recomputed per call ----
+    def hash_index(self, key_positions: IndexKey) -> dict[tuple, list[tuple]]:
         """``key tuple -> list of full rows`` for the given key positions."""
-        raise NotImplementedError
-
-    def has_cached_index(self, key_positions: IndexKey) -> bool:
-        """True when :meth:`hash_index` for these positions is already built."""
-        return False
-
-    def key_set(self, key_positions: IndexKey):
-        """The set of distinct key tuples at the given positions."""
-        raise NotImplementedError
-
-    def degree_index(self, given_positions: IndexKey,
-                     target_positions: IndexKey) -> Mapping[tuple, int]:
-        """``given tuple -> number of distinct target tuples`` (degree vector)."""
-        raise NotImplementedError
-
-    def group_index(self, given_positions: IndexKey,
-                    target_positions: IndexKey) -> Mapping[tuple, tuple[tuple, ...]]:
-        """``given tuple -> distinct target tuples`` (full group-by structure)."""
-        raise NotImplementedError
-
-    def trie(self, positions: IndexKey) -> list[dict[tuple, set]]:
-        """Prefix trie for worst-case-optimal joins.
-
-        ``trie(p)[d]`` maps a depth-``d`` prefix (values at ``positions[:d]``)
-        to the set of values observed at ``positions[d]`` under that prefix.
-        """
-        raise NotImplementedError
-
-    def project_backend(self, positions: IndexKey) -> "StorageBackend":
-        """A backend (same kind) holding the distinct projection onto ``positions``."""
-        raise NotImplementedError
-
-    # -- shared computation helpers -------------------------------------------
-    def _compute_hash_index(self, key_positions: IndexKey) -> dict[tuple, list[tuple]]:
+        self._count("hash_index_builds")
         index: dict[tuple, list[tuple]] = {}
         for row in self.iter_rows():
             key = tuple(row[i] for i in key_positions)
@@ -226,6 +188,51 @@ class StorageBackend:
             else:
                 bucket.append(row)
         return index
+
+    def key_set(self, key_positions: IndexKey) -> set[tuple]:
+        """The set of distinct key tuples at the given positions."""
+        self._count("key_set_builds")
+        return self._compute_key_set(key_positions)
+
+    def degree_index(self, given_positions: IndexKey,
+                     target_positions: IndexKey) -> dict[tuple, int]:
+        """``given tuple -> number of distinct target tuples`` (degree vector)."""
+        self._count("degree_index_builds")
+        groups = self._compute_groups(given_positions, target_positions)
+        return {key: len(values) for key, values in groups.items()}
+
+    def group_index(self, given_positions: IndexKey,
+                    target_positions: IndexKey) -> dict[tuple, tuple[tuple, ...]]:
+        """``given tuple -> distinct target tuples`` (full group-by structure)."""
+        self._count("group_index_builds")
+        groups = self._compute_groups(given_positions, target_positions)
+        return {key: tuple(values) for key, values in groups.items()}
+
+    def trie(self, positions: IndexKey) -> list[dict[tuple, set]]:
+        """Prefix trie for worst-case-optimal joins.
+
+        ``trie(p)[d]`` maps a depth-``d`` prefix (values at ``positions[:d]``)
+        to the set of values observed at ``positions[d]`` under that prefix.
+        """
+        self._count("trie_builds")
+        reordered = [tuple(row[p] for p in positions) for row in self.iter_rows()]
+        levels: list[dict[tuple, set]] = []
+        for depth in range(len(positions)):
+            level: dict[tuple, set] = {}
+            for row in reordered:
+                prefix = row[:depth]
+                values = level.get(prefix)
+                if values is None:
+                    level[prefix] = {row[depth]}
+                else:
+                    values.add(row[depth])
+            levels.append(level)
+        return levels
+
+    def project_backend(self, positions: IndexKey) -> "StorageBackend":
+        """A backend (same kind) holding the distinct projection onto ``positions``."""
+        self._count("project_builds")
+        return self.spawn(self._compute_key_set(positions), assume_unique=True)
 
     def _compute_key_set(self, key_positions: IndexKey) -> set[tuple]:
         return {tuple(row[i] for i in key_positions) for row in self.iter_rows()}
@@ -243,27 +250,12 @@ class StorageBackend:
                 values.add(value)
         return groups
 
-    def _compute_trie(self, positions: IndexKey) -> list[dict[tuple, set]]:
-        reordered = [tuple(row[p] for p in positions) for row in self.iter_rows()]
-        levels: list[dict[tuple, set]] = []
-        for depth in range(len(positions)):
-            level: dict[tuple, set] = {}
-            for row in reordered:
-                prefix = row[:depth]
-                values = level.get(prefix)
-                if values is None:
-                    level[prefix] = {row[depth]}
-                else:
-                    values.add(row[depth])
-            levels.append(level)
-        return levels
-
 
 class SetBackend(StorageBackend):
     """The reference backend: a plain ``set[tuple]``, no caching whatsoever.
 
-    Every access structure is computed from scratch on every request, exactly
-    like the seed implementation did inline in each operator.
+    Every access structure is the base class's reference algorithm,
+    computed from scratch on every request.
     """
 
     kind = "set"
@@ -289,34 +281,6 @@ class SetBackend(StorageBackend):
 
     def fork(self) -> "SetBackend":
         return SetBackend(self._rows)
-
-    def hash_index(self, key_positions: IndexKey) -> dict[tuple, list[tuple]]:
-        self._count("hash_index_builds")
-        return self._compute_hash_index(key_positions)
-
-    def key_set(self, key_positions: IndexKey) -> set[tuple]:
-        self._count("key_set_builds")
-        return self._compute_key_set(key_positions)
-
-    def degree_index(self, given_positions: IndexKey,
-                     target_positions: IndexKey) -> dict[tuple, int]:
-        self._count("degree_index_builds")
-        groups = self._compute_groups(given_positions, target_positions)
-        return {key: len(values) for key, values in groups.items()}
-
-    def group_index(self, given_positions: IndexKey,
-                    target_positions: IndexKey) -> dict[tuple, tuple[tuple, ...]]:
-        self._count("group_index_builds")
-        groups = self._compute_groups(given_positions, target_positions)
-        return {key: tuple(values) for key, values in groups.items()}
-
-    def trie(self, positions: IndexKey) -> list[dict[tuple, set]]:
-        self._count("trie_builds")
-        return self._compute_trie(positions)
-
-    def project_backend(self, positions: IndexKey) -> "SetBackend":
-        self._count("project_builds")
-        return SetBackend(self._compute_key_set(positions), assume_unique=True)
 
 
 _table_uids = itertools.count()
@@ -492,18 +456,19 @@ class ColumnDictionary:
 
 
 class ColumnarBackend(StorageBackend):
-    """Columnar storage with cached, mutation-invalidated access structures.
+    """Columnar storage for the vectorized kernels.
 
     Physically the rows live once, as a duplicate-free list in insertion
-    order; dictionary-encoded columns are realised lazily (per column, on
-    first use by a degree/group computation) so that short-lived intermediate
-    relations never pay the encoding cost.  All derived structures — hash
-    indexes, key sets, degree vectors, group-bys, prefix tries and distinct
-    projections — are memoized per column subset until the next mutation.
+    order (or only as encoded columns, see :meth:`from_encoded`);
+    dictionary-encoded columns are realised lazily, per column, on first use
+    by a kernel, so short-lived intermediate relations never pay the
+    encoding cost.  The dictionaries, the kernels' memos and the distinct
+    projections are kept until the next mutation; the tuple-at-a-time
+    access structures a declining kernel falls back to are the base class's
+    uncached reference algorithm.
     """
 
     kind = "columnar"
-    caches_indexes = True
     supports_kernels = True
 
     def __init__(self, rows: Iterable[tuple] = (), assume_unique: bool = False) -> None:
@@ -526,12 +491,6 @@ class ColumnarBackend(StorageBackend):
         self._encoded: tuple[list[CodeTable], list] | None = None
         self._frozen: frozenset[tuple] | None = None
         self._dictionaries: dict[int, ColumnDictionary] = {}
-        self._hash_indexes: dict[IndexKey, dict[tuple, list[tuple]]] = {}
-        self._key_sets: dict[IndexKey, set[tuple]] = {}
-        self._degree_indexes: dict[tuple[IndexKey, IndexKey], dict[tuple, int]] = {}
-        self._group_indexes: dict[tuple[IndexKey, IndexKey],
-                                  dict[tuple, tuple[tuple, ...]]] = {}
-        self._tries: dict[IndexKey, list[dict[tuple, set]]] = {}
         self._projections: dict[IndexKey, "ColumnarBackend"] = {}
         #: Memoized kernel access structures (packed keys, sort permutations,
         #: member sets — see :func:`repro.relational.kernels._memo`).
@@ -598,11 +557,6 @@ class ColumnarBackend(StorageBackend):
         self._frozen = None
         self._encoded = None
         self._dictionaries.clear()
-        self._hash_indexes.clear()
-        self._key_sets.clear()
-        self._degree_indexes.clear()
-        self._group_indexes.clear()
-        self._tries.clear()
         self._projections.clear()
         self._kernel_memos.clear()
 
@@ -648,111 +602,17 @@ class ColumnarBackend(StorageBackend):
                 int(mask.sum())))
         return views
 
-    def _code_rows(self, positions: IndexKey) -> list[tuple[int, ...]]:
-        """Rows restricted to ``positions``, in dictionary-code space."""
-        columns = [self.dictionary(p).codes for p in positions]
-        return list(zip(*columns)) if columns else [()] * len(self)
-
-    def _decode(self, code_key: tuple[int, ...], positions: IndexKey) -> tuple:
-        return tuple(self._dictionaries[p].table.decode[code]
-                     for p, code in zip(positions, code_key))
-
-    # -- cached access structures ---------------------------------------------
-    def hash_index(self, key_positions: IndexKey) -> dict[tuple, list[tuple]]:
-        index = self._hash_indexes.get(key_positions)
-        if index is None:
-            self._count("hash_index_builds")
-            index = self._compute_hash_index(key_positions)
-            self._hash_indexes[key_positions] = index
-        else:
-            self._count("hash_index_hits")
-        return index
-
-    def has_cached_index(self, key_positions: IndexKey) -> bool:
-        return key_positions in self._hash_indexes
-
-    def key_set(self, key_positions: IndexKey):
-        cached = self._key_sets.get(key_positions)
-        if cached is not None:
-            self._count("key_set_hits")
-            return cached
-        index = self._hash_indexes.get(key_positions)
-        if index is not None:
-            self._count("key_set_hits")
-            return index.keys()
-        self._count("key_set_builds")
-        computed = self._compute_key_set(key_positions)
-        self._key_sets[key_positions] = computed
-        return computed
-
-    def degree_index(self, given_positions: IndexKey,
-                     target_positions: IndexKey) -> dict[tuple, int]:
-        key = (given_positions, target_positions)
-        cached = self._degree_indexes.get(key)
-        if cached is not None:
-            self._count("degree_index_hits")
-            return cached
-        groups = self._group_indexes.get(key)
-        if groups is not None:
-            degrees = {k: len(v) for k, v in groups.items()}
-        else:
-            self._count("degree_index_builds")
-            degrees = self._degrees_via_codes(given_positions, target_positions)
-        self._degree_indexes[key] = degrees
-        return degrees
-
-    def _degrees_via_codes(self, given_positions: IndexKey,
-                           target_positions: IndexKey) -> dict[tuple, int]:
-        """Group in dictionary-code space, decode only the distinct keys."""
-        given_codes = self._code_rows(given_positions)
-        target_codes = self._code_rows(target_positions)
-        groups: dict[tuple, set[tuple]] = {}
-        for key, value in zip(given_codes, target_codes):
-            values = groups.get(key)
-            if values is None:
-                groups[key] = {value}
-            else:
-                values.add(value)
-        return {self._decode(key, given_positions): len(values)
-                for key, values in groups.items()}
-
-    def group_index(self, given_positions: IndexKey,
-                    target_positions: IndexKey) -> dict[tuple, tuple[tuple, ...]]:
-        key = (given_positions, target_positions)
-        cached = self._group_indexes.get(key)
-        if cached is not None:
-            self._count("group_index_hits")
-            return cached
-        self._count("group_index_builds")
-        groups = self._compute_groups(given_positions, target_positions)
-        frozen = {k: tuple(v) for k, v in groups.items()}
-        self._group_indexes[key] = frozen
-        self._degree_indexes.setdefault(key, {k: len(v) for k, v in frozen.items()})
-        return frozen
-
-    def trie(self, positions: IndexKey) -> list[dict[tuple, set]]:
-        cached = self._tries.get(positions)
-        if cached is not None:
-            self._count("trie_hits")
-            return cached
-        self._count("trie_builds")
-        levels = self._compute_trie(positions)
-        self._tries[positions] = levels
-        return levels
-
     def project_backend(self, positions: IndexKey) -> "ColumnarBackend":
         cached = self._projections.get(positions)
         if cached is not None:
             self._count("project_hits")
             return cached
-        self._count("project_builds")
-        encoded = (kernels.distinct_encoded(self, positions)
-                   if kernels.kernel_ready(self) else None)
+        encoded = kernels.distinct_encoded(self, positions)
         if encoded is not None:
+            self._count("project_builds")
             backend = ColumnarBackend.from_encoded(*encoded)
         else:
-            backend = ColumnarBackend(self._compute_key_set(positions),
-                                      assume_unique=True)
+            backend = super().project_backend(positions)
         self._projections[positions] = backend
         return backend
 
@@ -767,25 +627,29 @@ class AnnotatedBackend:
     Annotated relations map duplicate-free rows to annotation values from a
     commutative semiring (or to sub-probability weights, for the PANDA
     measure tables).  The access structures mirror :class:`StorageBackend`'s,
-    adapted to carry the values along:
+    adapted to carry the values along, and the base class computes each one
+    from scratch per call (the reference algorithm both kinds share):
 
     * *probe indexes* (``key tuple -> [(row, value), ...]``) serve joins;
     * *key sets* serve semijoins;
-    * *marginal group-bys* serve ⊕-aggregation over a column subset — these
-      are memoized per ``(positions, tag)`` where the tag names the addition
-      operator (two different semirings must not share an aggregate);
+    * *marginal group-bys* serve ⊕-aggregation over a column subset —
+      memoizing backends key them by ``(positions, tag)`` where the tag
+      names the addition operator (two different semirings must not share
+      an aggregate);
     * *sorted groups* (``key -> [(value-tuple, weight), ...]`` by decreasing
       weight) serve PANDA's conditional measures.
 
     Annotated relations are immutable through their facade APIs (every
     algebra operation spawns a fresh backend), so annotated backends are
     shared structurally between facades without needing the plain backends'
-    copy-on-write machinery; every cache records build/hit counters in
+    copy-on-write machinery; every build and memo hit records a counter in
     :attr:`stats`.
     """
 
     kind: str = "abstract"
-    #: Whether access structures are memoized (see :attr:`StorageBackend.caches_indexes`).
+    #: Whether :meth:`~repro.relational.database.Database.annotated_atom`
+    #: memoizes bindings on this engine, so warm evaluations reuse the
+    #: backend's memoized marginals and kernel structures.
     caches_indexes: bool = False
     #: Whether the vectorized kernel path may run against this backend (see
     #: :attr:`StorageBackend.supports_kernels`).
@@ -836,39 +700,10 @@ class AnnotatedBackend:
         """A new backend of the same kind holding ``pairs`` (last write wins)."""
         return type(self)(pairs)  # type: ignore[call-arg]
 
-    # -- access structures (may cache) -----------------------------------------
-    def probe_index(self, key_positions: IndexKey) -> Mapping[tuple, Sequence[tuple]]:
+    # -- access structures: the reference algorithm, recomputed per call ----
+    def probe_index(self, key_positions: IndexKey) -> dict[tuple, list[tuple]]:
         """``key tuple -> list of (row, value) pairs`` at ``key_positions``."""
-        raise NotImplementedError
-
-    def has_cached_probe(self, key_positions: IndexKey) -> bool:
-        """True when :meth:`probe_index` for these positions is already built."""
-        return False
-
-    def key_set(self, key_positions: IndexKey):
-        """The set of distinct key tuples at the given positions."""
-        raise NotImplementedError
-
-    def marginal(self, keep_positions: IndexKey, add, tag: str) -> dict[tuple, object]:
-        """⊕-aggregate annotations grouped by ``keep_positions``.
-
-        ``add`` is the ⊕ operator and ``tag`` a stable name for it (the
-        semiring name); memoizing backends key their cache on
-        ``(keep_positions, tag)``.  The returned dict is owned by the backend
-        — callers must treat it as read-only.
-        """
-        raise NotImplementedError
-
-    def sorted_groups(self, key_positions: IndexKey,
-                      value_positions: IndexKey) -> Mapping[tuple, Sequence[tuple]]:
-        """``key -> [(value tuple, weight), ...]`` sorted by decreasing weight.
-
-        Only meaningful for numeric annotations (the PANDA measure tables).
-        """
-        raise NotImplementedError
-
-    # -- shared computation helpers -------------------------------------------
-    def _compute_probe_index(self, key_positions: IndexKey) -> dict[tuple, list[tuple]]:
+        self._count("probe_index_builds")
         index: dict[tuple, list[tuple]] = {}
         for row, value in self.items():
             key = tuple(row[i] for i in key_positions)
@@ -879,8 +714,37 @@ class AnnotatedBackend:
                 bucket.append((row, value))
         return index
 
-    def _compute_key_set(self, key_positions: IndexKey) -> set[tuple]:
+    def key_set(self, key_positions: IndexKey) -> set[tuple]:
+        """The set of distinct key tuples at the given positions."""
+        self._count("key_set_builds")
         return {tuple(row[i] for i in key_positions) for row, _ in self.items()}
+
+    def marginal(self, keep_positions: IndexKey, add, tag: str) -> dict[tuple, object]:
+        """⊕-aggregate annotations grouped by ``keep_positions``.
+
+        ``add`` is the ⊕ operator and ``tag`` a stable name for it (the
+        semiring name); memoizing backends key their cache on
+        ``(keep_positions, tag)``.  The returned dict may be owned by the
+        backend — callers must treat it as read-only.
+        """
+        self._count("marginal_builds")
+        return self._compute_marginal(keep_positions, add)
+
+    def sorted_groups(self, key_positions: IndexKey,
+                      value_positions: IndexKey) -> dict[tuple, list[tuple]]:
+        """``key -> [(value tuple, weight), ...]`` sorted by decreasing weight.
+
+        Only meaningful for numeric annotations (the PANDA measure tables).
+        """
+        self._count("sorted_group_builds")
+        groups: dict[tuple, list[tuple]] = {}
+        for row, weight in self.items():
+            key = tuple(row[i] for i in key_positions)
+            value = tuple(row[i] for i in value_positions)
+            groups.setdefault(key, []).append((value, weight))
+        for group in groups.values():
+            group.sort(key=lambda entry: -entry[1])
+        return groups
 
     def _compute_marginal(self, keep_positions: IndexKey, add) -> dict[tuple, object]:
         aggregated: dict[tuple, object] = {}
@@ -892,25 +756,12 @@ class AnnotatedBackend:
                 aggregated[key] = value
         return aggregated
 
-    def _compute_sorted_groups(self, key_positions: IndexKey,
-                               value_positions: IndexKey) -> dict[tuple, list[tuple]]:
-        groups: dict[tuple, list[tuple]] = {}
-        for row, weight in self.items():
-            key = tuple(row[i] for i in key_positions)
-            value = tuple(row[i] for i in value_positions)
-            groups.setdefault(key, []).append((value, weight))
-        for group in groups.values():
-            group.sort(key=lambda entry: -entry[1])
-        return groups
-
 
 class DictAnnotatedBackend(AnnotatedBackend):
     """The reference annotated backend: a plain ``dict[tuple, value]``.
 
-    No caching whatsoever — every access structure is recomputed on every
-    request, exactly like the seed's three independent dict-of-tuples
-    implementations (``AnnotatedRelation``, the FAQ factors and the PANDA
-    measure tables) did inline.
+    No caching whatsoever — every access structure is the base class's
+    reference algorithm, recomputed on every request.
     """
 
     kind = "dict"
@@ -931,36 +782,17 @@ class DictAnnotatedBackend(AnnotatedBackend):
     def mapping(self) -> Mapping[tuple, object]:
         return self._annotations
 
-    def probe_index(self, key_positions: IndexKey) -> dict[tuple, list[tuple]]:
-        self._count("probe_index_builds")
-        return self._compute_probe_index(key_positions)
-
-    def key_set(self, key_positions: IndexKey) -> set[tuple]:
-        self._count("key_set_builds")
-        return self._compute_key_set(key_positions)
-
-    def marginal(self, keep_positions: IndexKey, add, tag: str) -> dict[tuple, object]:
-        self._count("marginal_builds")
-        return self._compute_marginal(keep_positions, add)
-
-    def sorted_groups(self, key_positions: IndexKey,
-                      value_positions: IndexKey) -> dict[tuple, list[tuple]]:
-        self._count("sorted_group_builds")
-        return self._compute_sorted_groups(key_positions, value_positions)
-
 
 class ColumnarAnnotatedBackend(AnnotatedBackend):
-    """Annotated storage with cached access structures.
+    """Annotated storage for the vectorized kernels.
 
-    The annotated sibling of :class:`ColumnarBackend`: probe indexes, key
-    sets, ⊕-marginal group-bys (per addition-operator tag) and sorted groups
-    are all memoized — safely forever, because annotated facades are
-    immutable (new annotations always spawn a new backend).  Repeated FAQ
-    evaluation over the same database reuses the cached per-variable
-    elimination indexes instead of rebuilding them, which is what
-    ``benchmarks/bench_faq_backends.py`` measures.  A backend built by
-    :meth:`from_encoded` (PANDA's measure tables) holds only code and weight
-    arrays until something reads its rows.
+    The annotated sibling of :class:`ColumnarBackend`: dictionaries, vetted
+    value arrays, kernel memos and ⊕-marginal group-bys (per
+    addition-operator tag) are memoized — safely forever, because annotated
+    facades are immutable (new annotations always spawn a new backend) — so
+    repeated FAQ evaluation over the same database reuses them.  A backend
+    built by :meth:`from_encoded` (PANDA's measure tables) holds only code
+    and weight arrays until something reads its rows.
     """
 
     kind = "columnar"
@@ -974,11 +806,7 @@ class ColumnarAnnotatedBackend(AnnotatedBackend):
         #: Encoded-only state: ``(code tables, int64 code arrays)`` when the
         #: backend was built by :meth:`from_encoded`.
         self._encoded: tuple[list[CodeTable], list] | None = None
-        self._probe_indexes: dict[IndexKey, dict[tuple, list[tuple]]] = {}
-        self._key_sets: dict[IndexKey, set[tuple]] = {}
         self._marginals: dict[tuple[IndexKey, str], dict[tuple, object]] = {}
-        self._sorted_groups: dict[tuple[IndexKey, IndexKey],
-                                  dict[tuple, list[tuple]]] = {}
         self._dictionaries: dict[int, ColumnDictionary] = {}
         self._rows_list: list[tuple] | None = None
         self._values_list: list | None = None
@@ -1074,33 +902,6 @@ class ColumnarAnnotatedBackend(AnnotatedBackend):
             return vetted
         return None if cached is False else cached
 
-    def probe_index(self, key_positions: IndexKey) -> dict[tuple, list[tuple]]:
-        cached = self._probe_indexes.get(key_positions)
-        if cached is not None:
-            self._count("probe_index_hits")
-            return cached
-        self._count("probe_index_builds")
-        index = self._compute_probe_index(key_positions)
-        self._probe_indexes[key_positions] = index
-        return index
-
-    def has_cached_probe(self, key_positions: IndexKey) -> bool:
-        return key_positions in self._probe_indexes
-
-    def key_set(self, key_positions: IndexKey):
-        cached = self._key_sets.get(key_positions)
-        if cached is not None:
-            self._count("key_set_hits")
-            return cached
-        index = self._probe_indexes.get(key_positions)
-        if index is not None:
-            self._count("key_set_hits")
-            return index.keys()
-        self._count("key_set_builds")
-        computed = self._compute_key_set(key_positions)
-        self._key_sets[key_positions] = computed
-        return computed
-
     def marginal(self, keep_positions: IndexKey, add, tag: str) -> dict[tuple, object]:
         cache_key = (keep_positions, tag)
         cached = self._marginals.get(cache_key)
@@ -1108,24 +909,11 @@ class ColumnarAnnotatedBackend(AnnotatedBackend):
             self._count("marginal_hits")
             return cached
         self._count("marginal_builds")
-        aggregated = (kernels.marginal_dict(self, keep_positions, tag)
-                      if kernels.kernel_ready(self) else None)
+        aggregated = kernels.marginal_dict(self, keep_positions, tag)
         if aggregated is None:
             aggregated = self._compute_marginal(keep_positions, add)
         self._marginals[cache_key] = aggregated
         return aggregated
-
-    def sorted_groups(self, key_positions: IndexKey,
-                      value_positions: IndexKey) -> dict[tuple, list[tuple]]:
-        cache_key = (key_positions, value_positions)
-        cached = self._sorted_groups.get(cache_key)
-        if cached is not None:
-            self._count("sorted_group_hits")
-            return cached
-        self._count("sorted_group_builds")
-        groups = self._compute_sorted_groups(key_positions, value_positions)
-        self._sorted_groups[cache_key] = groups
-        return groups
 
 
 ANNOTATED_BACKENDS: dict[str, type[AnnotatedBackend]] = {
@@ -1135,7 +923,7 @@ ANNOTATED_BACKENDS: dict[str, type[AnnotatedBackend]] = {
 
 #: Which annotated engine pairs with each set-semantics engine: the plain
 #: ``set`` backend maps to the uncached ``dict`` reference, ``columnar`` to
-#: the index-caching annotated engine.
+#: the kernel-backed annotated engine.
 _ANNOTATED_FOR_PLAIN = {
     SetBackend.kind: DictAnnotatedBackend.kind,
     ColumnarBackend.kind: ColumnarAnnotatedBackend.kind,
@@ -1147,7 +935,7 @@ def resolve_annotated_backend(kind: str | None) -> type[AnnotatedBackend]:
 
     ``kind`` may be an annotated kind (``"dict"``/``"columnar"``), a plain
     backend kind (``"set"`` maps to ``"dict"``), or ``None`` for the engine
-    paired with the process-default plain backend.
+    paired with the default plain backend.
     """
     if kind is None:
         kind = get_default_backend()
@@ -1161,7 +949,7 @@ def resolve_annotated_backend(kind: str | None) -> type[AnnotatedBackend]:
 
 
 # ---------------------------------------------------------------------------
-# backend registry and default selection
+# backend registry and the default
 # ---------------------------------------------------------------------------
 
 BACKENDS: dict[str, type[StorageBackend]] = {
@@ -1169,12 +957,8 @@ BACKENDS: dict[str, type[StorageBackend]] = {
     ColumnarBackend.kind: ColumnarBackend,
 }
 
-_default_backend = SetBackend.kind
-
-
-def register_backend(backend_class: type[StorageBackend]) -> None:
-    """Register a third-party storage backend under its ``kind`` name."""
-    BACKENDS[backend_class.kind] = backend_class
+#: The backend kind new relations use when none is specified.
+DEFAULT_BACKEND = SetBackend.kind
 
 
 def resolve_backend(kind: str) -> type[StorageBackend]:
@@ -1188,24 +972,4 @@ def resolve_backend(kind: str) -> type[StorageBackend]:
 
 def get_default_backend() -> str:
     """The backend kind new relations use when none is specified."""
-    return _default_backend
-
-
-def set_default_backend(kind: str) -> None:
-    """Set the process-wide default backend kind ('set' or 'columnar')."""
-    global _default_backend
-    resolve_backend(kind)
-    _default_backend = kind
-
-
-@contextmanager
-def using_backend(kind: str):
-    """Temporarily switch the default backend (for tests and benchmarks)."""
-    global _default_backend
-    resolve_backend(kind)
-    previous = _default_backend
-    _default_backend = kind
-    try:
-        yield
-    finally:
-        _default_backend = previous
+    return DEFAULT_BACKEND

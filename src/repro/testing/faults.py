@@ -221,9 +221,6 @@ class FlakyBackend(StorageBackend):
     def spawn(self, rows, assume_unique=False):
         return self._inner.spawn(rows, assume_unique=assume_unique)
 
-    def has_cached_index(self, key_positions):
-        return self._inner.has_cached_index(key_positions)
-
     def hash_index(self, key_positions):
         self._maybe_fail("hash_index")
         return self._inner.hash_index(key_positions)

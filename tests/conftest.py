@@ -10,7 +10,9 @@ finding *new* counterexamples is the point.
 
 from __future__ import annotations
 
+import itertools
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -35,6 +37,7 @@ from repro.query import (
     triangle_query,
 )
 from repro.stats import statistics_for_query
+from repro.utils import cancellation
 
 
 @pytest.fixture
@@ -92,3 +95,12 @@ def random_four_cycle_db():
 @pytest.fixture
 def triangle_stats():
     return statistics_for_query(triangle_query(), 1000)
+
+
+@pytest.fixture
+def stepping_clock(monkeypatch):
+    """Deadline readings that advance one second each, so a sub-second
+    deadline has passed by the first check after it is set: deadline tests
+    trip without racing wall time."""
+    monkeypatch.setattr(cancellation, "time",
+                        SimpleNamespace(time=itertools.count(0.0, 1.0).__next__))

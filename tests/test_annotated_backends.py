@@ -2,10 +2,12 @@
 
 The annotated storage engine is only pluggable if it is unobservable through
 results: FAQ evaluation and direct annotated-relation algebra must give
-identical answers on the ``dict`` reference engine and the index-caching
-``columnar`` engine.  The cache layer itself must be observable through the
-build/hit counters, shared across repeated evaluations via the database's
-memoized annotated bindings, and dropped on mutation.
+identical answers on the ``dict`` reference engine and the kernel-backed
+``columnar`` engine, also when the kernels' packing limit is shrunk so that
+the columnar engine falls back to the tuple-at-a-time reference.  Its memos
+must be observable through the build/hit counters, shared across repeated
+evaluations via the database's memoized annotated bindings, and dropped on
+mutation.
 """
 
 import pytest
@@ -21,8 +23,8 @@ from repro.relational import (
     AnnotatedRelation,
     Relation,
     Semiring,
+    kernels,
     resolve_annotated_backend,
-    using_kernels,
 )
 
 ANNOTATED_KINDS = sorted(ANNOTATED_BACKENDS)
@@ -32,11 +34,12 @@ SEEDS = (3, 17, 92)
 
 @pytest.fixture(autouse=True, params=[True, False],
                 ids=["kernels-on", "kernels-off"])
-def _kernel_modes(request):
-    """Run every annotated parity/cache case under both the vectorized-kernel
-    and the tuple-at-a-time path (the dict engine ignores the toggle)."""
-    with using_kernels(request.param):
-        yield
+def _kernel_modes(request, monkeypatch):
+    """Run every annotated parity/cache case on the vectorized-kernel path
+    and, with no key space small enough to pack, on the columnar fallback
+    path (the dict engine never runs kernels)."""
+    if not request.param:
+        monkeypatch.setattr(kernels, "_PACK_LIMIT", 0)
 
 
 def _assert_same_output(outputs):
@@ -164,6 +167,9 @@ def test_annotated_binding_cache_drops_on_mutation():
     assert len(after) == len(before) + 1
 
 
+# Only the kernel path memoizes: the fallback rebuilds its probe indexes.
+@pytest.mark.parametrize("_kernel_modes", [True], ids=["kernels-on"],
+                         indirect=True)
 def test_repeated_faq_runs_reuse_cached_indexes():
     query = four_cycle_projected()
     database = random_graph_database(query, 40, 10, seed=7, backend="columnar")

@@ -5,7 +5,10 @@ property-style sweep runs every evaluation algorithm (brute force, binary
 join, generic join, Yannakakis, static plan, FAQ, adaptive PANDA) on random
 ``datagen`` instances under both the set and the columnar backend and asserts
 bit-identical answers, plus edge cases for degree computation and
-degree-based partitioning on empty relations and empty variable sets.
+degree-based partitioning on empty relations and empty variable sets.  Every
+case also runs with the kernels' packing limit shrunk to zero, so each keyed
+columnar kernel declines and the columnar backend takes its uncached
+tuple-at-a-time fallback.
 Adaptive PANDA also has a broader differential test
 (``tests/test_panda_differential.py``).
 """
@@ -24,7 +27,7 @@ from repro.datagen import random_graph_database
 from repro.decompositions.enumerate import enumerate_tree_decompositions
 from repro.panda.adaptive import evaluate_adaptive
 from repro.query import four_cycle_projected, path_query, triangle_query
-from repro.relational import BACKENDS, Relation, using_backend, using_kernels
+from repro.relational import BACKENDS, Relation, get_default_backend, kernels
 
 BACKEND_KINDS = sorted(BACKENDS)
 SEEDS = (3, 17, 92)
@@ -32,11 +35,12 @@ SEEDS = (3, 17, 92)
 
 @pytest.fixture(autouse=True, params=[True, False],
                 ids=["kernels-on", "kernels-off"])
-def _kernel_modes(request):
-    """Run every parity case under both the vectorized-kernel and the
-    tuple-at-a-time columnar path (the set backend ignores the toggle)."""
-    with using_kernels(request.param):
-        yield
+def _kernel_modes(request, monkeypatch):
+    """Run every parity case on the vectorized-kernel path and, with no key
+    space small enough to pack, on the columnar fallback path (the set
+    backend never runs kernels)."""
+    if not request.param:
+        monkeypatch.setattr(kernels, "_PACK_LIMIT", 0)
 
 
 def _databases(query, size, domain, seed):
@@ -63,10 +67,14 @@ def _assert_same_answers(answers):
 def test_generic_join_and_bruteforce_parity(make_query, seed):
     query = make_query()
     databases = _databases(query, size=60, domain=12, seed=seed)
-    _assert_same_answers({kind: evaluate_bruteforce(query, db)
-                          for kind, db in databases.items()})
-    _assert_same_answers({kind: generic_join(query, db)
-                          for kind, db in databases.items()})
+    truth = {kind: evaluate_bruteforce(query, db)
+             for kind, db in databases.items()}
+    _assert_same_answers(truth)
+    answers = {kind: generic_join(query, db) for kind, db in databases.items()}
+    _assert_same_answers(answers)
+    # Both backends' depth-first fallback shares one trie algorithm, so the
+    # cross-backend check alone cannot see a fault in it.
+    assert answers[BACKEND_KINDS[0]].rows == truth[BACKEND_KINDS[0]].rows
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -119,9 +127,11 @@ def test_adaptive_panda_parity(seed):
 
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
 def test_default_backend_selection(kind):
-    with using_backend(kind):
-        relation = Relation("R", ("a", "b"), [(1, 2)])
+    assert Relation("R", ("a", "b"), [(1, 2)]).backend_kind == "set"
+    assert get_default_backend() == "set"
+    relation = Relation("R", ("a", "b"), [(1, 2)], backend=kind)
     assert relation.backend_kind == kind
+    assert relation.with_backend("set").backend_kind == "set"
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +179,14 @@ def test_mutation_invalidates_cached_indexes(kind):
     relation.add((1, "d"))
     assert snapshot.degree(["y"], ["x"]) == 2
     assert relation.degree(["y"], ["x"]) == 3
+
+
+@pytest.mark.parametrize("kind", BACKEND_KINDS)
+def test_empty_semijoin_never_touches_the_other_side(kind):
+    """Semijoining an empty relation (PANDA's empty bags) builds nothing on
+    the relation it filters against."""
+    empty = Relation("E", ("x", "y"), [], backend="set")
+    other = Relation("R", ("y", "z"), [(1, 2), (3, 4)], backend=kind)
+    reduced = empty.semijoin(other)
+    assert len(reduced) == 0 and reduced.columns == ("x", "y")
+    assert other.storage_stats == {}

@@ -146,7 +146,8 @@ def test_flaky_payload_recovers_within_budget():
 def test_dropped_ack_triggers_retry_and_identical_answer():
     query, database, expected = _triangle_fixture()
     engine = Engine(database, shards=3, executor="cluster",
-                    cluster_config=_chaos_config())
+                    cluster_config=_chaos_config(
+                        straggler_min_seconds=30.0))  # no speculation escape
     try:
         coordinator = engine.cluster_coordinator()
         coordinator.fault_plan = FaultPlan(drop_ack_shard=1)

@@ -10,7 +10,14 @@ from repro.decompositions import (
     nonredundant_decompositions,
     trivial_decomposition,
 )
-from repro.query import clique_query, four_cycle_boolean, four_cycle_projected, path_query, triangle_query
+from repro.query import (
+    clique_query,
+    four_cycle_boolean,
+    four_cycle_projected,
+    path_query,
+    star_query,
+    triangle_query,
+)
 from repro.utils.varsets import varset
 
 
@@ -108,3 +115,19 @@ def test_all_enumerated_decompositions_are_valid_and_free_connex():
         for td in enumerate_tree_decompositions(query):
             assert td.is_valid_for(query)
             assert td.is_free_connex_for(query.free_variables)
+
+
+def test_enumeration_checks_each_distinct_decomposition_once(monkeypatch):
+    """Star4's 120 elimination orders induce 12 distinct decompositions; the
+    validity check runs once per distinct one, not once per order."""
+    query = star_query(4)
+    checked = []
+    is_valid_for = TreeDecomposition.is_valid_for
+
+    def counting(self, q):
+        checked.append(self)
+        return is_valid_for(self, q)
+
+    monkeypatch.setattr(TreeDecomposition, "is_valid_for", counting)
+    enumerate_tree_decompositions(query)
+    assert len(checked) == len(set(checked)) == 12

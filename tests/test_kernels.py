@@ -15,6 +15,7 @@ vs cluster executors) must preserve the exact-partition merge identity.
 from __future__ import annotations
 
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,9 +40,7 @@ from repro.relational import (
     WorkCounter,
     kernel_stats,
     kernel_stats_delta,
-    kernels_enabled,
     top_k_min_plus_semiring,
-    using_kernels,
 )
 from repro.relational import kernels
 from repro.relational.storage import ColumnarAnnotatedBackend
@@ -80,11 +79,10 @@ def _reference(operation, left_rows, right_rows, **kwargs):
 def test_kernel_join_and_semijoin_parity(left_rows, right_rows):
     for operation in ("hash_join", "semijoin"):
         reference = _reference(operation, left_rows, right_rows)
-        with using_kernels(True):
-            left, right = _pair(left_rows, right_rows, "columnar")
-            before = kernel_stats()
-            result = getattr(left, operation)(right)
-            moved = kernel_stats_delta(before)
+        left, right = _pair(left_rows, right_rows, "columnar")
+        before = kernel_stats()
+        result = getattr(left, operation)(right)
+        moved = kernel_stats_delta(before)
         assert result.columns == reference.columns
         assert result.rows == reference.rows
         counter = {"hash_join": "join_kernels",
@@ -97,10 +95,9 @@ def test_kernel_join_without_shared_columns_is_cross_product():
     right_rows = [("a", "b"), ("c", "d"), ("e", "f")]
     reference = _reference("hash_join", left_rows, right_rows,
                            right_cols=("u", "v"))
-    with using_kernels(True):
-        left, right = _pair(left_rows, right_rows, "columnar",
-                            right_cols=("u", "v"))
-        result = left.hash_join(right)
+    left, right = _pair(left_rows, right_rows, "columnar",
+                        right_cols=("u", "v"))
+    result = left.hash_join(right)
     assert result.columns == reference.columns
     assert result.rows == reference.rows
     assert len(result) == len(left_rows) * len(right_rows)
@@ -110,11 +107,10 @@ def test_kernel_projection_parity_and_counter():
     rows = [(i % 3, "v", i % 2) for i in range(12)]
     reference = Relation("R", ("a", "b", "c"), rows,
                          backend="set").project(("c", "a"))
-    with using_kernels(True):
-        relation = Relation("R", ("a", "b", "c"), rows, backend="columnar")
-        before = kernel_stats()
-        result = relation.project(("c", "a"))
-        moved = kernel_stats_delta(before)
+    relation = Relation("R", ("a", "b", "c"), rows, backend="columnar")
+    before = kernel_stats()
+    result = relation.project(("c", "a"))
+    moved = kernel_stats_delta(before)
     assert result.columns == reference.columns
     assert result.rows == reference.rows
     assert moved.get("projection_kernels", 0) > 0
@@ -127,7 +123,9 @@ def test_kernel_union_keeps_the_reference_rows_and_order():
     keys = {"low": [(0,), (1,)], "high": [(True,), (4,), (3,)]}
     bases, unions, moved = {}, {}, {}
     for kernels_on in (True, False):
-        with using_kernels(kernels_on):
+        # Off: no key space packs, so every keyed kernel falls back.
+        pack_limit = kernels._PACK_LIMIT if kernels_on else 0
+        with mock.patch.object(kernels, "_PACK_LIMIT", pack_limit):
             base = bases[kernels_on] = Relation("B", ("x", "y"), rows, backend="columnar")
             low, high = (base.semijoin(Relation(name, ("x",), key_rows, backend="columnar"))
                          for name, key_rows in keys.items())
@@ -153,39 +151,49 @@ def test_kernel_union_keeps_the_reference_rows_and_order():
 @given(left_rows=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
                           max_size=24),
        right_rows=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
-                           max_size=24))
-def test_kernel_join_matches_set_backend_property(left_rows, right_rows):
-    """Property sweep: kernel joins and semijoins ≡ SetBackend on random inputs."""
-    for operation in ("hash_join", "semijoin"):
-        reference = _reference(operation, left_rows, right_rows)
-        with using_kernels(True):
+                           max_size=24),
+       pack_limit=st.sampled_from([kernels._PACK_LIMIT, 16, 0]))
+def test_kernel_join_matches_set_backend_property(left_rows, right_rows,
+                                                  pack_limit):
+    """Property sweep: columnar joins, semijoins and the generic join ≡
+    SetBackend on random inputs.  A shrunk packing limit makes some (16) or
+    every (0) keyed kernel decline, so the columnar fallbacks — the hash
+    join, the semijoin and the depth-first generic join — are swept too."""
+    database = {}
+    for kind in ("set", "columnar"):
+        database[kind] = Database([
+            Relation("R", ("c1", "c2"), left_rows, backend=kind),
+            Relation("S", ("c1", "c2"), right_rows, backend=kind),
+            Relation("T", ("c1", "c2"), left_rows[::2] + right_rows[1::2],
+                     backend=kind)])
+    reference_counter, counter = WorkCounter(), WorkCounter()
+    reference = generic_join(triangle_query(), database["set"],
+                             counter=reference_counter)
+    with mock.patch.object(kernels, "_PACK_LIMIT", pack_limit):
+        for operation in ("hash_join", "semijoin"):
+            expected = _reference(operation, left_rows, right_rows)
             left, right = _pair(left_rows, right_rows, "columnar")
             result = getattr(left, operation)(right)
-        assert result.columns == reference.columns
-        assert result.rows == reference.rows
+            assert result.columns == expected.columns
+            assert result.rows == expected.rows
+        answer = generic_join(triangle_query(), database["columnar"],
+                              counter=counter)
+    assert answer.rows == reference.rows
+    assert counter.intermediate_tuples == reference_counter.intermediate_tuples
 
 
 # ---------------------------------------------------------------------------
-# the toggle
+# the backend selects the path
 # ---------------------------------------------------------------------------
-
-def test_using_kernels_toggle_nests_and_restores():
-    initial = kernels_enabled()
-    with using_kernels(not initial):
-        assert kernels_enabled() == (not initial)
-        with using_kernels(initial):
-            assert kernels_enabled() == initial
-        assert kernels_enabled() == (not initial)
-    assert kernels_enabled() == initial
-
 
 def test_kernels_off_keeps_counters_flat():
-    with using_kernels(False):
-        left, right = _pair(MIXED_LEFT, MIXED_RIGHT, "columnar")
-        before = kernel_stats()
-        left.hash_join(right)
-        left.semijoin(right)
-        moved = kernel_stats_delta(before)
+    """The ``set`` reference backend never runs a kernel."""
+    left, right = _pair(MIXED_LEFT, MIXED_RIGHT, "set")
+    before = kernel_stats()
+    left.hash_join(right)
+    left.semijoin(right)
+    left.project(("y",))
+    moved = kernel_stats_delta(before)
     assert not any(count for event, count in moved.items()
                    if event.endswith("_kernels"))
 
@@ -200,13 +208,12 @@ def test_pack_overflow_falls_back_to_reference_join(monkeypatch):
     right_rows = [(i % 5, i) for i in range(40)]
     join_reference = _reference("hash_join", left_rows, right_rows)
     semi_reference = _reference("semijoin", left_rows, right_rows[:7])
-    with using_kernels(True):
-        left, right = _pair(left_rows, right_rows, "columnar")
-        before = kernel_stats()
-        joined = left.hash_join(right)
-        semi = left.semijoin(Relation("R", ("y", "z"), right_rows[:7],
-                                      backend="columnar"))
-        moved = kernel_stats_delta(before)
+    left, right = _pair(left_rows, right_rows, "columnar")
+    before = kernel_stats()
+    joined = left.hash_join(right)
+    semi = left.semijoin(Relation("R", ("y", "z"), right_rows[:7],
+                                  backend="columnar"))
+    moved = kernel_stats_delta(before)
     assert moved.get("join_fallbacks", 0) > 0
     assert moved.get("join_kernels", 0) == 0
     assert moved.get("semijoin_fallbacks", 0) > 0
@@ -222,10 +229,9 @@ def test_counting_overflow_falls_back_in_marginalization():
     for kind in ("dict", "columnar"):
         relation = AnnotatedRelation("R", ("x", "y"), values,
                                      COUNTING_SEMIRING, backend=kind)
-        with using_kernels(True):
-            before = kernel_stats()
-            outputs[kind] = dict(relation.marginalize(["y"]).items())
-            deltas[kind] = kernel_stats_delta(before)
+        before = kernel_stats()
+        outputs[kind] = dict(relation.marginalize(["y"]).items())
+        deltas[kind] = kernel_stats_delta(before)
     assert outputs["columnar"] == outputs["dict"]
     assert deltas["columnar"].get("marginal_fallbacks", 0) > 0
     assert deltas["columnar"].get("marginal_kernels", 0) == 0
@@ -239,9 +245,8 @@ def test_real_sum_marginal_folds_like_the_reference():
     for (key, _), weight in pairs:
         expected[(key,)] = expected[(key,)] + weight if (key,) in expected else weight
     assert expected[(0,)] != 100.0
-    with using_kernels(True):
-        backend = ColumnarAnnotatedBackend(pairs)
-        assert kernels.marginal_dict(backend, (0,), "real-sum") == expected
+    backend = ColumnarAnnotatedBackend(pairs)
+    assert kernels.marginal_dict(backend, (0,), "real-sum") == expected
 
 
 def test_top_k_semiring_falls_back_everywhere():
@@ -255,11 +260,10 @@ def test_top_k_semiring_falls_back_everywhere():
     for kind in ("dict", "columnar"):
         r = AnnotatedRelation("R", ("x", "y"), r_values, semiring, backend=kind)
         s = AnnotatedRelation("S", ("y", "z"), s_values, semiring, backend=kind)
-        with using_kernels(True):
-            before = kernel_stats()
-            fused = r.join_marginalize(s, drop=("y",))
-            marginal = r.marginalize(["x"])
-            deltas[kind] = kernel_stats_delta(before)
+        before = kernel_stats()
+        fused = r.join_marginalize(s, drop=("y",))
+        marginal = r.marginalize(["x"])
+        deltas[kind] = kernel_stats_delta(before)
         outputs[kind] = (dict(fused.items()), dict(marginal.items()))
     assert outputs["columnar"] == outputs["dict"]
     assert deltas["columnar"].get("join_marginalize_fallbacks", 0) > 0
@@ -300,15 +304,14 @@ def test_wcoj_kernel_matches_reference_answers_and_explored(
         return probe(owner, memo_key, sorted_keys, dims, probes, rows)
 
     monkeypatch.setattr(kernels, "_probe", recording_probe)
-    with using_kernels(True):
-        kernel_counter = WorkCounter()
-        before = kernel_stats()
-        kernel_answer = generic_join(query, database, counter=kernel_counter)
-        moved = kernel_stats_delta(before)
-    with using_kernels(False):
-        reference_counter = WorkCounter()
-        reference_answer = generic_join(query, database,
-                                        counter=reference_counter)
+    kernel_counter = WorkCounter()
+    before = kernel_stats()
+    kernel_answer = generic_join(query, database, counter=kernel_counter)
+    moved = kernel_stats_delta(before)
+    reference_counter = WorkCounter()
+    reference_answer = generic_join(
+        query, random_graph_database(query, size, domain, seed=5, backend="set"),
+        counter=reference_counter)
     assert moved.get("wcoj_kernels", 0) > 0
     sparse = {tag for tag, fits in probed if not fits}
     if dense:
@@ -330,11 +333,10 @@ def test_wcoj_kernel_matches_reference_answers_and_explored(
 # ---------------------------------------------------------------------------
 
 def test_derived_relations_share_base_code_tables():
-    with using_kernels(True):
-        left, right = _pair(MIXED_LEFT, MIXED_RIGHT, "columnar")
-        joined = left.hash_join(right)
-        reduced = left.semijoin(right)
-        projected = left.project(("y",))
+    left, right = _pair(MIXED_LEFT, MIXED_RIGHT, "columnar")
+    joined = left.hash_join(right)
+    reduced = left.semijoin(right)
+    projected = left.project(("y",))
     assert len(reduced) < len(left), "the semijoin must filter"
 
     def table(relation, position):
@@ -357,14 +359,13 @@ def test_warm_execution_builds_no_translations(query):
     unioned bags all keep the guard relations' tables."""
     database = random_graph_database(query, 200, 30, seed=13,
                                      backend="columnar")
-    with using_kernels(True):
-        prepared = Engine(database).prepare(query)
-        before = kernel_stats()
-        first = prepared.execute().answer
-        cold = kernel_stats_delta(before)
-        before = kernel_stats()
-        second = prepared.execute().answer
-        warm = kernel_stats_delta(before)
+    prepared = Engine(database).prepare(query)
+    before = kernel_stats()
+    first = prepared.execute().answer
+    cold = kernel_stats_delta(before)
+    before = kernel_stats()
+    second = prepared.execute().answer
+    warm = kernel_stats_delta(before)
     assert cold.get("translation_builds", 0) > 0
     assert warm.get("translation_builds", 0) == 0
     assert not [event for event, count in warm.items()
@@ -392,17 +393,16 @@ def test_equal_values_of_different_types_match_the_set_backend():
     for backend in ("set", "columnar"):
         database = _equal_value_database(backend)
         r, s = database["R"], database["S"].rename({"c1": "c2", "c2": "c3"})
-        with using_kernels(True):
-            before = kernel_stats()
-            answers[backend] = [
-                r.hash_join(s), r.semijoin(s.project(("c2",))),
-                r.project(("c1",)),
-                generic_join(triangle_query(), database),
-                evaluate_yannakakis(path_query(3, free_variables=("X1", "X3")),
-                                    Database({"R1": database["R"],
-                                              "R2": database["S"],
-                                              "R3": database["T"]}))]
-            moved = kernel_stats_delta(before)
+        before = kernel_stats()
+        answers[backend] = [
+            r.hash_join(s), r.semijoin(s.project(("c2",))),
+            r.project(("c1",)),
+            generic_join(triangle_query(), database),
+            evaluate_yannakakis(path_query(3, free_variables=("X1", "X3")),
+                                Database({"R1": database["R"],
+                                          "R2": database["S"],
+                                          "R3": database["T"]}))]
+        moved = kernel_stats_delta(before)
     for kernel in ("join", "semijoin", "projection", "wcoj"):
         assert moved.get(f"{kernel}_kernels", 0) > 0, kernel
     for reference, columnar in zip(answers["set"], answers["columnar"]):
@@ -415,9 +415,8 @@ def test_equal_values_of_different_types_match_the_set_backend():
     "the column's first-seen representative, not the stored object"))
 def test_columnar_join_returns_the_stored_value_object():
     s_rows = [("c", True), ("b", 1.0)]
-    with using_kernels(True):
-        left, right = _pair([(2, "b")], s_rows, "columnar")
-        (row,) = left.hash_join(right).rows
+    left, right = _pair([(2, "b")], s_rows, "columnar")
+    (row,) = left.hash_join(right).rows
     assert row == (2, "b", 1.0)
     assert type(row[2]) is float
 
@@ -430,10 +429,9 @@ def test_kernel_shard_views_partition_exactly():
     query = triangle_query()
     database = random_graph_database(query, 80, 16, seed=9, backend="columnar")
     relation = database["R"]
-    with using_kernels(True):
-        before = kernel_stats()
-        shards = relation.hash_shards(4)
-        moved = kernel_stats_delta(before)
+    before = kernel_stats()
+    shards = relation.hash_shards(4)
+    moved = kernel_stats_delta(before)
     assert moved.get("shard_kernels", 0) > 0
     assert len(shards) == 4
     seen: set[tuple] = set()
@@ -462,8 +460,7 @@ def test_shard_dictionary_encodings_are_insertion_order_stable():
 def test_encoded_payload_pickle_round_trip():
     rows = [(1, "a"), (2, "b"), (3, "a"), (None, (4, 5))]
     relation = Relation("R", ("x", "y"), rows, backend="columnar")
-    with using_kernels(True):
-        payload = relation.encoded_payload()
+    payload = relation.encoded_payload()
     assert payload is not None
     revived = pickle.loads(pickle.dumps(payload))
     rebuilt = ColumnarBackend.from_encoded(*revived)
@@ -476,9 +473,8 @@ def test_encoded_payload_pickle_round_trip():
     # worker side rebuilds exactly the shipped codes.
     edges = Relation("E", ("x", "y"), [(1, 2), (2, 3), (3, 1), (2, 1), (4, 9)],
                      backend="columnar")
-    with using_kernels(True):
-        joined = edges.hash_join(edges.rename({"x": "y", "y": "z"}))
-        payload = joined.encoded_payload()
+    joined = edges.hash_join(edges.rename({"x": "y", "y": "z"}))
+    payload = joined.encoded_payload()
     assert joined._backend.dictionary(1).table.decode == [1, 2, 3, 9]
     tables, codes, length = payload
     assert tables[1] is tables[2]
@@ -499,9 +495,8 @@ def test_encoded_payload_pickle_round_trip():
     # carries only the values its own rows hold.
     wide = Relation("W", ("k", "v"), [(i, i % 3) for i in range(40)],
                     backend="columnar")
-    with using_kernels(True):
-        shards = wide.hash_shards(4)
-        payloads = [shard.encoded_payload() for shard in shards]
+    shards = wide.hash_shards(4)
+    payloads = [shard.encoded_payload() for shard in shards]
     base_table = wide._backend.dictionary(0).table
     for shard, payload in zip(shards, payloads):
         assert shard._backend.dictionary(0).table is base_table
@@ -520,9 +515,8 @@ def test_partitioned_kernel_execution_matches_serial(executor):
     database = random_graph_database(query, 40, 10, seed=21, backend="columnar")
     engine = Engine(database, executor=executor)
     try:
-        with using_kernels(True):
-            serial = engine.execute(query)
-            sharded = engine.execute(query, shards=2)
+        serial = engine.execute(query)
+        sharded = engine.execute(query, shards=2)
     finally:
         engine.close()
     assert sharded.answer.columns == serial.answer.columns
@@ -533,9 +527,8 @@ def test_partitioned_kernel_execution_matches_serial(executor):
 def test_engine_stats_surface_kernel_cache_events():
     query = triangle_query()
     database = random_graph_database(query, 40, 10, seed=3, backend="columnar")
-    with using_kernels(True):
-        engine = Engine(database)
-        engine.execute(query)
+    engine = Engine(database)
+    engine.execute(query)
     events = engine.stats.kernel_cache_events
     assert sum(events.values()) > 0
     assert any(count > 0 for event, count in events.items()

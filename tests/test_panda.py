@@ -19,7 +19,7 @@ from repro.panda import (
 )
 from repro.panda.executor import PandaExecutionError
 from repro.query import four_cycle_boolean, four_cycle_projected, triangle_query
-from repro.relational import Database, Relation, using_kernels
+from repro.relational import Database, Relation, kernels
 from repro.relational.kernels import kernel_stats, kernel_stats_delta
 from repro.stats import collect_statistics, statistics_for_query
 from repro.utils.varsets import varset
@@ -33,13 +33,15 @@ from repro.utils.varsets import varset
                         ("columnar", True), ("columnar", False)],
                 ids=["dict-kernels-on", "dict-kernels-off",
                      "columnar-kernels-on", "columnar-kernels-off"])
-def measure_backend(request):
+def measure_backend(request, monkeypatch):
     """Each measure test runs on the reference ``dict`` backend and on the
-    ``columnar`` one, with kernels on and off; only ``columnar`` with kernels
-    on takes the encoded kernel path."""
+    ``columnar`` one, which takes the encoded kernel path; "kernels-off"
+    leaves no key space small enough to pack, so every keyed kernel
+    declines and ``columnar`` falls back to the reference algebra there."""
     kind, kernels_on = request.param
-    with using_kernels(kernels_on):
-        yield kind
+    if not kernels_on:
+        monkeypatch.setattr(kernels, "_PACK_LIMIT", 0)
+    return kind
 
 
 def _relation_backend(measure_backend):
@@ -130,10 +132,9 @@ def test_compose_kernel_keeps_exactly_the_scalar_loops_prefix(base, weight, thre
         (2,): [(("e",), 1.0), (("f",), 0.5)]})
     composed = {}
     for kernels_on in (True, False):
-        with using_kernels(kernels_on):
-            marginal = UnconditionalMeasure(("X",), {(1,): base, (2,): threshold},
-                                            backend="columnar")
-            composed[kernels_on] = compose(marginal, conditional, threshold).weights
+        marginal = UnconditionalMeasure(("X",), {(1,): base, (2,): threshold},
+                                        backend="columnar" if kernels_on else "dict")
+        composed[kernels_on] = compose(marginal, conditional, threshold).weights
     expected = {(1, y) for y in ("a", "b", "c")
                 if base * {"a": 1.0}.get(y, weight) >= threshold} | {(2, "e")}
     assert set(composed[False]) == expected
@@ -150,11 +151,10 @@ def test_compose_kernel_work_is_bounded_by_the_kept_tuples():
         ("Y",), ("X",), {(1,): [((index,), weight) for index, weight in enumerate(weights)]})
     marginal = UnconditionalMeasure(("X",), {(1,): 0.5}, backend="columnar")
     threshold = 0.5 * weights[kept - 1]
-    with using_kernels(True):
-        conditional.encoded()  # encoding the group is the conditional's cost
-        before = kernel_stats()
-        combined = compose(marginal, conditional, threshold)
-        moved = kernel_stats_delta(before)
+    conditional.encoded()  # encoding the group is the conditional's cost
+    before = kernel_stats()
+    combined = compose(marginal, conditional, threshold)
+    moved = kernel_stats_delta(before)
     assert sorted(combined.weights) == [(1, index) for index in range(kept)]
     assert moved["compose_kernels"] == 1
     assert moved["compose_entries_examined"] <= kept + 2 * len(marginal)

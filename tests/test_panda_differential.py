@@ -1,13 +1,14 @@
 """Differential test of adaptive PANDA: the kernel path against the references.
 
 The measure algebra has two implementations (:mod:`repro.panda.measures`):
-NumPy kernels over encoded columns, taken by a columnar database while
-kernels are on, and the tuple-at-a-time Python algebra, taken by
-``using_kernels(False)`` and by the ``set`` backend.  A property over small
-generated 4-cycle and triangle instances asserts that all three give the
-answer ``evaluate_bruteforce`` gives, and that the kernel path replays every
-DDR with the same largest measure table and the same head sizes as both
-reference paths.
+NumPy kernels over encoded columns, taken by a columnar database, and the
+tuple-at-a-time Python algebra, taken by the ``set`` backend and by every
+columnar step whose kernel declines.  A property over small generated
+4-cycle and triangle instances asserts that the kernel path, a columnar run
+whose packing limit is shrunk to zero (so every keyed kernel declines) and
+the ``set`` backend all give the answer ``evaluate_bruteforce`` gives, and
+that the kernel path replays every DDR with the same largest measure table
+and the same head sizes as both other paths.
 
 The instances mix values that compare equal across types (``1``, ``1.0``,
 ``True``) with strings, include empty relations, functional relations and
@@ -16,6 +17,8 @@ optionally carry degree constraints, whose source terms start from
 per-group uniform measures.
 """
 
+from unittest import mock
+
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +26,7 @@ from repro.algorithms import evaluate_bruteforce
 from repro.datagen import random_graph_database
 from repro.panda import evaluate_adaptive
 from repro.query import four_cycle_projected, triangle_query
-from repro.relational import Database, Relation, using_kernels
+from repro.relational import Database, Relation, kernels
 from repro.stats import collect_statistics
 
 QUERIES = {"four-cycle": four_cycle_projected, "triangle": triangle_query}
@@ -89,10 +92,9 @@ def test_adaptive_panda_kernel_and_reference_paths_agree(instance, degrees):
     query = QUERIES[query_name]()
     statistics = collect_statistics(_database(rows_by_symbol, "set"), query,
                                     include_degrees=degrees)
-    with using_kernels(True):
-        kernel_answer, kernel_replay = _run(query, rows_by_symbol, "columnar",
-                                            statistics)
-    with using_kernels(False):
+    kernel_answer, kernel_replay = _run(query, rows_by_symbol, "columnar",
+                                        statistics)
+    with mock.patch.object(kernels, "_PACK_LIMIT", 0):
         python_answer, python_replay = _run(query, rows_by_symbol, "columnar",
                                             statistics)
     set_answer, set_replay = _run(query, rows_by_symbol, "set", statistics)

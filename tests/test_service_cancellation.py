@@ -22,7 +22,6 @@ from repro.datagen import hard_four_cycle_instance, random_graph_database
 from repro.engine import Engine
 from repro.query import four_cycle_full, four_cycle_projected, triangle_query
 from repro.relational import MIN_PLUS_SEMIRING, WorkCounter
-from repro.relational.kernels import using_kernels
 from repro.service import (
     DeadlineExceededError,
     QueryService,
@@ -65,13 +64,14 @@ def test_token_deadline_and_explicit_cancel():
 def test_generic_join_overshoot_is_bounded_by_check_interval():
     """Work tallied past the trip point ≤ one CHECK_INTERVAL per DFS level."""
     query = four_cycle_full()
-    database = hard_four_cycle_instance(400)  # Ω(N²) full join: 40k answers
+    # Ω(N²) full join: 40k answers.  Set-backed, so the DFS path, whose
+    # bound we assert.
+    database = hard_four_cycle_instance(400)
     trips = 4
     token = TripAfter(trips)
     counter = WorkCounter(cancellation=token)
-    with using_kernels(False):  # pin the DFS path, whose bound we assert
-        with pytest.raises(QueryCancelledError):
-            generic_join(query, database, counter=counter)
+    with pytest.raises(QueryCancelledError):
+        generic_join(query, database, counter=counter)
     # The join checks once per CHECK_INTERVAL explored assignments (plus one
     # entry check), so exploration stops within trips * CHECK_INTERVAL work;
     # the full join would have been ~40000.
@@ -86,9 +86,8 @@ def test_kernel_path_cancels_per_level():
     database = hard_four_cycle_instance(400, backend="columnar")
     token = TripAfter(2)
     counter = WorkCounter(cancellation=token)
-    with using_kernels(True):
-        with pytest.raises(QueryCancelledError):
-            generic_join(query, database, counter=counter)
+    with pytest.raises(QueryCancelledError):
+        generic_join(query, database, counter=counter)
     assert token.checks >= 2
 
 
@@ -98,17 +97,16 @@ def test_engine_deadline_cancels_within_bound():
     engine = Engine(database)
     query = four_cycle_projected()
     prepared = engine.prepare(query)  # plan outside the timed window
-    with using_kernels(False):
-        # Measure roughly how long the uncancelled run takes…
-        t0 = time.perf_counter()
-        prepared.execute()
-        full_run = time.perf_counter() - t0
-        deadline = min(0.2, full_run / 4)
-        t0 = time.perf_counter()
-        with pytest.raises(QueryCancelledError):
-            prepared.execute(
-                cancellation=CancellationToken.with_timeout(deadline))
-        elapsed = time.perf_counter() - t0
+    # Measure roughly how long the uncancelled run takes…
+    t0 = time.perf_counter()
+    prepared.execute()
+    full_run = time.perf_counter() - t0
+    deadline = min(0.2, full_run / 4)
+    t0 = time.perf_counter()
+    with pytest.raises(QueryCancelledError):
+        prepared.execute(
+            cancellation=CancellationToken.with_timeout(deadline))
+    elapsed = time.perf_counter() - t0
     # The overshoot past the deadline is bounded: far below finishing the
     # run, and within a generous absolute envelope for slow CI boxes.
     assert elapsed < max(full_run * 0.75, deadline + 1.0)
@@ -146,9 +144,8 @@ def test_sharded_execution_cancels_across_executors(executor):
             delay_shard=0, delay_seconds=5.0)
         token = CancellationToken.with_timeout(0.2)
     try:
-        with using_kernels(False):
-            with pytest.raises(QueryCancelledError):
-                prepared.execute(cancellation=token)
+        with pytest.raises(QueryCancelledError):
+            prepared.execute(cancellation=token)
     finally:
         engine.close()
     assert engine.stats.cancelled_executions == 1
@@ -163,7 +160,7 @@ def test_faq_evaluation_cancels():
                      counter=WorkCounter(cancellation=token))
 
 
-def test_service_deadline_maps_to_typed_error_and_counters():
+def test_service_deadline_maps_to_typed_error_and_counters(stepping_clock):
     database = hard_four_cycle_instance(1200)
 
     async def main():
@@ -171,13 +168,12 @@ def test_service_deadline_maps_to_typed_error_and_counters():
         service.create_tenant("acme", database)
         # Warm the plan cache so the deadline bites execution, not planning.
         await service.query("acme", four_cycle_projected())
-        with using_kernels(False):
-            with pytest.raises(DeadlineExceededError):
-                await service.query("acme", four_cycle_projected(),
-                                    timeout=0.05)
-            response = await service.handle(
-                {"op": "query", "tenant": "acme",
-                 "query": four_cycle_projected(), "timeout": 0.05})
+        with pytest.raises(DeadlineExceededError):
+            await service.query("acme", four_cycle_projected(),
+                                timeout=0.05)
+        response = await service.handle(
+            {"op": "query", "tenant": "acme",
+             "query": four_cycle_projected(), "timeout": 0.05})
         await service.shutdown()
         return service, response
 

@@ -58,8 +58,10 @@ def test_flaky_index_build_returns_structured_error_then_recovers():
 def test_kth_index_build_fails_midway():
     """``after=2``: the engine survives the first index build, then trips —
     the error path exercises partially-built evaluation state."""
-    query = four_cycle_projected()  # builds two indexes on the flaky relation
-    database, flaky = _flaky_database(query, after=2)
+    # At 80 rows both of PANDA's semijoins against the flaky relation have
+    # non-empty bags, so the query builds two key sets on it.
+    query = four_cycle_projected()
+    database, flaky = _flaky_database(query, after=2, size=80)
 
     async def main():
         service = QueryService(ServiceConfig())

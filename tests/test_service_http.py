@@ -15,7 +15,6 @@ import pytest
 from repro.datagen import hard_four_cycle_instance, random_graph_database
 from repro.engine import Engine
 from repro.query import four_cycle_projected, triangle_query
-from repro.relational.kernels import using_kernels
 from repro.service import (
     QueryService,
     ServiceConfig,
@@ -204,14 +203,13 @@ def test_graceful_shutdown_drains_inflight_queries():
         service = QueryService(ServiceConfig(max_concurrent=2))
         service.create_tenant("acme", database)
         await service.query("acme", four_cycle_projected())  # warm the plan
-        with using_kernels(False):
-            inflight = asyncio.create_task(
-                service.query("acme", four_cycle_projected()))
-            while service.stats()["service"]["active_queries"] == 0:
-                await asyncio.sleep(0.005)  # wait until it is truly running
-            await service.shutdown(drain=True)
-            assert inflight.done(), "shutdown returned before draining"
-            result = inflight.result()
+        inflight = asyncio.create_task(
+            service.query("acme", four_cycle_projected()))
+        while service.stats()["service"]["active_queries"] == 0:
+            await asyncio.sleep(0.005)  # wait until it is truly running
+        await service.shutdown(drain=True)
+        assert inflight.done(), "shutdown returned before draining"
+        result = inflight.result()
         with pytest.raises(ServiceUnavailableError):
             await service.query("acme", four_cycle_projected())
         return result
@@ -229,12 +227,11 @@ def test_shutdown_grace_cancels_stragglers():
         service = QueryService(ServiceConfig(max_concurrent=2))
         service.create_tenant("acme", database)
         await service.query("acme", four_cycle_projected())  # warm the plan
-        with using_kernels(False):
-            straggler = asyncio.create_task(
-                service.query("acme", four_cycle_projected()))
-            while service.stats()["service"]["active_queries"] == 0:
-                await asyncio.sleep(0.005)
-            await service.shutdown(drain=True, grace=0.05)
+        straggler = asyncio.create_task(
+            service.query("acme", four_cycle_projected()))
+        while service.stats()["service"]["active_queries"] == 0:
+            await asyncio.sleep(0.005)
+        await service.shutdown(drain=True, grace=0.05)
         try:
             await straggler
             return None

@@ -28,7 +28,6 @@ from repro.datagen import hard_four_cycle_instance, random_graph_database
 from repro.engine import ClusterConfig, Engine
 from repro.query import four_cycle_projected, triangle_query
 from repro.query.cq import Atom, ConjunctiveQuery
-from repro.relational.kernels import using_kernels
 from repro.service import DeadlineExceededError, QueryService, ServiceConfig, serve
 from repro.telemetry import (
     SlowQueryLog,
@@ -347,7 +346,7 @@ def test_cluster_worker_kill_yields_one_reassembled_trace():
 # service layer: request spans, deadlines, slow log, /metrics vs /stats
 # ---------------------------------------------------------------------------
 
-def test_deadline_exceeded_closes_every_span():
+def test_deadline_exceeded_closes_every_span(stepping_clock):
     database = hard_four_cycle_instance(1200)
     tracer = get_tracer()
 
@@ -356,10 +355,9 @@ def test_deadline_exceeded_closes_every_span():
                                              slow_query_seconds=0.0))
         service.create_tenant("acme", database)
         await service.query("acme", four_cycle_projected())
-        with using_kernels(False):
-            with pytest.raises(DeadlineExceededError):
-                await service.query("acme", four_cycle_projected(),
-                                    timeout=0.05)
+        with pytest.raises(DeadlineExceededError):
+            await service.query("acme", four_cycle_projected(),
+                                timeout=0.05)
         await service.shutdown()
         return service
 
