@@ -17,7 +17,7 @@ throughput speedup (best-of-3 loop timings, so one scheduler hiccup cannot
 flip the verdict), plus bit-identical answers between serial and 4-shard
 partition-parallel execution on the adaptive hard-instance workload.
 Timings are appended to the JSON file named by ``$BENCH_ENGINE_JSON`` (the
-CI perf-trajectory artifact uploaded next to ``BENCH_lp.json``).
+CI perf-trajectory artifact).
 """
 
 from __future__ import annotations

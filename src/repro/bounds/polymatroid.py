@@ -40,7 +40,6 @@ from repro.lp.model import (
     BoundedCache,
     LinearProgram,
     LPSolution,
-    lp_caching_enabled,
     register_lp_cache,
 )
 from repro.query.cq import ConjunctiveQuery
@@ -117,12 +116,9 @@ class PolymatroidProgram:
         of ``fhtw``, the per-selector LPs of ``subw``, repeated bound queries
         from the optimizer — share one compiled program.  The program is
         always named ``polymatroid-region``: per-caller names would be
-        misleading, since a cache hit serves whoever asked first.  With LP
-        caching disabled this degenerates to a fresh build.
+        misleading, since a cache hit serves whoever asked first.
         """
         ground = frozenset(variables) | statistics.variables
-        if not lp_caching_enabled():
-            return cls(ground, statistics, name="polymatroid-region")
         key = (ground, statistics.fingerprint())
         cached = _REGION_CACHE.lookup(key)
         if cached is not None:

@@ -48,7 +48,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.entropy.elemental import ElementalInequality, elemental_inequalities
 from repro.flows.proof_steps import Term
 from repro.lp.exact import ExactLPError, solve_min_with_inequalities
-from repro.lp.model import BoundedCache, LinearProgram, lp_caching_enabled
+from repro.lp.model import BoundedCache, LinearProgram
 from repro.stats.constraints import ConstraintSet, DegreeConstraint
 from repro.utils.rationals import as_fraction, common_denominator
 from repro.utils.varsets import format_varset, powerset
@@ -283,13 +283,11 @@ def find_shannon_flow(targets: Sequence[Iterable[str]],
         raise ShannonFlowError("the statistics contain no degree constraints")
     ground = frozenset(variables) | frozenset().union(*target_sets) | statistics.variables
 
-    cache_key = None
-    if lp_caching_enabled():
-        cache_key = (tuple(sorted(tuple(sorted(target)) for target in target_sets)),
-                     ground, statistics.fingerprint())
-        cached = _FLOW_CACHE.lookup(cache_key)
-        if cached is not None:
-            return _copy_flow(cached, statistics)
+    cache_key = (tuple(sorted(tuple(sorted(target)) for target in target_sets)),
+                 ground, statistics.fingerprint())
+    cached = _FLOW_CACHE.lookup(cache_key)
+    if cached is not None:
+        return _copy_flow(cached, statistics)
 
     elementals = elemental_inequalities(ground)
     # The subset × elemental incidence as plain ints, built once: the σ block
@@ -344,8 +342,7 @@ def find_shannon_flow(targets: Sequence[Iterable[str]],
                                  statistics=statistics)
     if not flow.verify():
         raise ShannonFlowError("failed to verify the reconstructed Shannon-flow certificate")
-    if cache_key is not None:
-        _FLOW_CACHE.store(cache_key, _copy_flow(flow, statistics))
+    _FLOW_CACHE.store(cache_key, _copy_flow(flow, statistics))
     return flow
 
 

@@ -1,4 +1,4 @@
-"""Linear programming substrate: compiled sparse named LPs over HiGHS plus an
+"""Linear programming substrate: compiled named LPs solved by HiGHS plus an
 exact rational simplex (the semantics reference for the numeric path)."""
 
 from repro.lp.model import (
@@ -12,8 +12,6 @@ from repro.lp.model import (
     count_lp_event,
     lp_cache_delta,
     lp_cache_stats,
-    lp_caching_disabled,
-    lp_caching_enabled,
     register_lp_cache,
     reset_lp_cache_stats,
     solve_max,
@@ -36,8 +34,6 @@ __all__ = [
     "lp_cache_stats",
     "lp_cache_delta",
     "reset_lp_cache_stats",
-    "lp_caching_disabled",
-    "lp_caching_enabled",
     "clear_lp_caches",
     "register_lp_cache",
     "count_lp_event",

@@ -1,4 +1,4 @@
-"""A compile-once / solve-many linear-programming kernel over scipy's HiGHS.
+"""A compile-once / solve-many linear-programming kernel over HiGHS.
 
 Every information-theoretic computation in the library — polymatroid bounds,
 fractional hypertree width, submodular width, Shannon-flow duals, fractional
@@ -7,30 +7,27 @@ interface: variables and constraints are referenced by name, and the solution
 is returned as a dictionary, which keeps the call sites close to the paper's
 notation (variables named ``h{X,Y}``, ``λ_B``, ``w_{Y|X}`` and so on).
 
-The solver path is *compiled*: :meth:`LinearProgram.compile` lowers the
-name-keyed constraint rows to cached sparse CSR matrices exactly once per
-structural revision (adding a variable or a constraint invalidates the cache,
-changing the objective does not), dropping duplicate rows along the way, and
-stamps the result with a structural fingerprint.  :meth:`LinearProgram.solve`,
-:meth:`LinearProgram.solve_many` and :meth:`LinearProgram.resolve` all reuse
-the compiled matrices — a program solved against many objectives (one LP per
-bag, one per selector, one per re-optimisation) pays the matrix construction
-once.  ``resolve`` additionally supports per-solve right-hand-side overrides
-and *ephemeral* extra variables/rows, which lets callers such as
-``max min_B h(B)`` stack their auxiliary rows on top of a shared compiled
-feasible region without mutating it.  On top of the compiled matrices each
-program memoizes its optima per (objective, overrides, extra rows): HiGHS is
-deterministic, so re-solving an unchanged program against an already-seen
-objective — the repeated-run serving scenario the ROADMAP targets — skips
-the solver call entirely.
+:meth:`LinearProgram.compile` lowers the name-keyed rows once per structural
+revision (a new variable or constraint invalidates the lowering, a new
+objective does not), dropping duplicate rows, to a :class:`LoweredModel`:
+the arrays HiGHS takes.  A solve then builds only a cost vector;
+``resolve``'s RHS overrides and its ephemeral extra columns and ``<=`` rows
+(``max min_B h(B)``'s ``t`` and ``t <= h(B)``) go into copies of the arrays,
+so a shared region is never mutated.  Each program memoizes its optima per
+(objective, overrides, extras): HiGHS is deterministic.
 
-Cache observability mirrors the storage backends' ``cache_stats``: every
-compile, compiled-solve, region build/hit and dropped duplicate row bumps a
-process-wide counter exposed through :func:`lp_cache_stats` (callers in
-:mod:`repro.bounds`, :mod:`repro.entropy` and :mod:`repro.flows` report their
-cache events into the same table).  :func:`lp_caching_disabled` restores the
-historical rebuild-per-solve behaviour — the baseline that
-``benchmarks/bench_lp_substrate.py`` measures against.
+Every solve is one call of :func:`linprog`, which runs a fresh HiGHS from the
+bindings scipy ships (``scipy.optimize._highspy._core``).  It hands HiGHS
+exactly the model scipy's ``linprog(method="highs")`` would — columns base
+then extra; rows base ``<=``, extra ``<=``, then ``=``; CSC; the same
+options — so it lands on the same vertex, and it keeps that wrapper's input
+and post-solve checks.
+
+Every compile, compiled solve, region build/hit and dropped duplicate row
+bumps a process-wide counter in :func:`lp_cache_stats`, which the caches in
+:mod:`repro.bounds`, :mod:`repro.entropy` and :mod:`repro.flows` share, next
+to the LP work counts ``highs_iterations``, ``exact_solves`` and
+``exact_pivots``.
 """
 
 from __future__ import annotations
@@ -38,13 +35,19 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    HighsOptions,
+    HighsStatus,
+    MatrixFormat,
+    _Highs,
+    kHighsInf,
+)
 
 
 class InfeasibleProgramError(RuntimeError):
@@ -64,7 +67,6 @@ _STATS: dict[str, int] = {}
 # stats table needs the same read-modify-write guard as every other
 # process-wide counter (lint rule REP108).
 _STATS_LOCK = threading.Lock()
-_CACHING_ENABLED: bool = True
 _CACHE_CLEARERS: list[Callable[[], None]] = []
 
 
@@ -78,8 +80,9 @@ def count_lp_event(event: str, amount: int = 1) -> None:
 def lp_cache_stats() -> dict[str, int]:
     """Build/hit counters for every LP-layer cache (compiled matrices,
     polymatroid regions, elemental-inequality memo, Shannon-flow certificates,
-    edge-cover programs, deduplicated rows), plus the exact simplex's
-    ``exact_solves`` and ``exact_pivots`` work counts."""
+    edge-cover programs, deduplicated rows), plus the LP work counts:
+    ``highs_iterations`` (simplex iterations over every HiGHS solve) and the
+    exact simplex's ``exact_solves`` and ``exact_pivots``."""
     with _STATS_LOCK:
         return dict(_STATS)
 
@@ -95,11 +98,6 @@ def lp_cache_delta(before: Mapping[str, int]) -> dict[str, int]:
 def reset_lp_cache_stats() -> None:
     with _STATS_LOCK:
         _STATS.clear()
-
-
-def lp_caching_enabled() -> bool:
-    """Whether the LP-layer caches are active (see :func:`lp_caching_disabled`)."""
-    return _CACHING_ENABLED
 
 
 def register_lp_cache(clear: Callable[[], None]) -> None:
@@ -122,10 +120,9 @@ class BoundedCache:
     """A small LRU memo wired into the shared LP cache bookkeeping.
 
     Lookups and stores count ``{prefix}_hits`` / ``{prefix}_builds`` in
-    :func:`lp_cache_stats`, the cache registers itself with
-    :func:`clear_lp_caches`, and both operations are no-ops while
-    :func:`lp_caching_disabled` is active.  The region, elemental-inequality,
-    Shannon-flow and edge-cover caches are all instances.
+    :func:`lp_cache_stats`, and the cache registers itself with
+    :func:`clear_lp_caches`.  The region, elemental-inequality, Shannon-flow
+    and edge-cover caches are all instances.
     """
 
     def __init__(self, event_prefix: str, capacity: int) -> None:
@@ -136,8 +133,6 @@ class BoundedCache:
 
     def lookup(self, key: Hashable) -> Any | None:
         """The memoized value (counting a hit) or ``None``."""
-        if not lp_caching_enabled():
-            return None
         value = self._entries.get(key)
         if value is not None:
             self._entries.move_to_end(key)
@@ -146,31 +141,136 @@ class BoundedCache:
 
     def store(self, key: Hashable, value: Any) -> Any:
         """Memoize ``value`` (counting a build), evicting least-recently-used."""
-        if lp_caching_enabled():
-            count_lp_event(f"{self._prefix}_builds")
-            self._entries[key] = value
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
+        count_lp_event(f"{self._prefix}_builds")
+        self._entries[key] = value
+        while len(self._entries) > self._capacity:
+            self._entries.popitem(last=False)
         return value
 
 
-@contextmanager
-def lp_caching_disabled() -> Iterator[None]:
-    """Context manager restoring the legacy rebuild-per-solve behaviour.
+# ---------------------------------------------------------------------------
+# the HiGHS call
+# ---------------------------------------------------------------------------
 
-    Inside the context every :meth:`LinearProgram.solve` recompiles its
-    matrices from scratch and the shared caches (polymatroid regions,
-    elemental inequalities, Shannon-flow certificates, edge covers) are
-    bypassed.  The benchmarks use this as the baseline; it is also handy to
-    rule the caches out when debugging a numeric discrepancy.
+@dataclass(frozen=True)
+class LoweredModel:
+    """A constraint system in the arrays HiGHS takes: ``indptr``/``indices``/
+    ``data`` are the CSC form of ``[A_ub; A_eq]``, whose first ``num_le`` rows
+    are ``<=`` rows bounded by ``(-inf, row_upper)`` and the rest equalities
+    with ``row_lower == row_upper``; column bounds use ``±inf`` for none."""
+
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    num_le: int
+
+    def with_rows(self, bounds: Sequence[tuple[float | None, float | None]],
+                  le_rows: Sequence[tuple[tuple[int, float], ...]], b_ub: Sequence[float],
+                  eq_rows: Sequence[tuple[tuple[int, float], ...]] = (),
+                  b_eq: Sequence[float] = ()) -> "LoweredModel":
+        """A copy with columns of ``bounds`` appended (``None`` is ``∓inf``),
+        the ``(column, value)`` rows ``le_rows`` placed after the ``<=`` rows
+        and ``eq_rows`` after the equalities: the order in which scipy's
+        ``linprog`` stacks base and extra rows."""
+        pairs = np.array(bounds, dtype=float).reshape(-1, 2)  # None reads as NaN
+        pairs = np.where(np.isnan(pairs), (-kHighsInf, kHighsInf), pairs)
+        width = self.col_lower.size + len(pairs)
+        added = len(b_ub)
+        entries = [(start + row, column, value)
+                   for start, block in ((self.num_le, le_rows),
+                                        (self.row_upper.size + added, eq_rows))
+                   for row, coefficients in enumerate(block)
+                   for column, value in coefficients]
+        new_rows, new_columns, new_data = np.array(entries, dtype=float).reshape(-1, 3).T
+        rows = np.concatenate([self.indices + np.where(self.indices >= self.num_le, added, 0),
+                               new_rows]).astype(np.int32)
+        columns = np.concatenate([np.repeat(np.arange(self.col_lower.size), np.diff(self.indptr)),
+                                  new_columns]).astype(np.int32)
+        order = np.lexsort((rows, columns))
+        indptr = np.zeros(width + 1, dtype=np.int32)
+        np.cumsum(np.bincount(columns, minlength=width), out=indptr[1:])
+        b_eq = np.array(b_eq, dtype=float)
+        return LoweredModel(
+            np.concatenate([self.col_lower, pairs[:, 0]]),
+            np.concatenate([self.col_upper, pairs[:, 1]]),
+            indptr, rows[order], np.concatenate([self.data, new_data])[order],
+            np.concatenate([self.row_lower[:self.num_le], np.full(added, -kHighsInf),
+                            self.row_lower[self.num_le:], b_eq]),
+            np.concatenate([self.row_upper[:self.num_le], np.array(b_ub, dtype=float),
+                            self.row_upper[self.num_le:], b_eq]),
+            self.num_le + added)
+
+
+_EMPTY = LoweredModel(np.zeros(0), np.zeros(0), np.zeros(1, dtype=np.int32),
+                      np.zeros(0, dtype=np.int32), np.zeros(0), np.zeros(0), np.zeros(0), 0)
+
+# The options scipy's ``linprog(method="highs")`` sets: presolve on, the dual
+# simplex, no debug checks and no output.
+_OPTIONS = HighsOptions()
+_OPTIONS.presolve, _OPTIONS.simplex_strategy, _OPTIONS.highs_debug_level = "on", 1, 0
+_OPTIONS.output_flag = _OPTIONS.log_to_console = False
+#: scipy's post-solve feasibility tolerance: sqrt(tol)·10 at its default 1e-9.
+_RESULT_TOLERANCE = np.sqrt(1e-9) * 10
+
+
+def linprog(cost: np.ndarray, model: LoweredModel, name: str) -> tuple[np.ndarray, float]:
+    """Minimise ``cost·x`` over ``model``: the solution vector and objective.
+
+    The one function that runs HiGHS.  It keeps the name of scipy's
+    ``linprog``, which it replaces, because profilers and the benchmark
+    harness time every LP solve by wrapping ``repro.lp.model.linprog``.  Like
+    scipy's ``linprog`` it rejects non-finite inputs with :class:`ValueError`,
+    solves on a fresh HiGHS instance with the same options, and re-checks the
+    optimum against the bounds and rows.
     """
-    global _CACHING_ENABLED
-    previous = _CACHING_ENABLED
-    _CACHING_ENABLED = False
-    try:
-        yield
-    finally:
-        _CACHING_ENABLED = previous
+    if not (np.isfinite(cost).all() and np.isfinite(model.data).all()
+            and np.isfinite(model.row_upper).all()):
+        raise ValueError(f"{name}: objective, coefficients and right-hand "
+                         "sides must be finite")
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = model.row_upper.size
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.col_cost_ = cost
+    lp.col_lower_ = model.col_lower
+    lp.col_upper_ = model.col_upper
+    lp.row_lower_ = model.row_lower
+    lp.row_upper_ = model.row_upper
+    lp.a_matrix_.start_ = model.indptr
+    lp.a_matrix_.index_ = model.indices
+    lp.a_matrix_.value_ = model.data
+    highs = _Highs()
+    highs.passOptions(_OPTIONS)
+    if highs.passModel(lp) == HighsStatus.kError:
+        status = HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+        info = highs.getInfo()
+        count_lp_event("highs_iterations", info.simplex_iteration_count)
+    if status in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError):
+        raise InfeasibleProgramError(f"{name}: infeasible")
+    if status == HighsModelStatus.kUnbounded:
+        raise UnboundedProgramError(f"{name}: unbounded")
+    if status != HighsModelStatus.kOptimal:
+        raise RuntimeError(f"{name}: solver failed with status "
+                           f"{highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    objective = info.objective_function_value
+    slack = model.row_upper - np.array(solution.row_value)
+    tolerance = _RESULT_TOLERANCE  # NaN anywhere fails a comparison below
+    if np.isnan(objective) or not ((x >= model.col_lower - tolerance).all()
+                                   and (x <= model.col_upper + tolerance).all()
+                                   and (slack[:model.num_le] >= -tolerance).all()
+                                   and (abs(slack[model.num_le:]) <= tolerance).all()):
+        raise RuntimeError(f"{name}: the solver's optimum violates the "
+                           f"constraints by more than {tolerance:.2e}")
+    return x, objective
 
 
 # ---------------------------------------------------------------------------
@@ -207,32 +307,27 @@ class LPSolution:
 
 @dataclass
 class CompiledConstraints:
-    """The sparse lowering of a program's constraint system.
+    """The lowering of a program's constraint system.
 
-    ``a_ub``/``a_eq`` are CSR matrices over the program's variable order (or
-    ``None`` when there are no rows of that kind); ``row_of_name`` maps every
-    constraint name — including names whose rows were deduplicated away — to
-    the ``(kind, row index)`` of its surviving representative.
-    :meth:`LinearProgram.resolve` uses the per-name bookkeeping
-    (``rhs_of_name`` keeps each original constraint's row-space RHS,
-    ``negated_names`` the ``add_ge`` orientations, ``members_of_row`` the
-    dedup groups) to apply RHS overrides without relaxing a deduplicated
-    sibling constraint.
+    ``model`` holds the HiGHS arrays over the variables in ``index`` order;
+    ``row_of_name`` maps every constraint name — including names whose rows
+    were deduplicated away — to the ``(kind, row index)`` of its surviving
+    representative (equalities are counted among themselves), which is how
+    :meth:`LinearProgram.resolve` addresses RHS overrides.
     """
 
-    order: tuple[str, ...]
     index: dict[str, int]
-    bounds: list[tuple[float | None, float | None]]
-    a_ub: sparse.csr_matrix | None
-    b_ub: np.ndarray
-    a_eq: sparse.csr_matrix | None
-    b_eq: np.ndarray
+    model: LoweredModel
     row_of_name: dict[str, tuple[str, int]]
-    rhs_of_name: dict[str, float]
-    negated_names: frozenset[str]
-    members_of_row: dict[tuple[str, int], tuple[str, ...]]
     dropped_duplicates: int
     fingerprint: str
+
+
+def _row(coefficients: Mapping[str, float],
+         index: Mapping[str, int]) -> tuple[tuple[int, float], ...]:
+    """A row's nonzero ``(column, value)`` pairs, ordered by column."""
+    return tuple(sorted((index[name], float(value))
+                        for name, value in coefficients.items() if value))
 
 
 #: Per-program cap on memoized optima (cleared wholesale when exceeded; the
@@ -240,28 +335,13 @@ class CompiledConstraints:
 _SOLUTION_CACHE_CAP = 512
 
 
-def _rows_to_csr(rows: Sequence[tuple[tuple[int, float], ...]],
-                 columns: int) -> sparse.csr_matrix | None:
-    if not rows:
-        return None
-    data: list[float] = []
-    indices: list[int] = []
-    indptr: list[int] = [0]
-    for row in rows:
-        for column, value in row:
-            indices.append(column)
-            data.append(value)
-        indptr.append(len(indices))
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), columns))
-
-
 class LinearProgram:
-    """A named-variable linear program with cached sparse compilation.
+    """A named-variable linear program with a cached lowering.
 
     Variables default to the bounds ``[0, +inf)``; constraints are ``<=`` or
     ``==`` rows over named variables; the objective may be minimised or
-    maximised.  Structure (variables, bounds, constraint rows) is compiled to
-    CSR matrices once and reused across :meth:`solve`, :meth:`solve_many` and
+    maximised.  Structure (variables, bounds, constraint rows) is lowered
+    once and reused across :meth:`solve`, :meth:`solve_many` and
     :meth:`resolve` calls until the structure changes.
     """
 
@@ -277,9 +357,9 @@ class LinearProgram:
         self._compiled: CompiledConstraints | None = None
         self._compiled_revision = -1
         #: Memoized optima keyed by (objective, sense, RHS overrides, extra
-        #: rows); invalidated with the compiled matrices.  HiGHS is
-        #: deterministic, so identical (structure, objective) re-solves — the
-        #: repeated-run serving scenario — can skip the solver outright.
+        #: rows); invalidated with the lowering.  HiGHS is deterministic, so
+        #: identical (structure, objective) re-solves — the repeated-run
+        #: serving scenario — can skip the solver outright.
         self._solutions: dict[tuple, LPSolution] = {}
 
     # -------------------------------------------------------------- building
@@ -364,97 +444,61 @@ class LinearProgram:
 
     def set_objective(self, coefficients: Mapping[str, float],
                       maximize: bool = False) -> None:
-        """Set the default objective (does not invalidate compiled matrices)."""
+        """Set the default objective (does not invalidate the lowering)."""
         self._require_variables(coefficients)
         self._objective = dict(coefficients)
         self._maximize = maximize
 
     # ------------------------------------------------------------ compilation
     def compile(self) -> CompiledConstraints:
-        """Lower the constraint system to cached CSR matrices.
+        """Lower the constraint system to the HiGHS arrays, once per revision.
 
         Identical rows (same kind, same coefficients and — for equalities —
         the same RHS) are emitted once; ``<=`` rows that differ only in the
         RHS keep the tightest bound.  Dropped rows are tallied in the
         ``dedup_dropped_rows`` counter of :func:`lp_cache_stats`.
         """
-        if (self._compiled is not None and self._compiled_revision == self._revision
-                and lp_caching_enabled()):
+        if self._compiled is not None and self._compiled_revision == self._revision:
             count_lp_event("compile_hits")
             return self._compiled
 
         index = {name: position for position, name in enumerate(self._order)}
-        ub_rows: list[tuple[tuple[int, float], ...]] = []
-        ub_rhs: list[float] = []
-        eq_rows: list[tuple[tuple[int, float], ...]] = []
-        eq_rhs: list[float] = []
-        ub_by_signature: dict[tuple, int] = {}
-        eq_by_signature: dict[tuple, int] = {}
+        rows: dict[str, list[tuple[tuple[int, float], ...]]] = {"le": [], "eq": []}
+        rhs: dict[str, list[float]] = {"le": [], "eq": []}
+        position_of: dict[tuple, int] = {}
         row_of_name: dict[str, tuple[str, int]] = {}
-        rhs_of_name: dict[str, float] = {}
-        negated_names: set[str] = set()
-        members_of_row: dict[tuple[str, int], list[str]] = {}
         dropped = 0
         for constraint in self._constraints:
-            merged: dict[int, float] = {}
-            for name, value in constraint.coefficients.items():
-                if value:
-                    column = index[name]
-                    merged[column] = merged.get(column, 0.0) + value
-            signature = tuple(sorted(merged.items()))
-            if constraint.kind == "le":
-                position = ub_by_signature.get(signature)
-                if position is None:
-                    position = len(ub_rhs)
-                    ub_by_signature[signature] = position
-                    ub_rows.append(signature)
-                    ub_rhs.append(constraint.rhs)
-                else:
-                    ub_rhs[position] = min(ub_rhs[position], constraint.rhs)
-                    dropped += 1
-                row_of_name[constraint.name] = ("le", position)
-                members_of_row.setdefault(("le", position), []).append(constraint.name)
+            signature = _row(constraint.coefficients, index)
+            kind = constraint.kind
+            key = (kind, signature) + ((constraint.rhs,) if kind == "eq" else ())
+            position = position_of.get(key)
+            if position is None:
+                position = position_of[key] = len(rhs[kind])
+                rows[kind].append(signature)
+                rhs[kind].append(constraint.rhs)
             else:
-                key = (signature, constraint.rhs)
-                position = eq_by_signature.get(key)
-                if position is None:
-                    position = len(eq_rhs)
-                    eq_by_signature[key] = position
-                    eq_rows.append(signature)
-                    eq_rhs.append(constraint.rhs)
-                else:
-                    dropped += 1
-                row_of_name[constraint.name] = ("eq", position)
-                members_of_row.setdefault(("eq", position), []).append(constraint.name)
-            rhs_of_name[constraint.name] = constraint.rhs
-            if constraint.negated:
-                negated_names.add(constraint.name)
+                dropped += 1
+                if kind == "le":
+                    rhs["le"][position] = min(rhs["le"][position], constraint.rhs)
+            row_of_name[constraint.name] = (kind, position)
 
+        bounds = [self._variables[name] for name in self._order]
         digest = hashlib.sha1()
         digest.update(repr(tuple(self._order)).encode())
-        digest.update(repr(tuple(self._variables[name] for name in self._order)).encode())
-        digest.update(repr(list(zip(ub_rows, ub_rhs))).encode())
-        digest.update(repr(list(zip(eq_rows, eq_rhs))).encode())
+        digest.update(repr(tuple(bounds)).encode())
+        digest.update(repr(list(zip(rows["le"], rhs["le"]))).encode())
+        digest.update(repr(list(zip(rows["eq"], rhs["eq"]))).encode())
 
         compiled = CompiledConstraints(
-            order=tuple(self._order),
             index=index,
-            bounds=[self._variables[name] for name in self._order],
-            a_ub=_rows_to_csr(ub_rows, len(self._order)),
-            b_ub=np.array(ub_rhs, dtype=float),
-            a_eq=_rows_to_csr(eq_rows, len(self._order)),
-            b_eq=np.array(eq_rhs, dtype=float),
+            model=_EMPTY.with_rows(bounds, rows["le"], rhs["le"], rows["eq"], rhs["eq"]),
             row_of_name=row_of_name,
-            rhs_of_name=rhs_of_name,
-            negated_names=frozenset(negated_names),
-            members_of_row={row: tuple(names)
-                            for row, names in members_of_row.items()},
             dropped_duplicates=dropped,
             fingerprint=digest.hexdigest(),
         )
-        if lp_caching_enabled():
-            count_lp_event("compile_builds")
-            count_lp_event("dedup_dropped_rows", dropped)
+        count_lp_event("compile_builds")
+        count_lp_event("dedup_dropped_rows", dropped)
         self._compiled = compiled
         self._compiled_revision = self._revision
         self._solutions.clear()
@@ -466,11 +510,8 @@ class LinearProgram:
 
     # --------------------------------------------------------------- solving
     def solve(self) -> LPSolution:
-        """Solve with HiGHS (through the compiled matrices).
-
-        Raises :class:`InfeasibleProgramError` / :class:`UnboundedProgramError`
-        on the corresponding solver statuses.
-        """
+        """Solve the stored objective; raises :class:`InfeasibleProgramError`
+        or :class:`UnboundedProgramError` on those solver statuses."""
         return self.resolve()
 
     def solve_many(self, objectives: Sequence[Mapping[str, float]],
@@ -491,7 +532,7 @@ class LinearProgram:
                 extra_variables: Mapping[str, tuple[float | None, float | None]] | None = None,
                 extra_le: Sequence[tuple[Mapping[str, float], float]] | None = None,
                 ) -> LPSolution:
-        """Re-solve against the compiled matrices without rebuilding them.
+        """Re-solve against the compiled lowering without rebuilding it.
 
         ``objective``/``maximize`` default to the stored objective;
         ``rhs_updates`` overrides right-hand sides by constraint name for
@@ -511,23 +552,19 @@ class LinearProgram:
         coefficients = self._objective if objective is None else objective
         sense_max = self._maximize if maximize is None else maximize
 
-        solution_key = None
-        if lp_caching_enabled():
-            solution_key = (
-                tuple(sorted(coefficients.items())), sense_max,
-                tuple(sorted(rhs_updates.items())) if rhs_updates else (),
-                tuple(extras.items()),
-                tuple((tuple(sorted(row.items())), rhs)
-                      for row, rhs in (extra_le or ())),
-            )
-            memoized = self._solutions.get(solution_key)
-            if memoized is not None:
-                count_lp_event("solution_hits")
-                return LPSolution(objective=memoized.objective,
-                                  values=dict(memoized.values),
-                                  status=memoized.status)
+        solution_key = (
+            tuple(sorted(coefficients.items())), sense_max,
+            tuple(sorted(rhs_updates.items())) if rhs_updates else (),
+            tuple(extras.items()),
+            tuple((tuple(sorted(row.items())), rhs)
+                  for row, rhs in (extra_le or ())),
+        )
+        memoized = self._solutions.get(solution_key)
+        if memoized is not None:
+            count_lp_event("solution_hits")
+            return replace(memoized, values=dict(memoized.values))
 
-        order = list(compiled.order) + list(extras)
+        order = list(compiled.index) + list(extras)
         if not order:
             return LPSolution(objective=0.0, values={})
         index = dict(compiled.index)
@@ -535,105 +572,63 @@ class LinearProgram:
             if name in index:
                 raise ValueError(f"{self.name}: extra variable {name!r} "
                                  "shadows a declared variable")
-            index[name] = len(compiled.order) + offset
+            index[name] = len(compiled.index) + offset
 
+        if unknown := coefficients.keys() - index.keys():
+            raise ValueError(f"{self.name}: objective references unknown "
+                             f"variables {sorted(unknown)}")
         cost = np.zeros(len(order))
-        for name, value in coefficients.items():
-            position = index.get(name)
-            if position is None:
-                raise ValueError(f"{self.name}: objective references unknown "
-                                 f"variable {name!r}")
-            cost[position] = value
+        cost[[index[name] for name in coefficients]] = list(coefficients.values())
         if sense_max:
             cost = -cost
 
-        b_ub = compiled.b_ub
-        b_eq = compiled.b_eq
+        model = compiled.model
         if rhs_updates:
-            b_ub = b_ub.copy()
-            b_eq = b_eq.copy()
-            # Collect row-space overrides per compiled row: an update keeps
-            # its constraint's original orientation (add_ge rows arrive as
-            # the new >= bound), and a deduplicated sibling that was *not*
-            # updated keeps enforcing its own RHS.
-            per_row: dict[tuple[str, int], dict[str, float]] = {}
-            for name, value in rhs_updates.items():
-                located = compiled.row_of_name.get(name)
-                if located is None:
+            # An override keeps its constraint's orientation (an add_ge row
+            # takes its new >= bound), and a deduplicated sibling that was not
+            # overridden keeps enforcing its own RHS.
+            for name in rhs_updates:
+                if name not in compiled.row_of_name:
                     raise KeyError(f"{self.name}: no constraint named {name!r}")
-                row_value = -float(value) if name in compiled.negated_names \
-                    else float(value)
-                per_row.setdefault(located, {})[name] = row_value
-            for (kind, row), overrides in per_row.items():
-                members = compiled.members_of_row[(kind, row)]
-                effective = [overrides.get(member, compiled.rhs_of_name[member])
-                             for member in members]
+            touched = {compiled.row_of_name[name] for name in rhs_updates}
+            effective: dict[tuple[str, int], list[float]] = {}
+            for constraint in self._constraints:
+                located = compiled.row_of_name[constraint.name]
+                if located in touched:
+                    value = rhs_updates.get(constraint.name)
+                    effective.setdefault(located, []).append(
+                        constraint.rhs if value is None
+                        else -float(value) if constraint.negated else float(value))
+            row_lower, row_upper = model.row_lower.copy(), model.row_upper.copy()
+            for (kind, row), values in effective.items():
                 if kind == "le":
-                    b_ub[row] = min(effective)
+                    row_upper[row] = min(values)
+                elif len(set(values)) > 1:
+                    raise InfeasibleProgramError(
+                        f"{self.name}: conflicting RHS overrides for the "
+                        f"equality row shared by {sorted(rhs_updates)}")
                 else:
-                    if len(set(effective)) > 1:
-                        raise InfeasibleProgramError(
-                            f"{self.name}: conflicting RHS overrides for the "
-                            f"equality row shared by {list(members)}")
-                    b_eq[row] = effective[0]
+                    row_lower[model.num_le + row] = row_upper[model.num_le + row] = values[0]
+            model = replace(model, row_lower=row_lower, row_upper=row_upper)
 
-        a_ub = compiled.a_ub
-        a_eq = compiled.a_eq
-        if extras:
-            pad = len(extras)
-            if a_ub is not None:
-                a_ub = sparse.hstack(
-                    [a_ub, sparse.csr_matrix((a_ub.shape[0], pad))], format="csr")
-            if a_eq is not None:
-                a_eq = sparse.hstack(
-                    [a_eq, sparse.csr_matrix((a_eq.shape[0], pad))], format="csr")
-        if extra_le:
-            extra_rows: list[tuple[tuple[int, float], ...]] = []
-            extra_rhs: list[float] = []
-            for row_coefficients, rhs in extra_le:
-                merged: dict[int, float] = {}
-                for name, value in row_coefficients.items():
-                    position = index.get(name)
-                    if position is None:
-                        raise ValueError(f"{self.name}: extra row references "
-                                         f"unknown variable {name!r}")
-                    if value:
-                        merged[position] = merged.get(position, 0.0) + value
-                extra_rows.append(tuple(sorted(merged.items())))
-                extra_rhs.append(float(rhs))
-            appended = _rows_to_csr(extra_rows, len(order))
-            a_ub = appended if a_ub is None else \
-                sparse.vstack([a_ub, appended], format="csr")
-            b_ub = np.concatenate([b_ub, np.array(extra_rhs, dtype=float)])
+        if extras or extra_le:
+            for row_coefficients, _ in extra_le or ():
+                if unknown := row_coefficients.keys() - index.keys():
+                    raise ValueError(f"{self.name}: extra row references "
+                                     f"unknown variables {sorted(unknown)}")
+            model = model.with_rows(list(extras.values()),
+                                    [_row(row, index) for row, _ in extra_le or ()],
+                                    [float(rhs) for _, rhs in extra_le or ()])
 
-        bounds = compiled.bounds + [extras[name] for name in extras]
-        result = linprog(
-            c=cost,
-            A_ub=a_ub if a_ub is not None and a_ub.shape[0] else None,
-            b_ub=b_ub if b_ub.size else None,
-            A_eq=a_eq if a_eq is not None and a_eq.shape[0] else None,
-            b_eq=b_eq if b_eq.size else None,
-            bounds=bounds,
-            method="highs",
-        )
-        if result.status == 2:
-            raise InfeasibleProgramError(f"{self.name}: infeasible")
-        if result.status == 3:
-            raise UnboundedProgramError(f"{self.name}: unbounded")
-        if not result.success:  # pragma: no cover - defensive
-            raise RuntimeError(f"{self.name}: solver failed with status {result.status}")
-        objective_value = float(result.fun)
-        if sense_max:
-            objective_value = -objective_value
-        values = {name: float(result.x[index[name]]) for name in order}
-        solution = LPSolution(objective=objective_value, values=values)
-        if solution_key is not None:
-            count_lp_event("solution_builds")
-            if len(self._solutions) >= _SOLUTION_CACHE_CAP:
-                self._solutions.clear()
-            self._solutions[solution_key] = LPSolution(
-                objective=objective_value, values=dict(values))
-        return solution
+        x, objective_value = linprog(cost, model, self.name)
+        solution = LPSolution(
+            objective=-float(objective_value) if sense_max else float(objective_value),
+            values={name: float(x[index[name]]) for name in order})
+        count_lp_event("solution_builds")
+        if len(self._solutions) >= _SOLUTION_CACHE_CAP:
+            self._solutions.clear()
+        self._solutions[solution_key] = solution
+        return replace(solution, values=dict(solution.values))
 
     # ------------------------------------------------------------- reporting
     @property

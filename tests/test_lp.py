@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -122,9 +123,9 @@ def test_compile_dedupes_identical_rows():
     program.add_eq({"x": 1.0}, 1.0)             # identical equality
     compiled = program.compile()
     assert compiled.dropped_duplicates == 3
-    assert compiled.a_ub.shape[0] == 1
-    assert compiled.b_ub[0] == pytest.approx(3.0)  # tightest rhs survives
-    assert compiled.a_eq.shape[0] == 1
+    assert compiled.model.num_le == 1
+    assert compiled.model.row_upper[0] == pytest.approx(3.0)  # tightest rhs survives
+    assert compiled.model.row_upper.size == 2  # one <= row, one equality
     program.set_objective({"x": 1.0, "y": 1.0}, maximize=True)
     assert program.solve().objective == pytest.approx(3.0)
     assert "duplicate rows dropped" in program.describe()
@@ -341,3 +342,120 @@ def test_exact_simplex_is_exact_and_agrees_with_highs(problem):
         assert sum((a * x for a, x in zip(row, solution.values)), Fraction(0)) == b
     assert solution.objective == sum(c * x for c, x in zip(costs, solution.values))
     assert float(solution.objective) == pytest.approx(reference.fun, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the direct HiGHS call against scipy.optimize.linprog
+# ---------------------------------------------------------------------------
+
+_VARIABLES = [f"x{i}" for i in range(6)]
+_COEFFICIENT = st.integers(-3, 3)
+_BOUND = st.one_of(st.none(), st.integers(-3, 3))
+_BOUNDS = st.tuples(_BOUND, _BOUND).map(
+    lambda pair: pair if None in pair else tuple(sorted(pair)))
+
+
+@st.composite
+def _small_linear_program(draw):
+    """A random program plus one ``resolve`` call's arguments, and the dense
+    matrices ``scipy.optimize.linprog`` takes for the same solve.
+
+    Rows are drawn with distinct ``<=``-form coefficients, so compilation
+    drops none and the reference matrices list the rows in declaration
+    order: base ``<=`` rows (``add_ge`` negated), extra rows, equalities.
+    """
+    names = _VARIABLES[:draw(st.integers(1, 6))]
+    program = LinearProgram("random")
+    bounds = []
+    for name in names:
+        bounds.append(draw(_BOUNDS))
+        program.add_variable(name, *bounds[-1])
+    le_rows, eq_rows, seen = [], [], set()
+    for position in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["le", "ge", "eq"]))
+        coefficients = {name: float(draw(_COEFFICIENT)) for name in names}
+        rhs = float(draw(st.integers(-4, 4)))
+        sign = -1.0 if kind == "ge" else 1.0
+        signature = (kind == "eq", tuple(sign * coefficients[name] for name in names))
+        if signature in seen:
+            continue
+        seen.add(signature)
+        name = f"r{position}"
+        getattr(program, f"add_{kind}")(coefficients, rhs, name=name)
+        (eq_rows if kind == "eq" else le_rows).append([name, kind, coefficients, rhs])
+
+    rhs_updates = {}
+    for row in le_rows + eq_rows:
+        if draw(st.booleans()):
+            row[3] = rhs_updates[row[0]] = float(draw(st.integers(-4, 4)))
+    extra_variables, extra_le = {}, []
+    if draw(st.booleans()):
+        bounds.append(draw(_BOUNDS))
+        extra_variables["t"] = bounds[-1]
+        for _ in range(draw(st.integers(0, 3))):
+            extra_le.append(({name: float(draw(_COEFFICIENT)) for name in names + ["t"]},
+                             float(draw(st.integers(-4, 4)))))
+    columns = names + list(extra_variables)
+    objective = {name: float(draw(_COEFFICIENT)) for name in columns}
+    maximize = draw(st.booleans())
+
+    def dense(coefficients, sign=1.0):
+        return [sign * coefficients.get(name, 0.0) for name in columns]
+
+    a_ub = [dense(coefficients, -1.0 if kind == "ge" else 1.0)
+            for _, kind, coefficients, _ in le_rows]
+    b_ub = [-rhs if kind == "ge" else rhs for _, kind, _, rhs in le_rows]
+    a_ub += [dense(coefficients) for coefficients, _ in extra_le]
+    b_ub += [rhs for _, rhs in extra_le]
+    cost = np.array(dense(objective))
+    reference = dict(
+        c=-cost if maximize else cost,
+        A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
+        A_eq=np.array([dense(row[2]) for row in eq_rows]) if eq_rows else None,
+        b_eq=[row[3] for row in eq_rows] or None, bounds=bounds)
+    call = dict(objective=objective, maximize=maximize, rhs_updates=rhs_updates,
+                extra_variables=extra_variables, extra_le=extra_le)
+    return program, call, columns, reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_linear_program())
+def test_direct_highs_call_matches_scipy_linprog(case):
+    program, call, columns, reference = case
+    expected = linprog(**reference, method="highs")
+    error = {0: None, 2: InfeasibleProgramError, 3: UnboundedProgramError}.get(
+        expected.status, RuntimeError)
+    if error is not None:
+        with pytest.raises(RuntimeError) as raised:
+            program.resolve(**call)
+        assert type(raised.value) is error
+        return
+    solution = program.resolve(**call)
+    assert solution.objective == (-expected.fun if call["maximize"] else expected.fun)
+    assert [solution.values[name] for name in columns] == list(expected.x)
+
+
+def test_direct_highs_call_status_and_input_checks():
+    infeasible = LinearProgram("infeasible")
+    infeasible.add_variable("x", lower=None)
+    infeasible.add_le({"x": 1.0}, 0.0)
+    infeasible.add_ge({"x": 1.0}, 1.0)
+    with pytest.raises(InfeasibleProgramError):
+        infeasible.resolve(objective={"x": 1.0})
+
+    unbounded = LinearProgram("unbounded")
+    unbounded.add_variable("x", lower=None)
+    unbounded.add_le({"x": 1.0}, 0.0)
+    with pytest.raises(UnboundedProgramError):
+        unbounded.resolve(objective={"x": 1.0})
+
+    non_finite = LinearProgram("non-finite")
+    non_finite.add_le({"x": float("inf")}, 1.0)
+    with pytest.raises(ValueError):
+        non_finite.resolve(objective={"x": 1.0}, maximize=True)
+    bounded = LinearProgram("nan-rhs")
+    bounded.add_le({"x": 1.0}, 1.0, name="cap")
+    with pytest.raises(ValueError):
+        bounded.resolve(objective={"x": 1.0}, rhs_updates={"cap": float("nan")})
+    with pytest.raises(ValueError):
+        bounded.resolve(objective={"x": float("nan")})

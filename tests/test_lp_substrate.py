@@ -2,7 +2,7 @@
 
 Covers the shared polymatroid-region cache (one compiled ``Γ_n ∧ S`` region
 serving fhtw bags, subw selectors and plain bound queries), the memoized
-Shannon-flow certificates, compiled-vs-legacy numeric parity, and a
+Shannon-flow certificates, warm-cache vs cold-solve numeric parity, and a
 hypothesis property pinning the HiGHS numeric path to the exact rational
 simplex.
 """
@@ -22,7 +22,6 @@ from repro.lp import (
     clear_lp_caches,
     lp_cache_delta,
     lp_cache_stats,
-    lp_caching_disabled,
     reset_lp_cache_stats,
     solve_min_with_inequalities,
 )
@@ -71,8 +70,8 @@ def test_widths_share_one_compiled_region(four_cycle, s_box):
 
 
 def test_bound_queries_hit_the_region_of_the_widths(four_cycle, s_box):
-    with lp_caching_disabled():
-        reference = polymatroid_bound(four_cycle, s_box).exponent
+    reference = polymatroid_bound(four_cycle, s_box).exponent  # cold
+    clear_lp_caches()
     submodular_width(four_cycle, s_box)
     before = lp_cache_stats()
     bound = polymatroid_bound(four_cycle, s_box)
@@ -107,8 +106,8 @@ def test_ddr_bound_leaves_shared_region_clean(four_cycle, s_box):
     # The max-min gadget must not leak its auxiliary variable or rows into
     # the shared region a later single-target bound re-solves.
     selector = (varset("XYZ"), varset("YZW"))
-    with lp_caching_disabled():
-        reference_single = polymatroid_bound(four_cycle, s_box).exponent
+    reference_single = polymatroid_bound(four_cycle, s_box).exponent  # cold
+    clear_lp_caches()
     first = ddr_polymatroid_bound(selector, s_box, variables=four_cycle.variables)
     single = polymatroid_bound(four_cycle, s_box)
     again = ddr_polymatroid_bound(selector, s_box, variables=four_cycle.variables)
@@ -118,24 +117,27 @@ def test_ddr_bound_leaves_shared_region_clean(four_cycle, s_box):
 
 
 # ---------------------------------------------------------------------------
-# compiled path vs the legacy rebuild-per-solve path
+# warm caches vs cold solves
 # ---------------------------------------------------------------------------
 
-def test_compiled_matches_legacy_on_width_workloads(four_cycle, s_box, s_box_full,
-                                                    triangle, triangle_stats):
+def _widths(query, statistics):
+    return (submodular_width(query, statistics).width,
+            fractional_hypertree_width(query, statistics).width,
+            polymatroid_bound(query, statistics).exponent,
+            agm_bound(query, statistics).exponent)
+
+
+def test_warm_caches_match_cold_solves_on_width_workloads(four_cycle, s_box, s_box_full,
+                                                          triangle, triangle_stats):
     workloads = [(four_cycle, s_box), (four_cycle, s_box_full),
                  (triangle, triangle_stats)]
     for query, statistics in workloads:
-        compiled = (submodular_width(query, statistics).width,
-                    fractional_hypertree_width(query, statistics).width,
-                    polymatroid_bound(query, statistics).exponent,
-                    agm_bound(query, statistics).exponent)
-        with lp_caching_disabled():
-            legacy = (submodular_width(query, statistics).width,
-                      fractional_hypertree_width(query, statistics).width,
-                      polymatroid_bound(query, statistics).exponent,
-                      agm_bound(query, statistics).exponent)
-        assert compiled == pytest.approx(legacy, abs=1e-9)
+        clear_lp_caches()
+        cold = _widths(query, statistics)
+        before = lp_cache_stats()
+        warm = _widths(query, statistics)
+        assert _events(before).get("region_hits", 0) > 0  # served from the caches
+        assert warm == pytest.approx(cold, abs=1e-9)
 
 
 def test_omega_lp_verification_matches_closed_form():

@@ -12,7 +12,6 @@ executors and the asyncio service.
 from __future__ import annotations
 
 import asyncio
-import time
 
 import pytest
 
@@ -20,6 +19,7 @@ from repro.algorithms import evaluate_faq, generic_join
 from repro.algorithms.generic_join import CHECK_INTERVAL
 from repro.datagen import hard_four_cycle_instance, random_graph_database
 from repro.engine import Engine
+from repro.engine import core as engine_core
 from repro.query import four_cycle_full, four_cycle_projected, triangle_query
 from repro.relational import MIN_PLUS_SEMIRING, WorkCounter
 from repro.service import (
@@ -91,25 +91,28 @@ def test_kernel_path_cancels_per_level():
     assert token.checks >= 2
 
 
-def test_engine_deadline_cancels_within_bound():
-    """A wall-clock deadline on a huge intermediate join trips mid-plan."""
+def test_engine_deadline_cancels_within_bound(stepping_clock, monkeypatch):
+    """A deadline on a huge intermediate join trips mid-plan, within bounded
+    work.  The stepping clock reads one second later at every check, so a
+    1.5 s deadline passes the engine's entry check and trips at the plan's
+    first check, without racing wall time."""
     database = hard_four_cycle_instance(1200)
     engine = Engine(database)
     query = four_cycle_projected()
-    prepared = engine.prepare(query)  # plan outside the timed window
-    # Measure roughly how long the uncancelled run takes…
-    t0 = time.perf_counter()
-    prepared.execute()
-    full_run = time.perf_counter() - t0
-    deadline = min(0.2, full_run / 4)
-    t0 = time.perf_counter()
+    prepared = engine.prepare(query)
+    full_run = prepared.execute().counter.intermediate_tuples
+    counters = []
+
+    def recording_counter(**kwargs):
+        counters.append(WorkCounter(**kwargs))
+        return counters[-1]
+
+    monkeypatch.setattr(engine_core, "WorkCounter", recording_counter)
     with pytest.raises(QueryCancelledError):
-        prepared.execute(
-            cancellation=CancellationToken.with_timeout(deadline))
-    elapsed = time.perf_counter() - t0
-    # The overshoot past the deadline is bounded: far below finishing the
-    # run, and within a generous absolute envelope for slow CI boxes.
-    assert elapsed < max(full_run * 0.75, deadline + 1.0)
+        prepared.execute(cancellation=CancellationToken.with_timeout(1.5))
+    [counter] = counters
+    # The work done before the trip is bounded: far below finishing the run.
+    assert counter.intermediate_tuples < full_run * 0.75
     assert engine.stats.cancelled_executions == 1
     assert engine.stats.executions == 1  # only the uncancelled run counted
 
