@@ -19,7 +19,7 @@ Run with:  python examples/telemetry_profile.py
 from repro.datagen import random_graph_database
 from repro.engine import Engine
 from repro.query import four_cycle_projected, path_query, triangle_query
-from repro.telemetry import get_registry, get_tracer, install_default_sources
+from repro.telemetry import get_registry, get_tracer
 
 RUNS = 5
 
@@ -42,7 +42,6 @@ def print_trace(trace: dict) -> None:
 
 
 def main() -> None:
-    install_default_sources()
     queries = [triangle_query(), four_cycle_projected(),
                path_query(3, free_variables=("X1", "X2"))]
 
@@ -79,9 +78,10 @@ def main() -> None:
               f"  observed(last) {node['observed_last']:>6}")
 
     print("\n=== GET /metrics (Prometheus exposition, excerpt) ===")
+    # Plan-cache reuse (``engine.stats.plans_*``) and the LP layer's caches.
     text = get_registry().render_prometheus()
     for line in text.splitlines():
-        if "plan_cache" in line or "lp_" in line.split("{")[0]:
+        if "repro_engine_stats_plans" in line or "repro_lp_" in line:
             print(f"  {line}")
 
 

@@ -31,12 +31,12 @@ Every rule here is a post-mortem turned executable:
   A bare ``except Exception:`` in a dispatch/worker path that neither
   re-raises nor records to a counter/stats object swallows faults the
   chaos harness (and production operators) can never see.
-* **REP108** — the telemetry layer (PR 9) exposes every layer's counter
-  dict through registry pull sources, so ``/metrics`` and ``/stats``
-  reconcile by construction; that only holds if counter dicts
-  (``*_stats``/``*_counters``) move under a lock or through the registry's
-  atomic paths.  REP101 polices the two original containers; REP108 extends
-  the discipline to every dict the registry scrapes.
+* **REP108** — the telemetry layer (PR 9) exposes every layer's counters
+  through the metrics registry, so ``/metrics`` and ``/stats`` reconcile by
+  construction; that only holds if counter dicts (``*_stats``/``*_counters``)
+  move under a lock or through a ``CounterTable``'s atomic ``add``.  REP101
+  polices the two original containers; REP108 extends the discipline to
+  every dict the registry scrapes.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ REP101 = register_rule(LintRule(
     summary="EngineStats/WorkCounter counters and stats dicts move only "
             "under a lock or through bump()/tally()",
     hint="route the update through the owner's atomic method "
-         "(EngineStats.bump, WorkCounter.tally/observe_max, backend._count) "
+         "(EngineStats.bump, WorkCounter.tally/observe_max, CounterTable.add) "
          "or wrap it in `with self._lock:`",
     history="PR 4 (WorkCounter lost shard counts) and PR 6 (EngineStats "
             "lost simultaneous-finish increments)",
@@ -667,10 +667,10 @@ REP108 = register_rule(LintRule(
     id="REP108",
     name="unregistered-counter-path",
     summary="counter dicts (*_stats, *_counters) move only under a lock or "
-            "through MetricsRegistry / the owner's locked bump()/tally()",
-    hint="route the increment through MetricsRegistry.bump_counters (or the "
-         "owner's locked helper, e.g. count_lp_event/_count_process), or "
-         "wrap it in `with <lock>:` so scrapes see consistent values",
+            "through a CounterTable / the owner's locked bump()/tally()",
+    hint="keep the counts in a telemetry CounterTable and move them with its "
+         "add()/add_many(), or wrap the update in `with <lock>:` so scrapes "
+         "see consistent values",
     history="the telemetry layer exposes every layer's counter dict via "
             "pull sources; an unlocked mutation path makes /metrics and "
             "/stats disagree in exactly the way the reconciliation tests "

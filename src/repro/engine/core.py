@@ -25,9 +25,8 @@ adaptive-PANDA per query; PRs 1–3 gave the storage and LP layers caches.  The
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.analysis.plan_verifier import assert_valid, verify_recipe
@@ -39,7 +38,7 @@ from repro.engine.fingerprint import (
 from repro.engine.parallel import EXECUTORS, run_partitioned
 from repro.engine.plan_cache import LruDict, PlanCache, PlanRecipe
 from repro.decompositions.treedecomp import TreeDecomposition
-from repro.lp.model import lp_cache_delta, lp_cache_stats
+from repro.lp.model import LP_STATS
 from repro.optimizer.cost import estimate_costs
 from repro.optimizer.planner import (
     ExecutionResult,
@@ -49,138 +48,114 @@ from repro.optimizer.planner import (
 )
 from repro.query.cq import ConjunctiveQuery
 from repro.relational.database import Database
-from repro.relational.kernels import kernel_stats, kernel_stats_delta
+from repro.relational.kernels import KERNEL_STATS
 from repro.relational.operators import WorkCounter
 from repro.stats.collect import collect_statistics
 from repro.stats.constraints import ConstraintSet
-from repro.telemetry.metrics import bump_counters
+from repro.telemetry.metrics import CounterTable, counter_delta, get_registry
 from repro.telemetry.profiler import CardinalityProfile, plan_nodes
 from repro.telemetry.trace import get_tracer
 from repro.utils.cancellation import CancellationToken, QueryCancelledError
 
 
-@dataclass
+#: The counters :meth:`EngineStats.bump` moves, in ``as_dict`` order.
+_ENGINE_COUNTERS = (
+    "plans_built", "plans_reused",
+    # Recipes statically verified (running intersection, coverage,
+    # free-variable safety) before entering the plan cache; every built plan
+    # passes through the verifier, so this tracks ``plans_built`` unless
+    # verification ever rejects a decision.
+    "plans_verified",
+    "statistics_measured", "statistics_reused",
+    "executions", "serial_executions", "parallel_executions",
+    # Executions that raised ``QueryCancelledError`` (deadline or explicit
+    # cancel) before producing an answer; not counted in ``executions``.
+    "cancelled_executions",
+    "shards_run", "invalidations",
+    # The fault-tolerant cluster executor's recoveries: shard tasks
+    # re-dispatched after a failure, stragglers speculatively re-issued,
+    # worker processes replaced, and queries that finished their remaining
+    # shards serially in-process (degraded, never failed).
+    "tasks_retried", "stragglers_redispatched", "workers_respawned",
+    "degraded_executions",
+    "wall_time_seconds",
+)
+
+#: Event buckets: storage-backend index build/hit movements of the engine
+#: database, LP-substrate cache movements during planning and execution, and
+#: vectorized-kernel usage/fallback movements during execution.
+_ENGINE_BUCKETS = ("storage_cache_events", "lp_cache_events",
+                   "kernel_cache_events")
+
+#: Every engine's :meth:`EngineStats.bump` summed over the process (engines
+#: come and go; these totals only grow), sampled as ``engine.stats.<key>``.
+ENGINE_TOTALS = get_registry().table("engine.stats")
+
+
 class EngineStats:
     """Serving metrics: planning reuse, execution shape, cache activity.
 
-    Updates are atomic: every counter movement goes through :meth:`bump` /
-    :meth:`absorb_events`, which apply their whole delta under one internal
-    lock.  Two sessions finishing simultaneously — the multi-tenant service
-    completes queries of one engine on several worker threads — therefore
-    never lose increments to interleaved read-modify-write, and
-    :meth:`as_dict` returns an internally consistent snapshot.  (The LP and
-    kernel *event deltas* are measured against process-global counters, so
-    under concurrent sessions an execution's bucket may include a neighbour's
+    The counters in ``_ENGINE_COUNTERS`` read as attributes
+    (``stats.plans_built``); each event bucket reads as a dict
+    (``stats.lp_cache_events``).  Both live in
+    :class:`~repro.telemetry.metrics.CounterTable` s, so every update is
+    atomic: :meth:`bump` applies its whole batch under one lock, two sessions
+    finishing simultaneously never lose increments, and :meth:`as_dict`
+    returns a consistent snapshot of the counters.  (The LP and kernel event
+    deltas are measured against process-global counters, so under
+    concurrent sessions an execution's bucket may include a neighbour's
     movements — the totals remain exact, the per-session attribution is
     approximate.)
     """
 
-    plans_built: int = 0
-    plans_reused: int = 0
-    #: Recipes statically verified (running intersection, coverage,
-    #: free-variable safety) before entering the plan cache; every built
-    #: plan passes through the verifier, so this tracks ``plans_built``
-    #: unless verification ever rejects a decision.
-    plans_verified: int = 0
-    statistics_measured: int = 0
-    statistics_reused: int = 0
-    executions: int = 0
-    serial_executions: int = 0
-    parallel_executions: int = 0
-    #: Executions that raised ``QueryCancelledError`` (deadline or explicit
-    #: cancel) before producing an answer; not counted in ``executions``.
-    cancelled_executions: int = 0
-    shards_run: int = 0
-    invalidations: int = 0
-    #: Shard tasks re-dispatched after a failure (worker error, worker death
-    #: or a dropped ack) by the fault-tolerant cluster executor.
-    tasks_retried: int = 0
-    #: Straggler shards speculatively re-issued to an idle worker (first
-    #: result wins; duplicates are discarded by shard id).
-    stragglers_redispatched: int = 0
-    #: Worker processes replaced after death or circuit-breaker quarantine
-    #: by the cluster executor.
-    workers_respawned: int = 0
-    #: Queries that fell back to in-process serial execution of remaining
-    #: shards after retry/pool exhaustion — degraded, never failed.
-    degraded_executions: int = 0
-    wall_time_seconds: float = 0.0
-    #: Aggregated storage-backend index build/hit deltas observed during
-    #: executions (the engine database's ``cache_stats`` movements).
-    storage_cache_events: dict[str, int] = field(default_factory=dict)
-    #: Aggregated LP-substrate cache deltas (region/flow/solution reuse)
-    #: observed during planning and execution.
-    lp_cache_events: dict[str, int] = field(default_factory=dict)
-    #: Aggregated vectorized-kernel usage/fallback deltas (kernel joins and
-    #: marginals taken, reference-path fallbacks) observed during executions.
-    kernel_cache_events: dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
+    def __init__(self) -> None:
+        self._counters = CounterTable(dict.fromkeys(_ENGINE_COUNTERS, 0))
+        self._buckets = {bucket: CounterTable() for bucket in _ENGINE_BUCKETS}
+
+    def __getattr__(self, name: str):
+        if name in _ENGINE_COUNTERS:
+            return self._counters.snapshot()[name]
+        if name in _ENGINE_BUCKETS:
+            return self._buckets[name].snapshot()
+        raise AttributeError(name)
 
     def bump(self, **deltas: int | float) -> None:
-        """Apply counter increments as one atomic batch."""
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-        # Mirror the movement into the process-wide metrics registry (after
-        # releasing the lock — the registry takes its own).  The event
-        # buckets absorbed via ``absorb_events`` are *not* forwarded: the
-        # storage/LP/kernel layers already publish those process-wide
-        # through their registered pull sources.
-        bump_counters({f"engine.stats.{name}": delta
-                       for name, delta in deltas.items()})
+        """Apply counter increments as one atomic batch, here and in the
+        process-wide :data:`ENGINE_TOTALS`."""
+        if unknown := deltas.keys() - _ENGINE_COUNTERS:
+            raise AttributeError(f"unknown engine counters {sorted(unknown)}")
+        self._counters.add_many(deltas)
+        ENGINE_TOTALS.add_many(deltas)
 
     def absorb_events(self, target: str, delta: dict[str, int]) -> None:
-        with self._lock:
-            bucket = getattr(self, target)
-            for event, count in delta.items():
-                if count:
-                    bucket[event] = bucket.get(event, 0) + count
+        self._buckets[target].add_many(delta)
 
     def as_dict(self) -> dict:
-        with self._lock:
-            return {
-                "plans_built": self.plans_built,
-                "plans_reused": self.plans_reused,
-                "plans_verified": self.plans_verified,
-                "statistics_measured": self.statistics_measured,
-                "statistics_reused": self.statistics_reused,
-                "executions": self.executions,
-                "serial_executions": self.serial_executions,
-                "parallel_executions": self.parallel_executions,
-                "cancelled_executions": self.cancelled_executions,
-                "shards_run": self.shards_run,
-                "invalidations": self.invalidations,
-                "tasks_retried": self.tasks_retried,
-                "stragglers_redispatched": self.stragglers_redispatched,
-                "workers_respawned": self.workers_respawned,
-                "degraded_executions": self.degraded_executions,
-                "wall_time_seconds": self.wall_time_seconds,
-                "storage_cache_events": dict(self.storage_cache_events),
-                "lp_cache_events": dict(self.lp_cache_events),
-                "kernel_cache_events": dict(self.kernel_cache_events),
-            }
+        return {**self._counters.snapshot(),
+                **{bucket: table.snapshot()
+                   for bucket, table in self._buckets.items()}}
 
     def describe(self) -> str:
-        lines = [f"engine: {self.executions} executions "
-                 f"({self.parallel_executions} parallel, {self.shards_run} shards, "
-                 f"{self.cancelled_executions} cancelled) "
-                 f"in {self.wall_time_seconds:.4f}s",
-                 f"  plans: {self.plans_built} built, {self.plans_reused} reused, "
-                 f"{self.plans_verified} verified; "
-                 f"statistics: {self.statistics_measured} measured, "
-                 f"{self.statistics_reused} reused; "
-                 f"{self.invalidations} invalidations"]
-        if (self.tasks_retried or self.stragglers_redispatched
-                or self.workers_respawned or self.degraded_executions):
+        d = self.as_dict()
+        lines = [f"engine: {d['executions']} executions "
+                 f"({d['parallel_executions']} parallel, {d['shards_run']} shards, "
+                 f"{d['cancelled_executions']} cancelled) "
+                 f"in {d['wall_time_seconds']:.4f}s",
+                 f"  plans: {d['plans_built']} built, {d['plans_reused']} reused, "
+                 f"{d['plans_verified']} verified; "
+                 f"statistics: {d['statistics_measured']} measured, "
+                 f"{d['statistics_reused']} reused; "
+                 f"{d['invalidations']} invalidations"]
+        if (d["tasks_retried"] or d["stragglers_redispatched"]
+                or d["workers_respawned"] or d["degraded_executions"]):
             lines.append(
-                f"  faults: {self.tasks_retried} tasks retried, "
-                f"{self.stragglers_redispatched} stragglers re-dispatched, "
-                f"{self.workers_respawned} workers respawned, "
-                f"{self.degraded_executions} degraded executions")
-        for label, bucket in (("storage caches", self.storage_cache_events),
-                              ("lp caches", self.lp_cache_events),
-                              ("kernels", self.kernel_cache_events)):
+                f"  faults: {d['tasks_retried']} tasks retried, "
+                f"{d['stragglers_redispatched']} stragglers re-dispatched, "
+                f"{d['workers_respawned']} workers respawned, "
+                f"{d['degraded_executions']} degraded executions")
+        for label, bucket in (("storage caches", d["storage_cache_events"]),
+                              ("lp caches", d["lp_cache_events"]),
+                              ("kernels", d["kernel_cache_events"])):
             if bucket:
                 events = ", ".join(f"{key}={value}"
                                    for key, value in sorted(bucket.items()))
@@ -392,8 +367,8 @@ class Engine:
             return doc
         tracer = get_tracer()
         storage_before = self.database.cache_stats()
-        lp_before = lp_cache_stats()
-        kernel_before = kernel_stats()
+        lp_before = LP_STATS.snapshot()
+        kernel_before = KERNEL_STATS.snapshot()
         started = time.perf_counter()
         with tracer.span("engine.explain_analyze",
                          {"query": query.name}) as span:
@@ -411,10 +386,10 @@ class Engine:
                 "materializations": counter.materializations,
             },
             "cache_events": {
-                "storage": _dict_delta(self.database.cache_stats(),
-                                       storage_before),
-                "lp": lp_cache_delta(lp_before),
-                "kernels": kernel_stats_delta(kernel_before),
+                "storage": counter_delta(self.database.cache_stats(),
+                                         storage_before),
+                "lp": LP_STATS.delta(lp_before),
+                "kernels": KERNEL_STATS.delta(kernel_before),
             },
             "trace": tracer.export_trace(trace_id) if trace_id else None,
             "estimated_vs_observed": (plan.profile.estimated_vs_observed()
@@ -482,7 +457,7 @@ class Engine:
                 recipe.profile.seed(plan_nodes(rebuilt), statistics, renaming)
             self.stats.bump(plans_reused=1)
             return rebuilt
-        before_lp = lp_cache_stats()
+        before_lp = LP_STATS.snapshot()
         with tracer.span("engine.lp_solve", {"query": query.name}) as lp_span:
             estimate = estimate_costs(query, statistics,
                                       max_variables=self.max_variables)
@@ -492,7 +467,7 @@ class Engine:
                                  estimate=estimate)
             lp_span.set("kind", chosen.kind.value)
         chosen.fingerprint = plan_fingerprint(query_digest, statistics_digest)
-        self.stats.absorb_events("lp_cache_events", lp_cache_delta(before_lp))
+        self.stats.absorb_events("lp_cache_events", LP_STATS.delta(before_lp))
         profile = CardinalityProfile(chosen.fingerprint, chosen.kind.value)
         profile.seed(plan_nodes(chosen), statistics, renaming)
         chosen.profile = profile
@@ -564,8 +539,8 @@ class Engine:
                       cancellation: CancellationToken | None = None) -> ExecutionResult:
         database = self.database if database is None else database
         storage_before = database.cache_stats()
-        lp_before = lp_cache_stats()
-        kernel_before = kernel_stats()
+        lp_before = LP_STATS.snapshot()
+        kernel_before = KERNEL_STATS.snapshot()
         started = time.perf_counter()
         with get_tracer().span("engine.execute",
                                {"query": chosen.query.name,
@@ -632,13 +607,9 @@ class Engine:
                                  lp_before: dict[str, int],
                                  kernel_before: dict[str, int]) -> None:
         self.stats.absorb_events("storage_cache_events",
-                                 _dict_delta(database.cache_stats(),
-                                             storage_before))
-        self.stats.absorb_events("lp_cache_events", lp_cache_delta(lp_before))
+                                 counter_delta(database.cache_stats(),
+                                               storage_before))
+        self.stats.absorb_events("lp_cache_events", LP_STATS.delta(lp_before))
         self.stats.absorb_events("kernel_cache_events",
-                                 kernel_stats_delta(kernel_before))
+                                 KERNEL_STATS.delta(kernel_before))
 
-
-def _dict_delta(after: dict[str, int], before: dict[str, int]) -> dict[str, int]:
-    return {event: after.get(event, 0) - before.get(event, 0)
-            for event in set(after) | set(before)}

@@ -9,9 +9,10 @@ machinery: the plan kind, the winning decomposition's bags, the adaptive
 plan's decomposition list and the cost figures, all with canonically named
 variables so one entry serves every alpha-renaming of the query.
 
-Build/hit/eviction counters mirror the storage backends' ``cache_stats`` and
-the LP substrate's ``lp_cache_stats`` conventions, so the engine can report
-reuse across all three cache layers uniformly.
+Build/hit/eviction counters live in a
+:class:`~repro.telemetry.metrics.CounterTable` under the same
+``<cache>_builds``/``<cache>_hits`` keys as the storage and LP layers, so
+the engine reports reuse across all three cache layers uniformly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.optimizer.planner import PlanKind
+from repro.telemetry.metrics import CounterTable
 
 
 @dataclass(frozen=True)
@@ -105,10 +107,8 @@ class PlanCache:
 
     def __init__(self, capacity: int = 128) -> None:
         self._entries = LruDict(capacity)
-        self._stats_lock = threading.Lock()
-        self.stats: dict[str, int] = {
-            "plan_builds": 0, "plan_hits": 0, "plan_evictions": 0,
-        }
+        self.stats = CounterTable(
+            {"plan_builds": 0, "plan_hits": 0, "plan_evictions": 0})
 
     @property
     def capacity(self) -> int:
@@ -124,16 +124,13 @@ class PlanCache:
         """The cached recipe for ``key`` (marks it most recently used)."""
         recipe = self._entries.get(key)
         if recipe is not None:
-            with self._stats_lock:
-                self.stats["plan_hits"] += 1
+            self.stats.add("plan_hits")
         return recipe
 
     def put(self, key: tuple, recipe: PlanRecipe) -> None:
         """Store a freshly built recipe, evicting the least recently used."""
         evictions = self._entries.put(key, recipe)
-        with self._stats_lock:
-            self.stats["plan_builds"] += 1
-            self.stats["plan_evictions"] += evictions
+        self.stats.add_many({"plan_builds": 1, "plan_evictions": evictions})
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved — they tell the story)."""
@@ -141,5 +138,4 @@ class PlanCache:
 
     def cache_stats(self) -> dict[str, int]:
         """Build/hit/eviction counters plus the current entry count."""
-        with self._stats_lock:
-            return {**self.stats, "plan_entries": len(self._entries)}
+        return {**self.stats.snapshot(), "plan_entries": len(self._entries)}

@@ -5,15 +5,13 @@ from repro.lp.model import (
     BoundedCache,
     CompiledConstraints,
     InfeasibleProgramError,
+    LP_STATS,
     LinearProgram,
     LPSolution,
     UnboundedProgramError,
     clear_lp_caches,
-    count_lp_event,
-    lp_cache_delta,
     lp_cache_stats,
     register_lp_cache,
-    reset_lp_cache_stats,
     solve_max,
 )
 from repro.lp.exact import (
@@ -32,11 +30,9 @@ __all__ = [
     "UnboundedProgramError",
     "solve_max",
     "lp_cache_stats",
-    "lp_cache_delta",
-    "reset_lp_cache_stats",
+    "LP_STATS",
     "clear_lp_caches",
     "register_lp_cache",
-    "count_lp_event",
     "ExactLPError",
     "ExactSolution",
     "solve_standard_form",

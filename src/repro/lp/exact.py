@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from repro.lp.model import count_lp_event
+from repro.lp.model import LP_STATS
 
 
 class ExactLPError(RuntimeError):
@@ -59,7 +59,7 @@ def _pivot(tableau: list[list[int]], denominators: list[int], basis: list[int],
     ``(row_r, p)`` and every other row with factor ``f`` becomes
     ``row_k·p − f·row_r`` over ``d_k·p``.
     """
-    count_lp_event("exact_pivots")
+    LP_STATS.add("exact_pivots")
     pivot_row = tableau[row]
     if pivot_row[col] < 0:
         pivot_row = [-entry for entry in pivot_row]
@@ -123,7 +123,7 @@ def solve_standard_form(costs: Sequence[Fraction | int],
     artificial variables to find a basic feasible solution, phase two
     optimises the true objective.
     """
-    count_lp_event("exact_solves")
+    LP_STATS.add("exact_solves")
     num_rows = len(matrix)
     num_cols = len(costs)
     if any(len(row) != num_cols for row in matrix):

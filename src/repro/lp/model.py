@@ -11,10 +11,10 @@ notation (variables named ``h{X,Y}``, ``λ_B``, ``w_{Y|X}`` and so on).
 revision (a new variable or constraint invalidates the lowering, a new
 objective does not), dropping duplicate rows, to a :class:`LoweredModel`:
 the arrays HiGHS takes.  A solve then builds only a cost vector;
-``resolve``'s RHS overrides and its ephemeral extra columns and ``<=`` rows
-(``max min_B h(B)``'s ``t`` and ``t <= h(B)``) go into copies of the arrays,
-so a shared region is never mutated.  Each program memoizes its optima per
-(objective, overrides, extras): HiGHS is deterministic.
+``resolve``'s ephemeral extra columns and ``<=`` rows (``max min_B h(B)``'s
+``t`` and ``t <= h(B)``) go into copies of the arrays, so a shared region is
+never mutated.  Each program memoizes its optima per (objective, extras):
+HiGHS is deterministic.
 
 Every solve is one call of :func:`linprog`, which runs a fresh HiGHS from the
 bindings scipy ships (``scipy.optimize._highspy._core``).  It hands HiGHS
@@ -33,7 +33,6 @@ to the LP work counts ``highs_iterations``, ``exact_solves`` and
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Hashable, Mapping, Sequence
@@ -49,6 +48,8 @@ from scipy.optimize._highspy._core import (
     kHighsInf,
 )
 
+from repro.telemetry.metrics import get_registry
+
 
 class InfeasibleProgramError(RuntimeError):
     """Raised when an LP has no feasible solution."""
@@ -62,19 +63,9 @@ class UnboundedProgramError(RuntimeError):
 # process-wide cache bookkeeping (shared by the LP-adjacent caches)
 # ---------------------------------------------------------------------------
 
-_STATS: dict[str, int] = {}
-# The engine's thread pool solves LPs for concurrent queries; the shared
-# stats table needs the same read-modify-write guard as every other
-# process-wide counter (lint rule REP108).
-_STATS_LOCK = threading.Lock()
+#: The LP layer's counters, sampled as ``lp.<key>`` by the metrics registry.
+LP_STATS = get_registry().table("lp")
 _CACHE_CLEARERS: list[Callable[[], None]] = []
-
-
-def count_lp_event(event: str, amount: int = 1) -> None:
-    """Bump a counter in the shared LP cache-stats table."""
-    if amount:
-        with _STATS_LOCK:
-            _STATS[event] = _STATS.get(event, 0) + amount
 
 
 def lp_cache_stats() -> dict[str, int]:
@@ -83,21 +74,7 @@ def lp_cache_stats() -> dict[str, int]:
     edge-cover programs, deduplicated rows), plus the LP work counts:
     ``highs_iterations`` (simplex iterations over every HiGHS solve) and the
     exact simplex's ``exact_solves`` and ``exact_pivots``."""
-    with _STATS_LOCK:
-        return dict(_STATS)
-
-
-def lp_cache_delta(before: Mapping[str, int]) -> dict[str, int]:
-    """The nonzero counter movements since a ``before = lp_cache_stats()``
-    snapshot — the per-run reporting used by the PANDA and optimizer traces."""
-    return {event: count - before.get(event, 0)
-            for event, count in lp_cache_stats().items()
-            if count - before.get(event, 0)}
-
-
-def reset_lp_cache_stats() -> None:
-    with _STATS_LOCK:
-        _STATS.clear()
+    return LP_STATS.snapshot()
 
 
 def register_lp_cache(clear: Callable[[], None]) -> None:
@@ -136,12 +113,12 @@ class BoundedCache:
         value = self._entries.get(key)
         if value is not None:
             self._entries.move_to_end(key)
-            count_lp_event(f"{self._prefix}_hits")
+            LP_STATS.add(f"{self._prefix}_hits")
         return value
 
     def store(self, key: Hashable, value: Any) -> Any:
         """Memoize ``value`` (counting a build), evicting least-recently-used."""
-        count_lp_event(f"{self._prefix}_builds")
+        LP_STATS.add(f"{self._prefix}_builds")
         self._entries[key] = value
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
@@ -251,7 +228,7 @@ def linprog(cost: np.ndarray, model: LoweredModel, name: str) -> tuple[np.ndarra
         highs.run()
         status = highs.getModelStatus()
         info = highs.getInfo()
-        count_lp_event("highs_iterations", info.simplex_iteration_count)
+        LP_STATS.add("highs_iterations", info.simplex_iteration_count)
     if status in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError):
         raise InfeasibleProgramError(f"{name}: infeasible")
     if status == HighsModelStatus.kUnbounded:
@@ -283,10 +260,6 @@ class _Constraint:
     coefficients: dict[str, float]
     rhs: float
     kind: str  # "le" or "eq"
-    #: True when the caller declared the row through ``add_ge``: the stored
-    #: row is the negated ``<=`` form, and RHS overrides addressed to this
-    #: name arrive in the original ``>=`` orientation.
-    negated: bool = False
 
 
 @dataclass
@@ -309,16 +282,11 @@ class LPSolution:
 class CompiledConstraints:
     """The lowering of a program's constraint system.
 
-    ``model`` holds the HiGHS arrays over the variables in ``index`` order;
-    ``row_of_name`` maps every constraint name — including names whose rows
-    were deduplicated away — to the ``(kind, row index)`` of its surviving
-    representative (equalities are counted among themselves), which is how
-    :meth:`LinearProgram.resolve` addresses RHS overrides.
+    ``model`` holds the HiGHS arrays over the variables in ``index`` order.
     """
 
     index: dict[str, int]
     model: LoweredModel
-    row_of_name: dict[str, tuple[str, int]]
     dropped_duplicates: int
     fingerprint: str
 
@@ -356,7 +324,7 @@ class LinearProgram:
         self._revision = 0
         self._compiled: CompiledConstraints | None = None
         self._compiled_revision = -1
-        #: Memoized optima keyed by (objective, sense, RHS overrides, extra
+        #: Memoized optima keyed by (objective, sense, extra columns and
         #: rows); invalidated with the lowering.  HiGHS is deterministic, so
         #: identical (structure, objective) re-solves — the repeated-run
         #: serving scenario — can skip the solver outright.
@@ -404,8 +372,7 @@ class LinearProgram:
                 self.add_variable(name)
 
     def _constraint_name(self, name: str | None) -> str:
-        """Validate (or generate) a constraint name; names address RHS
-        overrides, so reusing one would make overrides ambiguous."""
+        """Validate (or generate) a constraint name; names are unique."""
         resolved = name or f"c{len(self._constraints)}"
         if resolved in self._constraint_names:
             raise ValueError(f"{self.name}: duplicate constraint name {resolved!r}")
@@ -422,16 +389,11 @@ class LinearProgram:
 
     def add_ge(self, coefficients: Mapping[str, float], rhs: float,
                name: str | None = None) -> None:
-        """Add ``Σ coeff·x >= rhs`` (stored as the negated ``<=`` row).
-
-        RHS overrides through :meth:`resolve` keep the caller's ``>=``
-        orientation — the negation is re-applied internally.
-        """
+        """Add ``Σ coeff·x >= rhs`` (stored as the negated ``<=`` row)."""
         negated = {variable: -value for variable, value in coefficients.items()}
         self._require_variables(negated)
         self._constraints.append(_Constraint(
-            self._constraint_name(name), negated, -float(rhs), "le",
-            negated=True))
+            self._constraint_name(name), negated, -float(rhs), "le"))
         self._revision += 1
 
     def add_eq(self, coefficients: Mapping[str, float], rhs: float,
@@ -459,14 +421,13 @@ class LinearProgram:
         ``dedup_dropped_rows`` counter of :func:`lp_cache_stats`.
         """
         if self._compiled is not None and self._compiled_revision == self._revision:
-            count_lp_event("compile_hits")
+            LP_STATS.add("compile_hits")
             return self._compiled
 
         index = {name: position for position, name in enumerate(self._order)}
         rows: dict[str, list[tuple[tuple[int, float], ...]]] = {"le": [], "eq": []}
         rhs: dict[str, list[float]] = {"le": [], "eq": []}
         position_of: dict[tuple, int] = {}
-        row_of_name: dict[str, tuple[str, int]] = {}
         dropped = 0
         for constraint in self._constraints:
             signature = _row(constraint.coefficients, index)
@@ -481,7 +442,6 @@ class LinearProgram:
                 dropped += 1
                 if kind == "le":
                     rhs["le"][position] = min(rhs["le"][position], constraint.rhs)
-            row_of_name[constraint.name] = (kind, position)
 
         bounds = [self._variables[name] for name in self._order]
         digest = hashlib.sha1()
@@ -493,12 +453,11 @@ class LinearProgram:
         compiled = CompiledConstraints(
             index=index,
             model=_EMPTY.with_rows(bounds, rows["le"], rhs["le"], rows["eq"], rhs["eq"]),
-            row_of_name=row_of_name,
             dropped_duplicates=dropped,
             fingerprint=digest.hexdigest(),
         )
-        count_lp_event("compile_builds")
-        count_lp_event("dedup_dropped_rows", dropped)
+        LP_STATS.add("compile_builds")
+        LP_STATS.add("dedup_dropped_rows", dropped)
         self._compiled = compiled
         self._compiled_revision = self._revision
         self._solutions.clear()
@@ -528,24 +487,17 @@ class LinearProgram:
 
     def resolve(self, objective: Mapping[str, float] | None = None,
                 maximize: bool | None = None,
-                rhs_updates: Mapping[str, float] | None = None,
                 extra_variables: Mapping[str, tuple[float | None, float | None]] | None = None,
                 extra_le: Sequence[tuple[Mapping[str, float], float]] | None = None,
                 ) -> LPSolution:
         """Re-solve against the compiled lowering without rebuilding it.
 
         ``objective``/``maximize`` default to the stored objective;
-        ``rhs_updates`` overrides right-hand sides by constraint name for
-        this solve only, in each constraint's original orientation (an
-        ``add_ge`` row takes its new ``>=`` bound).  Overrides are
-        dedup-aware: a sibling constraint sharing a deduplicated ``<=`` row
-        keeps enforcing its own RHS (the tightest effective bound wins), and
-        conflicting overrides on a shared equality row raise
-        :class:`InfeasibleProgramError`.  ``extra_variables`` and ``extra_le`` append
-        ephemeral columns and ``<=`` rows for this solve only — the compiled
-        base region and the program itself are left untouched.  A re-solve
-        whose (objective, overrides, extra rows) were already seen against
-        the current compiled structure returns the memoized optimum.
+        ``extra_variables`` and ``extra_le`` append ephemeral columns and
+        ``<=`` rows for this solve only — the compiled base region and the
+        program itself are left untouched.  A re-solve whose (objective,
+        extra columns and rows) were already seen against the current
+        compiled structure returns the memoized optimum.
         """
         compiled = self.compile()
         extras = dict(extra_variables or {})
@@ -554,14 +506,13 @@ class LinearProgram:
 
         solution_key = (
             tuple(sorted(coefficients.items())), sense_max,
-            tuple(sorted(rhs_updates.items())) if rhs_updates else (),
             tuple(extras.items()),
             tuple((tuple(sorted(row.items())), rhs)
                   for row, rhs in (extra_le or ())),
         )
         memoized = self._solutions.get(solution_key)
         if memoized is not None:
-            count_lp_event("solution_hits")
+            LP_STATS.add("solution_hits")
             return replace(memoized, values=dict(memoized.values))
 
         order = list(compiled.index) + list(extras)
@@ -583,34 +534,6 @@ class LinearProgram:
             cost = -cost
 
         model = compiled.model
-        if rhs_updates:
-            # An override keeps its constraint's orientation (an add_ge row
-            # takes its new >= bound), and a deduplicated sibling that was not
-            # overridden keeps enforcing its own RHS.
-            for name in rhs_updates:
-                if name not in compiled.row_of_name:
-                    raise KeyError(f"{self.name}: no constraint named {name!r}")
-            touched = {compiled.row_of_name[name] for name in rhs_updates}
-            effective: dict[tuple[str, int], list[float]] = {}
-            for constraint in self._constraints:
-                located = compiled.row_of_name[constraint.name]
-                if located in touched:
-                    value = rhs_updates.get(constraint.name)
-                    effective.setdefault(located, []).append(
-                        constraint.rhs if value is None
-                        else -float(value) if constraint.negated else float(value))
-            row_lower, row_upper = model.row_lower.copy(), model.row_upper.copy()
-            for (kind, row), values in effective.items():
-                if kind == "le":
-                    row_upper[row] = min(values)
-                elif len(set(values)) > 1:
-                    raise InfeasibleProgramError(
-                        f"{self.name}: conflicting RHS overrides for the "
-                        f"equality row shared by {sorted(rhs_updates)}")
-                else:
-                    row_lower[model.num_le + row] = row_upper[model.num_le + row] = values[0]
-            model = replace(model, row_lower=row_lower, row_upper=row_upper)
-
         if extras or extra_le:
             for row_coefficients, _ in extra_le or ():
                 if unknown := row_coefficients.keys() - index.keys():
@@ -624,7 +547,7 @@ class LinearProgram:
         solution = LPSolution(
             objective=-float(objective_value) if sense_max else float(objective_value),
             values={name: float(x[index[name]]) for name in order})
-        count_lp_event("solution_builds")
+        LP_STATS.add("solution_builds")
         if len(self._solutions) >= _SOLUTION_CACHE_CAP:
             self._solutions.clear()
         self._solutions[solution_key] = solution

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.decompositions.enumerate import enumerate_tree_decompositions
-from repro.lp.model import lp_cache_delta, lp_cache_stats
+from repro.lp.model import LP_STATS
 from repro.query.cq import ConjunctiveQuery
 from repro.query.hypergraph import is_acyclic, is_free_connex
 from repro.stats.constraints import ConstraintSet
@@ -80,7 +80,7 @@ def estimate_costs(query: ConjunctiveQuery, statistics: ConstraintSet,
     """
     decompositions = enumerate_tree_decompositions(query, max_variables=max_variables)
     atom_sets = [atom.varset for atom in query.atoms]
-    before = lp_cache_stats()
+    before = LP_STATS.snapshot()
     fhtw = fractional_hypertree_width(query, statistics, decompositions=decompositions)
     subw = submodular_width(query, statistics, decompositions=decompositions)
     return CostEstimate(
@@ -91,5 +91,5 @@ def estimate_costs(query: ConjunctiveQuery, statistics: ConstraintSet,
         fhtw=fhtw,
         subw=subw,
         decompositions=tuple(decompositions),
-        lp_cache_events=lp_cache_delta(before),
+        lp_cache_events=LP_STATS.delta(before),
     )

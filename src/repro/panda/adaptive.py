@@ -25,7 +25,7 @@ from repro.algorithms.yannakakis import yannakakis_over_relations
 from repro.ddr.rule import DisjunctiveDatalogRule, bag_selectors
 from repro.decompositions.enumerate import enumerate_tree_decompositions
 from repro.decompositions.treedecomp import TreeDecomposition
-from repro.lp.model import lp_cache_delta, lp_cache_stats
+from repro.lp.model import LP_STATS
 from repro.panda.executor import PandaReport, evaluate_ddr
 from repro.query.cq import ConjunctiveQuery
 from repro.relational.database import Database
@@ -107,9 +107,9 @@ def evaluate_adaptive(query: ConjunctiveQuery, database: Database,
                             for bag in decomposition.bags}
         return Relation(query.name, tuple(sorted(query.free_variables)), []), report
 
-    before = lp_cache_stats()
+    before = LP_STATS.snapshot()
     bag_relations = _evaluate_all_ddrs(query, database, statistics, decompositions, report)
-    report.lp_cache_events = lp_cache_delta(before)
+    report.lp_cache_events = LP_STATS.delta(before)
     _semijoin_reduce_bags(query, database, bag_relations, report)
     report.bag_sizes = {bag: len(rel) for bag, rel in bag_relations.items()}
 

@@ -6,10 +6,9 @@ semantics reference, ``"columnar"`` runs the vectorized kernels); see
 """
 
 from repro.relational.kernels import (
+    KERNEL_STATS,
     kernel_ready,
     kernel_stats,
-    kernel_stats_delta,
-    reset_kernel_stats,
 )
 from repro.relational.storage import (
     ANNOTATED_BACKENDS,
@@ -60,8 +59,7 @@ __all__ = [
     "stable_row_hash",
     "kernel_ready",
     "kernel_stats",
-    "kernel_stats_delta",
-    "reset_kernel_stats",
+    "KERNEL_STATS",
     "Relation",
     "relation_from_pairs",
     "Database",

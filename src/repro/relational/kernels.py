@@ -41,11 +41,16 @@ Every kernel is *exact or absent*: value domains that cannot be reproduced
 exactly in vector form (non-``int``/``float`` annotations, magnitudes that
 could overflow ``int64`` sums, packed key spaces past ``_PACK_LIMIT``, or a
 semiring without a registered reduction) return ``None`` and the caller falls
-back to the reference Python path.  Usage and fallback counters are collected
-process-wide (:func:`kernel_stats`) and surfaced through
-``EngineStats.kernel_cache_events``; the per-backend encode counters
-(``dictionary_builds``/``dictionary_hits``) flow through
-``Database.cache_stats`` like every other index counter.
+back to the reference Python path.  Each call counts ``<op>_kernels`` or
+``<op>_fallbacks`` (plus ``translation_builds`` and
+``compose_entries_examined``) in the process-wide :data:`KERNEL_STATS`
+table, which :func:`kernel_stats` reads, ``/metrics`` samples as
+``kernel.<key>`` and ``EngineStats.kernel_cache_events`` accumulates per
+engine.  The per-backend encode counters — ``dictionary_builds`` for a column
+encoded from Python values, ``dictionary_wraps`` for one wrapped around codes
+a kernel already produced, ``dictionary_hits`` — flow through
+``Database.cache_stats`` and :func:`~repro.relational.storage.storage_stats`
+like every other index counter.
 
 The backend alone selects the kernels: they run whenever every operand's
 backend advertises ``supports_kernels`` (the columnar engines), and never on
@@ -55,10 +60,11 @@ against.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+from repro.telemetry.metrics import get_registry
 
 #: Packed join keys must stay below this bound so Horner-packed ``int64``
 #: keys cannot overflow (tests shrink it to force the fallback path).
@@ -74,8 +80,9 @@ _COUNT_PAIR_LIMIT = 1 << 22
 #: Per-backend kernel memo dicts reset wholesale past this many entries.
 _MEMO_CAPACITY = 512
 
-_stats: dict[str, int] = {}
-_stats_lock = threading.Lock()
+#: Kernel usage/fallback counters, sampled as ``kernel.<key>`` by the
+#: metrics registry.
+KERNEL_STATS = get_registry().table("kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -88,27 +95,9 @@ def kernel_ready(*backends) -> bool:
                for backend in backends)
 
 
-def _count(event: str, amount: int = 1) -> None:
-    with _stats_lock:
-        _stats[event] = _stats.get(event, 0) + amount
-
-
 def kernel_stats() -> dict[str, int]:
     """A snapshot of the process-wide kernel usage/fallback counters."""
-    with _stats_lock:
-        return dict(_stats)
-
-
-def kernel_stats_delta(before: dict[str, int]) -> dict[str, int]:
-    """Counter movements since a :func:`kernel_stats` snapshot."""
-    after = kernel_stats()
-    return {event: after.get(event, 0) - before.get(event, 0)
-            for event in set(after) | set(before)}
-
-
-def reset_kernel_stats() -> None:
-    with _stats_lock:
-        _stats.clear()
+    return KERNEL_STATS.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -422,21 +411,21 @@ def join_encoded(left, right, left_key: Sequence[int],
     """
     width = left_width + len(right_extra)
     if len(left) == 0 or len(right) == 0:
-        _count("join_kernels")
+        KERNEL_STATS.add("join_kernels")
         return _empty_encoded(width)
     left_key = tuple(left_key)
     packed = _self_keys(left, left_key)
     if packed is None:
-        _count("join_fallbacks")
+        KERNEL_STATS.add("join_fallbacks")
         return None
     _, dims = packed
     left_dicts = [left.dictionary(p) for p in left_key]
     right_keys = _translated_keys(right, tuple(right_key), left_dicts, dims)
     if right_keys is None:
-        _count("join_fallbacks")
+        KERNEL_STATS.add("join_fallbacks")
         return None
     left_idx, right_idx = _match_pairs(left, left_key, dims, right_keys)
-    _count("join_kernels")
+    KERNEL_STATS.add("join_kernels")
     if width == 0:
         # Both sides are zero-column relations; the only possible output row
         # is the empty tuple, present iff anything matched.
@@ -462,24 +451,24 @@ def semijoin_keep(left, right, left_key: Sequence[int],
     ``dictionary`` protocol).
     """
     if len(left) == 0:
-        _count("semijoin_kernels")
+        KERNEL_STATS.add("semijoin_kernels")
         return np.empty(0, dtype=np.int64)
     left_key = tuple(left_key)
     packed = _self_keys(left, left_key)
     if packed is None:
-        _count("semijoin_fallbacks")
+        KERNEL_STATS.add("semijoin_fallbacks")
         return None
     left_keys, dims = packed
     left_dicts = [left.dictionary(p) for p in left_key]
     right_key = tuple(right_key)
     members = _member_keys(right, right_key, left_dicts, dims)
     if members is None:
-        _count("semijoin_fallbacks")
+        KERNEL_STATS.add("semijoin_fallbacks")
         return None
     uids = tuple(d.table.uid for d in left_dicts)
     _, counts = _probe(right, ("memberranges", right_key, uids), members, dims,
                        left_keys, len(left))
-    _count("semijoin_kernels")
+    KERNEL_STATS.add("semijoin_kernels")
     return np.flatnonzero(counts)
 
 
@@ -494,13 +483,13 @@ def union_encoded(left, right, width: int):
     positions = tuple(range(width))
     packed = _self_keys(left, positions)
     if packed is None:
-        _count("union_fallbacks")
+        KERNEL_STATS.add("union_fallbacks")
         return None
     left_keys, dims = packed
     tables = [left.dictionary(p).table for p in positions]
     right_keys = _pack_into(right, positions, tables, dims)
     if right_keys is None or (right_keys < 0).any():
-        _count("union_fallbacks")
+        KERNEL_STATS.add("union_fallbacks")
         return None
     fresh = np.flatnonzero(~np.isin(right_keys, left_keys))
     _, first = np.unique(right_keys[fresh], return_index=True)
@@ -510,7 +499,7 @@ def union_encoded(left, right, width: int):
         dictionary = right.dictionary(position)
         added = dictionary.table.translate_to(table)[dictionary.codes_array()[fresh]]
         codes.append(np.concatenate([left.dictionary(position).codes_array(), added]))
-    _count("union_kernels")
+    KERNEL_STATS.add("union_kernels")
     return tables, codes, len(left) + int(fresh.size)
 
 
@@ -523,20 +512,20 @@ def distinct_encoded(backend, positions: Sequence[int]):
     """
     length = len(backend)
     if length == 0:
-        _count("projection_kernels")
+        KERNEL_STATS.add("projection_kernels")
         return _empty_encoded(len(positions))
     if not positions:
-        _count("projection_kernels")
+        KERNEL_STATS.add("projection_kernels")
         return [], [], 1
     dicts = [backend.dictionary(p) for p in positions]
     dims = [len(d.table.decode) for d in dicts]
     keys = _pack([d.codes_array() for d in dicts], dims, length)
     if keys is None:
-        _count("projection_fallbacks")
+        KERNEL_STATS.add("projection_fallbacks")
         return None
     _, representative = np.unique(keys, return_index=True)
     columns = [d.codes_array()[representative] for d in dicts]
-    _count("projection_kernels")
+    KERNEL_STATS.add("projection_kernels")
     return [d.table for d in dicts], columns, int(columns[0].size)
 
 
@@ -558,7 +547,7 @@ def shard_assignments(backend, width: int, count: int):
             codes = backend.dictionary(position).codes_array()
             mixed = mixed * prime + codes.astype(np.uint64) + np.uint64(1)
             mixed ^= mixed >> np.uint64(29)
-    _count("shard_kernels")
+    KERNEL_STATS.add("shard_kernels")
     return (mixed % np.uint64(count)).astype(np.int64)
 
 
@@ -599,7 +588,7 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
         for rank, level in enumerate(levels):
             plans[level].append((spec_index, rank))
     if any(not entries for entries in plans):
-        _count("wcoj_fallbacks")
+        KERNEL_STATS.add("wcoj_fallbacks")
         return None
 
     anchors: list = [None] * depth_total
@@ -654,7 +643,7 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
 
         packed = relation_keys(ext_index, ext_rank)
         if packed is None:
-            _count("wcoj_fallbacks")
+            KERNEL_STATS.add("wcoj_fallbacks")
             return None
         pair_keys, pair_dims, memo_key = packed
         value_dim = pair_dims[-1]
@@ -665,7 +654,7 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
         frontier_keys = _pack([assign[l] for l in prefix_levels],
                               pair_dims[:-1], frontier)
         if frontier_keys is None:
-            _count("wcoj_fallbacks")
+            KERNEL_STATS.add("wcoj_fallbacks")
             return None
         starts, counts = _probe(backend, ("wcoj-prefixes",) + memo_key[1:],
                                 prefix_keys, pair_dims[:-1], frontier_keys,
@@ -680,14 +669,14 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
                 break
             packed = relation_keys(spec_index, rank)
             if packed is None:
-                _count("wcoj_fallbacks")
+                KERNEL_STATS.add("wcoj_fallbacks")
                 return None
             member_keys, member_dims, memo_key = packed
             member_backend, _, member_levels = specs[spec_index]
             frontier_keys = _pack([assign[l] for l in member_levels[:rank + 1]],
                                   member_dims, frontier)
             if frontier_keys is None:
-                _count("wcoj_fallbacks")
+                KERNEL_STATS.add("wcoj_fallbacks")
                 return None
             _, counts = _probe(member_backend, ("wcoj-members",) + memo_key[1:],
                                member_keys, member_dims, frontier_keys,
@@ -699,20 +688,20 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
 
         explored += frontier
         if frontier == 0:
-            _count("wcoj_kernels")
+            KERNEL_STATS.add("wcoj_kernels")
             return _empty_encoded(len(free_levels)), explored
 
     free_levels = tuple(free_levels)
     if not free_levels:
-        _count("wcoj_kernels")
+        KERNEL_STATS.add("wcoj_kernels")
         return ([], [], 1 if frontier else 0), explored
     free_dims = [anchor_dims[l] for l in free_levels]
     keys = _pack([assign[l] for l in free_levels], free_dims, frontier)
     if keys is None:
-        _count("wcoj_fallbacks")
+        KERNEL_STATS.add("wcoj_fallbacks")
         return None
     _, representative = np.unique(keys, return_index=True)
-    _count("wcoj_kernels")
+    KERNEL_STATS.add("wcoj_kernels")
     encoded = ([anchors[l] for l in free_levels],
                [assign[l][representative] for l in free_levels],
                int(representative.size))
@@ -820,21 +809,21 @@ def marginal_encoded(backend, keep_positions: Sequence[int], semiring_name: str)
     """
     spec = _SEMIRING_SPECS.get(semiring_name)
     if spec is None:
-        _count("marginal_fallbacks")
+        KERNEL_STATS.add("marginal_fallbacks")
         return None
     kind, reduce_at, _ = spec
     keep_positions = tuple(keep_positions)
     if len(backend) == 0:
-        _count("marginal_kernels")
+        KERNEL_STATS.add("marginal_kernels")
         tables, codes, _ = _empty_encoded(len(keep_positions))
         return tables, codes, np.empty(0, dtype=np.float64)
     values = backend.kernel_values(kind)
     packed = _self_keys(backend, keep_positions) if values is not None else None
     if packed is None:
-        _count("marginal_fallbacks")
+        KERNEL_STATS.add("marginal_fallbacks")
         return None
     representative, aggregated = _grouped_reduce(kind, reduce_at, packed[0], values)
-    _count("marginal_kernels")
+    KERNEL_STATS.add("marginal_kernels")
     dicts = [backend.dictionary(p) for p in keep_positions]
     return ([d.table for d in dicts],
             [d.codes_array()[representative] for d in dicts], aggregated)
@@ -867,34 +856,34 @@ def join_marginalize_dict(left, right, left_key: Sequence[int],
     """
     spec = _SEMIRING_SPECS.get(semiring_name)
     if spec is None:
-        _count("join_marginalize_fallbacks")
+        KERNEL_STATS.add("join_marginalize_fallbacks")
         return None
     kind, reduce_at, combine = spec
     if len(left) == 0 or len(right) == 0:
-        _count("join_marginalize_kernels")
+        KERNEL_STATS.add("join_marginalize_kernels")
         return {}
     left_values = left.kernel_values(kind)
     right_values = right.kernel_values(kind)
     if left_values is None or right_values is None:
-        _count("join_marginalize_fallbacks")
+        KERNEL_STATS.add("join_marginalize_fallbacks")
         return None
     left_key = tuple(left_key)
     packed = _self_keys(left, left_key)
     if packed is None:
-        _count("join_marginalize_fallbacks")
+        KERNEL_STATS.add("join_marginalize_fallbacks")
         return None
     _, dims = packed
     left_dicts = [left.dictionary(p) for p in left_key]
     right_keys = _translated_keys(right, tuple(right_key), left_dicts, dims)
     if right_keys is None:
-        _count("join_marginalize_fallbacks")
+        KERNEL_STATS.add("join_marginalize_fallbacks")
         return None
     left_idx, right_idx = _match_pairs(left, left_key, dims, right_keys)
     if left_idx.size == 0:
-        _count("join_marginalize_kernels")
+        KERNEL_STATS.add("join_marginalize_kernels")
         return {}
     if kind == "int" and left_idx.size > _COUNT_PAIR_LIMIT:
-        _count("join_marginalize_fallbacks")
+        KERNEL_STATS.add("join_marginalize_fallbacks")
         return None
     if kind == "true":
         products = None
@@ -914,11 +903,11 @@ def join_marginalize_dict(left, right, left_key: Sequence[int],
     group_keys = _pack(out_codes, [len(d.table.decode) for d in out_dicts],
                        left_idx.size)
     if group_keys is None:
-        _count("join_marginalize_fallbacks")
+        KERNEL_STATS.add("join_marginalize_fallbacks")
         return None
     representative, aggregated = _grouped_reduce(kind, reduce_at, group_keys,
                                                  products)
-    _count("join_marginalize_kernels")
+    KERNEL_STATS.add("join_marginalize_kernels")
     count = int(representative.size)
     grouped_rows = decode_rows([d.table for d in out_dicts],
                                [codes[representative] for codes in out_codes], count)
@@ -1036,7 +1025,7 @@ def conditional_encoded(backend, given: Sequence[int], target: Sequence[int],
                             weights)
 
     encoded = _memo(backend, ("conditional", given, target, normalise), build)
-    _count("conditional_fallbacks" if encoded is None else "conditional_kernels")
+    KERNEL_STATS.add("conditional_fallbacks" if encoded is None else "conditional_kernels")
     return encoded
 
 
@@ -1054,7 +1043,7 @@ def conditional_from_groups(groups, key_width: int, target_width: int):
     dims = tuple(len(d.table.decode) for d in key_dicts)
     packed = _pack([d.codes_array() for d in key_dicts], dims, len(keys))
     if packed is None:
-        _count("conditional_fallbacks")
+        KERNEL_STATS.add("conditional_fallbacks")
         return None
     order = np.argsort(packed, kind="stable")
     entries = [entry for g in order.tolist() for entry in groups[keys[g]]]
@@ -1063,11 +1052,11 @@ def conditional_from_groups(groups, key_width: int, target_width: int):
     same_group = np.repeat(np.arange(counts.size), counts)
     if weights is None or np.any((same_group[1:] == same_group[:-1])
                                  & (weights[1:] > weights[:-1])):
-        _count("conditional_fallbacks")
+        KERNEL_STATS.add("conditional_fallbacks")
         return None
     target_dicts = [ColumnDictionary.from_values(value[i] for value, _ in entries)
                     for i in range(target_width)]
-    _count("conditional_kernels")
+    KERNEL_STATS.add("conditional_kernels")
     return _conditional([d.table for d in key_dicts],
                         [d.codes_array()[order] for d in key_dicts], dims,
                         packed[order], counts, [d.table for d in target_dicts],
@@ -1093,9 +1082,9 @@ def truncate_encoded(backend, width: int, threshold: float):
     """The rows of weight at least ``threshold`` (encoded), or ``None``."""
     values = backend.kernel_values("float")
     if values is None:
-        _count("truncate_fallbacks")
+        KERNEL_STATS.add("truncate_fallbacks")
         return None
-    _count("truncate_kernels")
+    KERNEL_STATS.add("truncate_kernels")
     return take_measure(backend, np.flatnonzero(values >= threshold), width)
 
 
@@ -1104,7 +1093,7 @@ def semijoin_all_encoded(backend, width: int, filters: Sequence[tuple]):
     ``(right backend, left key, right key)`` of ``filters``, encoded with
     their weights, or ``None`` to fall back."""
     if backend.kernel_values("float") is None:
-        _count("semijoin_fallbacks")
+        KERNEL_STATS.add("semijoin_fallbacks")
         return None
     keep = np.ones(len(backend), dtype=bool)
     for right, left_key, right_key in filters:
@@ -1144,7 +1133,7 @@ def compose_encoded(marginal, key_positions: Sequence[int],
     """
     values = marginal.kernel_values("float")
     if values is None:
-        _count("compose_fallbacks")
+        KERNEL_STATS.add("compose_fallbacks")
         return None
     rows = np.flatnonzero(values >= threshold)
     probes = _pack_into(marginal, key_positions, conditional.key_tables,
@@ -1183,8 +1172,8 @@ def compose_encoded(marginal, key_positions: Sequence[int],
             ends[pending] = np.searchsorted(search, search[probe_at], side=side)
     positions, which = _expand_ranges(starts, ends - starts)
     examined += int(positions.size)
-    _count("compose_kernels")
-    _count("compose_entries_examined", examined)
+    KERNEL_STATS.add("compose_kernels")
+    KERNEL_STATS.add("compose_entries_examined", examined)
     marginal_rows = rows[which]
     tables, codes = [], []
     for source, index in out_sources:

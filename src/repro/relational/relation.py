@@ -97,7 +97,7 @@ class Relation:
     @property
     def storage_stats(self) -> dict[str, int]:
         """Index build/hit counters of the underlying backend."""
-        return dict(self._backend.stats)
+        return self._backend.stats.snapshot()
 
     def with_backend(self, kind: str) -> "Relation":
         """This relation converted to another storage backend (same rows)."""

@@ -235,7 +235,7 @@ class AnnotatedRelation(Generic[K]):
     @property
     def storage_stats(self) -> dict[str, int]:
         """Index build/hit counters of the underlying annotated backend."""
-        return dict(self._backend.stats)
+        return self._backend.stats.snapshot()
 
     def with_backend(self, kind: str) -> "AnnotatedRelation[K]":
         """This annotated relation converted to another storage engine."""

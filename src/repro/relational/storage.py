@@ -35,56 +35,35 @@ annotations, with :class:`DictAnnotatedBackend` as the reference and
 memoizing ⊕-marginal group-bys.  Semiring-annotated relations, FAQ factors
 and PANDA's measure tables are all facades over it.
 
-Every build and memo hit records a counter in :attr:`StorageBackend.stats`
-(and process-wide, :func:`storage_stats`).
+Every build and memo hit records a counter in the backend's
+:attr:`StorageBackend.stats` table and in the process-wide
+:data:`STORAGE_STATS` (read with :func:`storage_stats`).
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import zlib
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as _np
 
 from repro.relational import kernels
+from repro.telemetry.metrics import CounterTable, get_registry
 
 
 IndexKey = tuple[int, ...]
 
 
-# Process-wide mirror of every backend instance's ``stats`` dict.  Backend
-# stats are per-instance (each database snapshots its own via
-# ``Database.cache_stats``); the telemetry metrics registry needs one
-# process-level series per event, so ``_count`` additionally folds every
-# event into this aggregate.  Monotone counters only — never reconciled
-# against the per-instance dicts, which come and go with their backends.
-_PROCESS_STATS: dict[str, int] = {}
-_PROCESS_STATS_LOCK = threading.Lock()
-
-
-def _count_process(event: str) -> None:
-    with _PROCESS_STATS_LOCK:
-        _PROCESS_STATS[event] = _PROCESS_STATS.get(event, 0) + 1
+#: Every backend's build/hit counters summed over the process, sampled as
+#: ``storage.<key>`` by the metrics registry.  Backends come and go; these
+#: totals only grow.
+STORAGE_STATS = get_registry().table("storage")
 
 
 def storage_stats() -> dict[str, int]:
     """A snapshot of the process-wide storage build/hit counters."""
-    with _PROCESS_STATS_LOCK:
-        return dict(_PROCESS_STATS)
-
-
-def storage_stats_delta(before: dict[str, int]) -> dict[str, int]:
-    """Counter movements since a :func:`storage_stats` snapshot."""
-    after = storage_stats()
-    return {event: after.get(event, 0) - before.get(event, 0)
-            for event in set(after) | set(before)}
-
-
-def reset_storage_stats() -> None:
-    with _PROCESS_STATS_LOCK:
-        _PROCESS_STATS.clear()
+    return STORAGE_STATS.snapshot()
 
 
 def stable_row_hash(row: tuple) -> int:
@@ -118,8 +97,7 @@ class StorageBackend:
 
     def __init__(self) -> None:
         self.shared = False
-        self.stats: dict[str, int] = {}
-        self._stats_lock = threading.Lock()
+        self.stats = CounterTable()
 
     # -- bookkeeping ---------------------------------------------------------
     def share(self) -> "StorageBackend":
@@ -128,22 +106,8 @@ class StorageBackend:
         return self
 
     def _count(self, event: str) -> None:
-        # Backends are shared across the engine's thread-parallel shard
-        # workers; an unguarded read-modify-write here would lose counts
-        # exactly like the WorkCounter race this increment mirrors.
-        with self._stats_lock:
-            self.stats[event] = self.stats.get(event, 0) + 1
-        _count_process(event)
-
-    # Locks cannot cross pickle; regrow one on the other side.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_stats_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._stats_lock = threading.Lock()
+        self.stats.add(event)
+        STORAGE_STATS.add(event)
 
     # -- core storage (must be implemented) -----------------------------------
     def __len__(self) -> int:
@@ -368,7 +332,7 @@ class CodeTable:
             if other is self:
                 table = _np.arange(len(self.decode), dtype=_np.int64)
             else:
-                kernels._count("translation_builds")
+                kernels.KERNEL_STATS.add("translation_builds")
                 table = _np.full(len(self.decode), -1, dtype=_np.int64)
                 other_encode = other.encode
                 for code, value in enumerate(self.decode):
@@ -568,14 +532,15 @@ class ColumnarBackend(StorageBackend):
         """The (lazily realised) dictionary encoding of one column."""
         dictionary = self._dictionaries.get(position)
         if dictionary is None:
-            self._count("dictionary_builds")
             if self._encoded is not None:
                 # Encoded construction (shard view / kernel output): the
-                # column keeps its base column's shared table.
+                # column wraps its base column's shared table.
+                self._count("dictionary_wraps")
                 tables, codes = self._encoded
                 dictionary = ColumnDictionary(tables[position],
                                               codes_array=codes[position])
             else:
+                self._count("dictionary_builds")
                 dictionary = ColumnDictionary.from_values(
                     row[position] for row in self._row_list())
             self._dictionaries[position] = dictionary
@@ -657,8 +622,7 @@ class AnnotatedBackend:
 
     def __init__(self) -> None:
         self.shared = False
-        self.stats: dict[str, int] = {}
-        self._stats_lock = threading.Lock()
+        self.stats = CounterTable()
 
     # -- bookkeeping ---------------------------------------------------------
     def share(self) -> "AnnotatedBackend":
@@ -667,18 +631,8 @@ class AnnotatedBackend:
         return self
 
     def _count(self, event: str) -> None:
-        with self._stats_lock:
-            self.stats[event] = self.stats.get(event, 0) + 1
-        _count_process(event)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_stats_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._stats_lock = threading.Lock()
+        self.stats.add(event)
+        STORAGE_STATS.add(event)
 
     # -- core storage (must be implemented) -----------------------------------
     def __len__(self) -> int:
@@ -875,12 +829,13 @@ class ColumnarAnnotatedBackend(AnnotatedBackend):
         """The (lazily realised) dictionary encoding of one column."""
         dictionary = self._dictionaries.get(position)
         if dictionary is None:
-            self._count("dictionary_builds")
             if self._encoded is not None:
+                self._count("dictionary_wraps")
                 tables, codes = self._encoded
                 dictionary = ColumnDictionary(tables[position],
                                               codes_array=codes[position])
             else:
+                self._count("dictionary_builds")
                 dictionary = ColumnDictionary.from_values(
                     row[position] for row in self.rows_list())
             self._dictionaries[position] = dictionary

@@ -51,12 +51,7 @@ from repro.service.errors import (
 )
 from repro.service.registry import Tenant, TenantRegistry
 from repro.service.streaming import ResultPage, ResultStream
-from repro.telemetry.metrics import (
-    Sample,
-    canonical_events,
-    get_registry,
-    install_default_sources,
-)
+from repro.telemetry.metrics import Sample, get_registry
 from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.trace import get_tracer
 from repro.utils.cancellation import CancellationToken, QueryCancelledError
@@ -146,7 +141,6 @@ class QueryService:
         self.slow_log = SlowQueryLog(
             threshold_seconds=self.config.slow_query_seconds,
             capacity=self.config.slow_log_capacity)
-        install_default_sources()
         get_registry().register_source(
             "service", self._metrics_samples, owner=self)
 
@@ -372,18 +366,15 @@ class QueryService:
     def _metrics_samples(self) -> list[Sample]:
         """The registry pull source for service-level counters.
 
-        Samples the *same* structures ``stats()`` reports — the admission
-        controller's counter dict and each tenant's outcome counters — so
-        ``/metrics`` and ``/stats`` reconcile by construction.
+        Samples the *same* structures ``stats()`` reports, under the same
+        keys — the admission controller's counter dict and each tenant's
+        outcome counters — so ``/metrics`` and ``/stats`` reconcile by
+        construction.
         """
-        samples: list[Sample] = []
-        admission = {key: value
-                     for key, value in self.admission.stats_counters.items()
-                     if isinstance(value, (int, float))}
-        for name, value in canonical_events("admission", admission).items():
-            kind = ("gauge" if name.endswith(("in_flight", "peak_in_flight"))
-                    else "counter")
-            samples.append(Sample(name, {}, value, kind))
+        samples = [Sample(f"service.admission.{key}", {}, value,
+                          "gauge" if key.endswith("in_flight") else "counter")
+                   for key, value in self.admission.stats_counters.items()
+                   if isinstance(value, (int, float))]
         samples.append(Sample("service.streams.open", {},
                               len(self._streams), "gauge"))
         samples.append(Sample("service.queries.active", {},

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.engine import Engine
 from repro.relational.database import Database
 from repro.service.errors import DuplicateTenantError, UnknownTenantError
-from repro.telemetry.metrics import canonical_events
+from repro.telemetry.metrics import Sample
 
 
 @dataclass
@@ -47,35 +47,33 @@ class Tenant:
             for name, delta in deltas.items():
                 setattr(self, name, getattr(self, name) + delta)
 
+    def outcomes(self) -> dict[str, int]:
+        with self._lock:
+            return {"completed": self.completed, "failed": self.failed,
+                    "cancelled": self.cancelled, "rejected": self.rejected}
+
     def snapshot(self) -> dict:
         """The tenant's slice of the ``/stats`` document."""
-        with self._lock:
-            outcomes = {"completed": self.completed, "failed": self.failed,
-                        "cancelled": self.cancelled, "rejected": self.rejected}
         return {
-            "outcomes": outcomes,
+            "outcomes": self.outcomes(),
             "engine": self.engine.stats.as_dict(),
             "caches": self.engine.cache_stats(),
             "database": self.engine.database.summary(),
         }
 
-    def metrics_samples(self) -> list[tuple]:
+    def metrics_samples(self) -> list[Sample]:
         """This tenant's counters as registry samples, labelled by tenant.
 
-        Reads the same locked outcome counters and engine stats dict that
-        :meth:`snapshot` reports, so ``/metrics`` and ``/stats`` agree.
+        Reads the same outcome counters and plan-cache counters, under the
+        same keys, that :meth:`snapshot` reports, so ``/metrics`` and
+        ``/stats`` agree.
         """
-        with self._lock:
-            outcomes = {"completed": self.completed, "failed": self.failed,
-                        "cancelled": self.cancelled, "rejected": self.rejected}
         labels = {"tenant": self.name}
-        samples = [(f"service.tenant.{name}", labels, value)
-                   for name, value in outcomes.items()]
-        plan_events = canonical_events(
-            "plan_cache", self.engine.plan_cache.cache_stats())
-        for name, value in plan_events.items():
-            kind = "gauge" if name.endswith(".entries") else "counter"
-            samples.append((name, labels, value, kind))
+        samples = [Sample(f"service.tenant.{key}", labels, value)
+                   for key, value in self.outcomes().items()]
+        samples += [Sample(f"engine.{key}", labels, value,
+                           "gauge" if key == "plan_entries" else "counter")
+                    for key, value in self.engine.plan_cache.cache_stats().items()]
         return samples
 
 

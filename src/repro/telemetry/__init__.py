@@ -1,20 +1,17 @@
 """Unified telemetry: tracing, the metrics registry, the cardinality
 profiler and the slow-query log.
 
-The four modules are deliberately dependency-light (stdlib only at import
-time; layer modules are imported lazily inside collectors), so any layer of
-the engine can import :mod:`repro.telemetry` without cycles.
+The four modules import only the standard library, so every layer of the
+engine can import :mod:`repro.telemetry` (the LP, kernel and storage layers
+keep their counters in its tables) without cycles.
 """
 
 from repro.telemetry.metrics import (
+    CounterTable,
     MetricsRegistry,
     Sample,
-    bump_counters,
-    canonical_events,
-    canonical_key,
+    counter_delta,
     get_registry,
-    install_default_sources,
-    legacy_key,
 )
 from repro.telemetry.profiler import CardinalityProfile, NodeProfile, plan_nodes
 from repro.telemetry.slowlog import SlowQueryLog
@@ -32,6 +29,7 @@ from repro.telemetry.trace import (
 __all__ = [
     "NULL_SPAN",
     "CardinalityProfile",
+    "CounterTable",
     "MetricsRegistry",
     "NodeProfile",
     "Sample",
@@ -39,13 +37,9 @@ __all__ = [
     "Span",
     "SpanContext",
     "Tracer",
-    "bump_counters",
-    "canonical_events",
-    "canonical_key",
+    "counter_delta",
     "get_registry",
     "get_tracer",
-    "install_default_sources",
-    "legacy_key",
     "plan_nodes",
     "set_tracing_enabled",
     "tracing_enabled",

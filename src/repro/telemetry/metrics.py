@@ -1,45 +1,37 @@
-"""One process-wide metrics registry over every layer's legacy counter dict.
+"""One counter store for every layer, and the registry that exposes it.
 
-The repo grew one ad-hoc counter dict per layer — storage backend
-``cache_stats`` (``hash_index_builds``/``hash_index_hits``), the LP
-substrate's ``lp_cache_stats`` (``region_builds``/``region_hits``/…), kernel
-usage (``join_kernels``/``join_fallbacks``), the plan cache
-(``plan_builds``/``plan_hits``), :class:`~repro.engine.core.EngineStats`,
-admission control, cluster recovery.  Those dicts stay exactly as they are
-(tests pin their keys); this module is the *single exposure point* over all
-of them:
+Every layer counts into a :class:`CounterTable`: the LP substrate
+(:func:`repro.lp.model.lp_cache_stats`), the vectorized kernels
+(:func:`repro.relational.kernels.kernel_stats`), each storage backend and
+their process-wide sum (:func:`repro.relational.storage.storage_stats`), the
+plan cache, and :class:`~repro.engine.core.EngineStats` with its
+process-wide totals.
 
-* **instruments** — :class:`Counter`/:class:`Gauge`/:class:`Histogram` with
-  label sets, for code that pushes values directly (``EngineStats.bump``
-  forwards its deltas here via :func:`bump_counters`);
-* **pull sources** — ``register_source(name, collect, owner=...)`` adds a
-  callback sampled at scrape time; ``owner`` is held by weak reference, so a
-  dropped engine/service never leaks a dead collector;
-* **canonical naming** — every legacy key is renamed on the way out to one
-  ``<layer>.<cache>.<event>`` scheme (``storage.hash_index.builds``,
-  ``lp.region.hits``, ``kernel.join.vectorized``,
-  ``engine.plan_cache.builds``, ``service.admission.admitted``,
-  ``cluster.tasks.retried``).  :func:`legacy_key` inverts the mapping so a
-  canonical sample can always be reconciled against the legacy dict it came
-  from;
-* **Prometheus text** — :func:`MetricsRegistry.render_prometheus` emits the
-  standard exposition format (dots become underscores under a ``repro_``
-  prefix) for ``GET /metrics`` on the HTTP frontend.
+The process-wide tables belong to the :class:`MetricsRegistry`
+(:meth:`MetricsRegistry.table`), which samples each one under its prefix
+with the key verbatim: the LP table's ``region_builds`` is
+``lp.region_builds``, the kernels' ``join_kernels`` is
+``kernel.join_kernels``.  Per-object tables (a tenant's plan cache) and
+structures that are not tables (the tracer, admission control) join through
+pull sources (``register_source(name, collect, owner=...)``); ``owner`` is
+held by weak reference, so a dropped service never leaks a dead collector.
+:meth:`MetricsRegistry.render_prometheus` emits the Prometheus text format
+(dots become underscores under a ``repro_`` prefix) for ``GET /metrics``.
 
-Because sources *pull from the same underlying dicts* that ``/stats``
-reports, the two endpoints reconcile by construction — the telemetry tests
-assert it.
+Because ``/metrics`` samples the same tables, under the same keys, that
+``/stats`` reports, the two endpoints agree by construction — the telemetry
+tests assert it.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 
 class Sample(NamedTuple):
-    """One scraped value: canonical name, label dict, value, instrument kind."""
+    """One scraped value: name, label dict, value, ``counter``/``gauge``."""
 
     name: str
     labels: dict
@@ -47,329 +39,101 @@ class Sample(NamedTuple):
     kind: str = "counter"
 
 
-# ---------------------------------------------------------------------------
-# canonical <layer>.<cache>.<event> naming over the legacy keys
-# ---------------------------------------------------------------------------
-
-#: Cluster run counters → canonical names (see ``cluster.RUN_COUNTERS``).
-_CLUSTER_CANONICAL = {
-    "tasks_dispatched": "cluster.tasks.dispatched",
-    "tasks_retried": "cluster.tasks.retried",
-    "task_failures": "cluster.tasks.failures",
-    "stragglers_redispatched": "cluster.tasks.speculated",
-    "acks_dropped": "cluster.acks.dropped",
-    "workers_respawned": "cluster.workers.respawned",
-    "workers_quarantined": "cluster.workers.quarantined",
-    "spawn_failures": "cluster.workers.spawn_failures",
-    "degraded_executions": "cluster.runs.degraded",
-}
-
-_PLAN_CACHE_CANONICAL = {
-    "plan_builds": "engine.plan_cache.builds",
-    "plan_hits": "engine.plan_cache.hits",
-    "plan_evictions": "engine.plan_cache.evictions",
-    "plan_entries": "engine.plan_cache.entries",
-}
+def counter_delta(after: Mapping[str, float],
+                  before: Mapping[str, float]) -> dict[str, float]:
+    """The nonzero movements from counter snapshot ``before`` to ``after``."""
+    moved = {event: count - before.get(event, 0)
+             for event, count in after.items()}
+    return {event: delta for event, delta in moved.items() if delta}
 
 
-def canonical_storage_key(key: str) -> str:
-    """``hash_index_builds`` → ``storage.hash_index.builds``."""
-    for suffix in ("_builds", "_hits"):
-        if key.endswith(suffix):
-            return f"storage.{key[:-len(suffix)]}.{suffix[1:]}"
-    return f"storage.misc.{key}"
+class CounterTable:
+    """A lock-guarded ``dict[str, int | float]`` of event counts.
 
+    Every update is atomic: :meth:`add` moves one key, :meth:`add_many` a
+    whole batch under one acquisition, so a snapshot never sees half a
+    batch.  Zero amounts are skipped and never create a key.  A table
+    pickles with its counts and regrows its lock on the other side.
+    """
 
-def canonical_lp_key(key: str) -> str:
-    """``region_builds`` → ``lp.region.builds``; other movements keep their
-    name under ``lp.model``."""
-    for suffix in ("_builds", "_hits"):
-        if key.endswith(suffix):
-            return f"lp.{key[:-len(suffix)]}.{suffix[1:]}"
-    return f"lp.model.{key}"
-
-
-def canonical_kernel_key(key: str) -> str:
-    """``join_kernels`` → ``kernel.join.vectorized``; ``join_fallbacks`` →
-    ``kernel.join.fallbacks``."""
-    if key.endswith("_kernels"):
-        return f"kernel.{key[: -len('_kernels')]}.vectorized"
-    if key.endswith("_fallbacks"):
-        return f"kernel.{key[: -len('_fallbacks')]}.fallbacks"
-    return f"kernel.misc.{key}"
-
-
-def canonical_plan_cache_key(key: str) -> str:
-    return _PLAN_CACHE_CANONICAL.get(key, f"engine.plan_cache.{key}")
-
-
-def canonical_cluster_key(key: str) -> str:
-    return _CLUSTER_CANONICAL.get(key, f"cluster.misc.{key}")
-
-
-def canonical_admission_key(key: str) -> str:
-    return f"service.admission.{key}"
-
-
-def canonical_engine_key(key: str) -> str:
-    return f"engine.stats.{key}"
-
-
-_CANONICALIZERS: dict[str, Callable[[str], str]] = {
-    "storage": canonical_storage_key,
-    "lp": canonical_lp_key,
-    "kernel": canonical_kernel_key,
-    "plan_cache": canonical_plan_cache_key,
-    "cluster": canonical_cluster_key,
-    "admission": canonical_admission_key,
-    "engine": canonical_engine_key,
-}
-
-
-def canonical_key(layer: str, legacy: str) -> str:
-    """The ``<layer>.<cache>.<event>`` name for a legacy counter key."""
-    try:
-        return _CANONICALIZERS[layer](legacy)
-    except KeyError:
-        raise ValueError(f"unknown metrics layer {layer!r}; "
-                         f"pick one of {sorted(_CANONICALIZERS)}") from None
-
-
-def legacy_key(canonical: str) -> str:
-    """Invert :func:`canonical_key`: the legacy dict key a canonical sample
-    reconciles against (aliases, satellite of the naming normalization)."""
-    for legacy, name in _CLUSTER_CANONICAL.items():
-        if name == canonical:
-            return legacy
-    for legacy, name in _PLAN_CACHE_CANONICAL.items():
-        if name == canonical:
-            return legacy
-    parts = canonical.split(".")
-    if len(parts) < 3:
-        return canonical
-    layer, cache, event = parts[0], ".".join(parts[1:-1]), parts[-1]
-    if layer == "storage" and event in ("builds", "hits"):
-        return f"{cache}_{event}"
-    if layer == "lp":
-        if cache == "model":
-            return event
-        if event in ("builds", "hits"):
-            return f"{cache}_{event}"
-        return event
-    if layer == "kernel":
-        if event == "vectorized":
-            return f"{cache}_kernels"
-        if event == "fallbacks":
-            return f"{cache}_fallbacks"
-        return event
-    # engine.stats.*, service.admission.*, …: the trailing segment is the key.
-    return event
-
-
-def canonical_events(layer: str, events: dict) -> dict[str, float]:
-    """Rename a whole legacy counter dict into canonical space."""
-    rename = _CANONICALIZERS[layer]
-    return {rename(key): value for key, value in events.items()}
-
-
-# ---------------------------------------------------------------------------
-# instruments
-# ---------------------------------------------------------------------------
-
-def _label_key(labels: dict) -> tuple:
-    return tuple(sorted(labels.items()))
-
-
-class Counter:
-    """A monotonically increasing value, optionally per label set."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
+    def __init__(self, initial: Mapping[str, int | float] | None = None) -> None:
         self._lock = threading.Lock()
-        self._values: dict[tuple, float] = {}
+        self._counts: dict[str, int | float] = dict(initial or {})
 
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        key = _label_key(labels)
+    def add(self, key: str, amount: int | float = 1) -> None:
+        if amount:
+            with self._lock:
+                self._counts[key] = self._counts.get(key, 0) + amount
+
+    def add_many(self, deltas: Mapping[str, int | float]) -> None:
         with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+            for key, amount in deltas.items():
+                if amount:
+                    self._counts[key] = self._counts.get(key, 0) + amount
 
-    def value(self, **labels) -> float:
+    def snapshot(self) -> dict[str, int | float]:
         with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
+            return dict(self._counts)
 
-    def samples(self) -> list[Sample]:
+    def delta(self, before: Mapping[str, int | float]) -> dict[str, int | float]:
+        """The nonzero movements since a :meth:`snapshot`."""
+        return counter_delta(self.snapshot(), before)
+
+    def reset(self) -> None:
         with self._lock:
-            return [Sample(self.name, dict(key), value, self.kind)
-                    for key, value in self._values.items()]
+            self._counts.clear()
 
+    # A one-element tuple, never a falsy state, so ``__setstate__`` always
+    # runs and regrows the lock.
+    def __getstate__(self) -> tuple:
+        return (self.snapshot(),)
 
-class Gauge(Counter):
-    """A value that can move both ways (``set`` replaces, ``inc`` adds)."""
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(state[0])
 
-    kind = "gauge"
-
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def set(self, value: float, **labels) -> None:
-        with self._lock:
-            self._values[_label_key(labels)] = float(value)
-
-
-class Histogram:
-    """Cumulative bucket counts plus sum/count, per label set."""
-
-    kind = "histogram"
-    DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
-
-    def __init__(self, name: str, help: str = "",
-                 buckets: Iterable[float] | None = None) -> None:
-        self.name = name
-        self.help = help
-        self.buckets = tuple(sorted(buckets or self.DEFAULT_BUCKETS))
-        self._lock = threading.Lock()
-        self._counts: dict[tuple, list[int]] = {}
-        self._totals: dict[tuple, tuple[int, float]] = {}
-
-    def observe(self, value: float, **labels) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            counts = self._counts.get(key)
-            if counts is None:
-                counts = self._counts[key] = [0] * len(self.buckets)
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[index] += 1
-            count, total = self._totals.get(key, (0, 0.0))
-            self._totals[key] = (count + 1, total + value)
-
-    def snapshot(self, **labels) -> dict:
-        key = _label_key(labels)
-        with self._lock:
-            counts = list(self._counts.get(key, [0] * len(self.buckets)))
-            count, total = self._totals.get(key, (0, 0.0))
-        return {"buckets": dict(zip(self.buckets, counts)),
-                "count": count, "sum": total}
-
-    def samples(self) -> list[Sample]:
-        with self._lock:
-            keys = list(self._totals)
-            counts = {key: list(self._counts[key]) for key in keys}
-            totals = dict(self._totals)
-        out: list[Sample] = []
-        for key in keys:
-            labels = dict(key)
-            for bound, bucket_count in zip(self.buckets, counts[key]):
-                out.append(Sample(f"{self.name}.bucket",
-                                  {**labels, "le": f"{bound:g}"},
-                                  bucket_count, "histogram"))
-            count, total = totals[key]
-            out.append(Sample(f"{self.name}.bucket",
-                              {**labels, "le": "+Inf"}, count, "histogram"))
-            out.append(Sample(f"{self.name}.count", labels, count, "histogram"))
-            out.append(Sample(f"{self.name}.sum", labels, total, "histogram"))
-        return out
-
-
-# ---------------------------------------------------------------------------
-# the registry
-# ---------------------------------------------------------------------------
 
 class MetricsRegistry:
-    """Instruments plus weakly-owned pull sources; see the module docstring."""
+    """Process-wide counter tables plus weakly-owned pull sources."""
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._lock = threading.Lock()
+        self._tables: dict[str, CounterTable] = {}
         #: name → (owner weakref | None, collect callable).
-        self._sources: dict[str, tuple[weakref.ref | None, Callable]] = {}
+        self._sources: dict[str, tuple[weakref.ref | None,
+                                       Callable[[], Iterable[Sample]]]] = {}
 
-    # ---------------------------------------------------------- instruments
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._instrument(name, Counter, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._instrument(name, Gauge, help)
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Iterable[float] | None = None) -> Histogram:
+    def table(self, prefix: str) -> CounterTable:
+        """The process-wide table sampled as ``<prefix>.<key>``."""
         with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = Histogram(name, help, buckets)
-                self._instruments[name] = instrument
-            elif not isinstance(instrument, Histogram):
-                raise ValueError(f"metric {name!r} already registered as "
-                                 f"{instrument.kind}")
-            return instrument
+            table = self._tables.get(prefix)
+            if table is None:
+                table = self._tables[prefix] = CounterTable()
+            return table
 
-    def _instrument(self, name: str, cls, help: str):
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = cls(name, help)
-                self._instruments[name] = instrument
-            elif type(instrument) is not cls:
-                raise ValueError(f"metric {name!r} already registered as "
-                                 f"{instrument.kind}")
-            return instrument
-
-    def bump_counters(self, deltas: dict[str, float],
-                      **labels) -> None:
-        """Apply a batch of counter increments (zero/negative skipped)."""
-        for name, delta in deltas.items():
-            if delta and delta > 0:
-                self.counter(name).inc(delta, **labels)
-
-    # -------------------------------------------------------------- sources
-    def register_source(self, name: str, collect: Callable,
+    def register_source(self, name: str,
+                        collect: Callable[[], Iterable[Sample]],
                         owner: object | None = None) -> None:
-        """Add (or replace) a pull source sampled at every ``collect()``.
-
-        ``collect`` returns an iterable of :class:`Sample` (or
-        ``(name, labels, value)`` tuples).  With an ``owner``, the source is
-        dropped automatically once the owner is garbage collected.
-        """
+        """Add (or replace) a source of :class:`Sample` s read at every
+        ``collect()``; with an ``owner``, it is dropped once the owner is
+        garbage collected."""
         ref = weakref.ref(owner) if owner is not None else None
         with self._lock:
             self._sources[name] = (ref, collect)
 
-    def unregister_source(self, name: str) -> bool:
-        with self._lock:
-            return self._sources.pop(name, None) is not None
-
-    def source_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._sources)
-
-    # -------------------------------------------------------------- scraping
     def collect(self) -> list[Sample]:
         with self._lock:
-            instruments = list(self._instruments.values())
+            tables = list(self._tables.items())
             sources = list(self._sources.items())
         samples: list[Sample] = []
-        for instrument in instruments:
-            samples.extend(instrument.samples())
+        for prefix, table in tables:
+            samples.extend(Sample(f"{prefix}.{key}", {}, value)
+                           for key, value in table.snapshot().items())
         dead: list[str] = []
         for name, (ref, collect) in sources:
             if ref is not None and ref() is None:
                 dead.append(name)
                 continue
-            for item in collect():
-                if isinstance(item, Sample):
-                    samples.append(item)
-                else:
-                    sample_name, labels, value = item[0], item[1], item[2]
-                    kind = item[3] if len(item) > 3 else "counter"
-                    samples.append(Sample(sample_name, dict(labels),
-                                          value, kind))
+            samples.extend(collect())
         if dead:
             with self._lock:
                 for name in dead:
@@ -387,24 +151,16 @@ class MetricsRegistry:
                 total += sample.value
         return total
 
-    def as_documents(self) -> list[dict]:
-        """Every sample as a JSON-able document (the ``metrics`` op)."""
-        return [{"name": s.name, "labels": s.labels, "value": s.value,
-                 "kind": s.kind} for s in self.collect()]
-
     def render_prometheus(self) -> str:
         """The Prometheus text exposition of every sample."""
-        samples = self.collect()
         by_name: dict[str, list[Sample]] = {}
-        for sample in samples:
+        for sample in self.collect():
             by_name.setdefault(sample.name, []).append(sample)
         lines: list[str] = []
         for name in sorted(by_name):
             group = by_name[name]
             metric = _prometheus_name(name)
-            kind = group[0].kind
-            lines.append(f"# TYPE {metric} "
-                         f"{'gauge' if kind == 'gauge' else 'counter'}")
+            lines.append(f"# TYPE {metric} {group[0].kind}")
             for sample in group:
                 if sample.labels:
                     rendered = ",".join(
@@ -415,12 +171,6 @@ class MetricsRegistry:
                     lines.append(f"{metric} {sample.value:g}")
         return "\n".join(lines) + "\n"
 
-    def reset(self) -> None:
-        """Drop every instrument and source (tests only)."""
-        with self._lock:
-            self._instruments.clear()
-            self._sources.clear()
-
 
 def _prometheus_name(name: str, bare: bool = False) -> str:
     cleaned = name.replace(".", "_").replace("-", "_")
@@ -429,62 +179,7 @@ def _prometheus_name(name: str, bare: bool = False) -> str:
 
 #: The process-wide registry every layer shares.
 _REGISTRY = MetricsRegistry()
-_DEFAULTS_INSTALLED = False
-_DEFAULTS_LOCK = threading.Lock()
 
 
 def get_registry() -> MetricsRegistry:
     return _REGISTRY
-
-
-def bump_counters(deltas: dict[str, float], **labels) -> None:
-    """Forward a batch of deltas into the process registry (push path)."""
-    _REGISTRY.bump_counters(deltas, **labels)
-
-
-def install_default_sources() -> None:
-    """Register the process-global pull sources (LP, kernels, storage,
-    tracer integrity).  Idempotent; imported layers are resolved lazily so
-    this module stays import-cycle-free.
-    """
-    global _DEFAULTS_INSTALLED
-    with _DEFAULTS_LOCK:
-        if _DEFAULTS_INSTALLED:
-            return
-        _DEFAULTS_INSTALLED = True
-
-    def _lp_samples():
-        from repro.lp.model import lp_cache_stats
-
-        return [Sample(name, {}, value) for name, value
-                in canonical_events("lp", lp_cache_stats()).items()]
-
-    def _kernel_samples():
-        from repro.relational.kernels import kernel_stats
-
-        return [Sample(name, {}, value) for name, value
-                in canonical_events("kernel", kernel_stats()).items()]
-
-    def _storage_samples():
-        from repro.relational.storage import storage_stats
-
-        return [Sample(name, {}, value) for name, value
-                in canonical_events("storage", storage_stats()).items()]
-
-    def _tracer_samples():
-        from repro.telemetry.trace import get_tracer
-
-        stats = get_tracer().stats()
-        return [
-            Sample("telemetry.traces.buffered", {}, stats["traces"], "gauge"),
-            Sample("telemetry.traces.dropped", {}, stats["dropped_traces"]),
-            Sample("telemetry.spans.open", {}, stats["open_spans"], "gauge"),
-            Sample("telemetry.spans.double_finishes", {},
-                   stats["double_finishes"]),
-            Sample("telemetry.spans.orphaned", {}, stats["orphan_spans"]),
-        ]
-
-    _REGISTRY.register_source("lp", _lp_samples)
-    _REGISTRY.register_source("kernels", _kernel_samples)
-    _REGISTRY.register_source("storage", _storage_samples)
-    _REGISTRY.register_source("tracer", _tracer_samples)

@@ -51,6 +51,8 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from repro.telemetry.metrics import Sample, get_registry
+
 DEFAULT_TRACE_CAPACITY = 256
 
 #: The ambient span of the current logical context: a :class:`Span`, a
@@ -486,6 +488,20 @@ _TRACER = Tracer()
 
 def get_tracer() -> Tracer:
     return _TRACER
+
+
+def _tracer_samples() -> list[Sample]:
+    stats = _TRACER.stats()
+    return [
+        Sample("telemetry.traces.buffered", {}, stats["traces"], "gauge"),
+        Sample("telemetry.traces.dropped", {}, stats["dropped_traces"]),
+        Sample("telemetry.spans.open", {}, stats["open_spans"], "gauge"),
+        Sample("telemetry.spans.double_finishes", {}, stats["double_finishes"]),
+        Sample("telemetry.spans.orphaned", {}, stats["orphan_spans"]),
+    ]
+
+
+get_registry().register_source("tracer", _tracer_samples)
 
 
 def tracing_enabled() -> bool:

@@ -38,8 +38,8 @@ from repro.relational import (
     Database,
     Relation,
     WorkCounter,
+    KERNEL_STATS,
     kernel_stats,
-    kernel_stats_delta,
     top_k_min_plus_semiring,
 )
 from repro.relational import kernels
@@ -82,7 +82,7 @@ def test_kernel_join_and_semijoin_parity(left_rows, right_rows):
         left, right = _pair(left_rows, right_rows, "columnar")
         before = kernel_stats()
         result = getattr(left, operation)(right)
-        moved = kernel_stats_delta(before)
+        moved = KERNEL_STATS.delta(before)
         assert result.columns == reference.columns
         assert result.rows == reference.rows
         counter = {"hash_join": "join_kernels",
@@ -110,7 +110,7 @@ def test_kernel_projection_parity_and_counter():
     relation = Relation("R", ("a", "b", "c"), rows, backend="columnar")
     before = kernel_stats()
     result = relation.project(("c", "a"))
-    moved = kernel_stats_delta(before)
+    moved = KERNEL_STATS.delta(before)
     assert result.columns == reference.columns
     assert result.rows == reference.rows
     assert moved.get("projection_kernels", 0) > 0
@@ -132,7 +132,7 @@ def test_kernel_union_keeps_the_reference_rows_and_order():
             foreign = Relation("F", ("y", "x"), [("w", 7), ("v0", 3)], backend="columnar")
             before = kernel_stats()
             unions[kernels_on] = (low.union(high), low.union(foreign))
-            moved[kernels_on] = kernel_stats_delta(before)
+            moved[kernels_on] = KERNEL_STATS.delta(before)
             # left's rows, then right's new rows in first-appearance order
             for union, right in zip(unions[kernels_on], (high, foreign.project(("x", "y")))):
                 expected = list(low)
@@ -193,7 +193,7 @@ def test_kernels_off_keeps_counters_flat():
     left.hash_join(right)
     left.semijoin(right)
     left.project(("y",))
-    moved = kernel_stats_delta(before)
+    moved = KERNEL_STATS.delta(before)
     assert not any(count for event, count in moved.items()
                    if event.endswith("_kernels"))
 
@@ -213,7 +213,7 @@ def test_pack_overflow_falls_back_to_reference_join(monkeypatch):
     joined = left.hash_join(right)
     semi = left.semijoin(Relation("R", ("y", "z"), right_rows[:7],
                                   backend="columnar"))
-    moved = kernel_stats_delta(before)
+    moved = KERNEL_STATS.delta(before)
     assert moved.get("join_fallbacks", 0) > 0
     assert moved.get("join_kernels", 0) == 0
     assert moved.get("semijoin_fallbacks", 0) > 0
@@ -231,7 +231,7 @@ def test_counting_overflow_falls_back_in_marginalization():
                                      COUNTING_SEMIRING, backend=kind)
         before = kernel_stats()
         outputs[kind] = dict(relation.marginalize(["y"]).items())
-        deltas[kind] = kernel_stats_delta(before)
+        deltas[kind] = KERNEL_STATS.delta(before)
     assert outputs["columnar"] == outputs["dict"]
     assert deltas["columnar"].get("marginal_fallbacks", 0) > 0
     assert deltas["columnar"].get("marginal_kernels", 0) == 0
@@ -263,7 +263,7 @@ def test_top_k_semiring_falls_back_everywhere():
         before = kernel_stats()
         fused = r.join_marginalize(s, drop=("y",))
         marginal = r.marginalize(["x"])
-        deltas[kind] = kernel_stats_delta(before)
+        deltas[kind] = KERNEL_STATS.delta(before)
         outputs[kind] = (dict(fused.items()), dict(marginal.items()))
     assert outputs["columnar"] == outputs["dict"]
     assert deltas["columnar"].get("join_marginalize_fallbacks", 0) > 0
@@ -307,7 +307,7 @@ def test_wcoj_kernel_matches_reference_answers_and_explored(
     kernel_counter = WorkCounter()
     before = kernel_stats()
     kernel_answer = generic_join(query, database, counter=kernel_counter)
-    moved = kernel_stats_delta(before)
+    moved = KERNEL_STATS.delta(before)
     reference_counter = WorkCounter()
     reference_answer = generic_join(
         query, random_graph_database(query, size, domain, seed=5, backend="set"),
@@ -362,10 +362,10 @@ def test_warm_execution_builds_no_translations(query):
     prepared = Engine(database).prepare(query)
     before = kernel_stats()
     first = prepared.execute().answer
-    cold = kernel_stats_delta(before)
+    cold = KERNEL_STATS.delta(before)
     before = kernel_stats()
     second = prepared.execute().answer
-    warm = kernel_stats_delta(before)
+    warm = KERNEL_STATS.delta(before)
     assert cold.get("translation_builds", 0) > 0
     assert warm.get("translation_builds", 0) == 0
     assert not [event for event, count in warm.items()
@@ -402,7 +402,7 @@ def test_equal_values_of_different_types_match_the_set_backend():
                                 Database({"R1": database["R"],
                                           "R2": database["S"],
                                           "R3": database["T"]}))]
-        moved = kernel_stats_delta(before)
+        moved = KERNEL_STATS.delta(before)
     for kernel in ("join", "semijoin", "projection", "wcoj"):
         assert moved.get(f"{kernel}_kernels", 0) > 0, kernel
     for reference, columnar in zip(answers["set"], answers["columnar"]):
@@ -431,7 +431,7 @@ def test_kernel_shard_views_partition_exactly():
     relation = database["R"]
     before = kernel_stats()
     shards = relation.hash_shards(4)
-    moved = kernel_stats_delta(before)
+    moved = KERNEL_STATS.delta(before)
     assert moved.get("shard_kernels", 0) > 0
     assert len(shards) == 4
     seen: set[tuple] = set()

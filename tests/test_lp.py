@@ -173,52 +173,6 @@ def test_structural_change_invalidates_compiled_matrices():
     assert program.fingerprint() != first
 
 
-def test_resolve_rhs_updates_are_per_solve():
-    program = LinearProgram("rhs")
-    program.add_le({"x": 1.0}, 3.0, name="cap")
-    program.set_objective({"x": 1.0}, maximize=True)
-    assert program.resolve(rhs_updates={"cap": 5.0}).objective == pytest.approx(5.0)
-    # the override did not stick
-    assert program.solve().objective == pytest.approx(3.0)
-    with pytest.raises(KeyError):
-        program.resolve(rhs_updates={"missing": 1.0})
-
-
-def test_resolve_rhs_updates_respect_dedup_siblings():
-    # Relaxing one of two deduplicated rows must keep the sibling enforced.
-    program = LinearProgram("dedup-rhs")
-    program.add_le({"x": 1.0}, 4.0, name="a")
-    program.add_le({"x": 1.0}, 3.0, name="b")  # deduped into one row
-    program.set_objective({"x": 1.0}, maximize=True)
-    assert program.resolve(rhs_updates={"a": 5.0}).objective == pytest.approx(3.0)
-    assert program.resolve(rhs_updates={"b": 5.0}).objective == pytest.approx(4.0)
-    assert program.resolve(rhs_updates={"a": 5.0, "b": 6.0}).objective \
-        == pytest.approx(5.0)
-    assert program.resolve(rhs_updates={"b": 1.0}).objective == pytest.approx(1.0)
-
-
-def test_resolve_rhs_updates_on_shared_equality_conflict():
-    program = LinearProgram("eq-rhs")
-    program.add_eq({"x": 1.0}, 2.0, name="a")
-    program.add_eq({"x": 1.0}, 2.0, name="b")  # deduped into one row
-    program.set_objective({"x": 1.0})
-    assert program.resolve(rhs_updates={"a": 3.0, "b": 3.0}).objective \
-        == pytest.approx(3.0)
-    # diverging one sibling from the other is infeasible, not a silent merge
-    with pytest.raises(InfeasibleProgramError):
-        program.resolve(rhs_updates={"a": 3.0})
-
-
-def test_resolve_rhs_updates_keep_ge_orientation():
-    # Updating an add_ge row takes the new >= bound, not the negated internal RHS.
-    program = LinearProgram("ge-rhs")
-    program.add_variable("x", lower=0.0, upper=10.0)
-    program.add_ge({"x": 1.0}, 1.0, name="floor")
-    program.set_objective({"x": 1.0}, maximize=False)
-    assert program.solve().objective == pytest.approx(1.0)
-    assert program.resolve(rhs_updates={"floor": 2.0}).objective == pytest.approx(2.0)
-
-
 def test_resolve_extra_rows_and_variables_are_ephemeral():
     program = LinearProgram("extra")
     program.add_variable("x", lower=0.0, upper=4.0)
@@ -384,10 +338,6 @@ def _small_linear_program(draw):
         getattr(program, f"add_{kind}")(coefficients, rhs, name=name)
         (eq_rows if kind == "eq" else le_rows).append([name, kind, coefficients, rhs])
 
-    rhs_updates = {}
-    for row in le_rows + eq_rows:
-        if draw(st.booleans()):
-            row[3] = rhs_updates[row[0]] = float(draw(st.integers(-4, 4)))
     extra_variables, extra_le = {}, []
     if draw(st.booleans()):
         bounds.append(draw(_BOUNDS))
@@ -413,7 +363,7 @@ def _small_linear_program(draw):
         A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
         A_eq=np.array([dense(row[2]) for row in eq_rows]) if eq_rows else None,
         b_eq=[row[3] for row in eq_rows] or None, bounds=bounds)
-    call = dict(objective=objective, maximize=maximize, rhs_updates=rhs_updates,
+    call = dict(objective=objective, maximize=maximize,
                 extra_variables=extra_variables, extra_le=extra_le)
     return program, call, columns, reference
 
@@ -453,9 +403,11 @@ def test_direct_highs_call_status_and_input_checks():
     non_finite.add_le({"x": float("inf")}, 1.0)
     with pytest.raises(ValueError):
         non_finite.resolve(objective={"x": 1.0}, maximize=True)
-    bounded = LinearProgram("nan-rhs")
-    bounded.add_le({"x": 1.0}, 1.0, name="cap")
+    nan_rhs = LinearProgram("nan-rhs")
+    nan_rhs.add_le({"x": 1.0}, float("nan"))
     with pytest.raises(ValueError):
-        bounded.resolve(objective={"x": 1.0}, rhs_updates={"cap": float("nan")})
+        nan_rhs.resolve(objective={"x": 1.0})
+    bounded = LinearProgram("nan-objective")
+    bounded.add_le({"x": 1.0}, 1.0)
     with pytest.raises(ValueError):
         bounded.resolve(objective={"x": float("nan")})

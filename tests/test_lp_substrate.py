@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 from repro.bounds import agm_bound, ddr_polymatroid_bound, polymatroid_bound
 from repro.flows import find_shannon_flow
 from repro.lp import (
+    LP_STATS,
     LinearProgram,
     clear_lp_caches,
-    lp_cache_delta,
     lp_cache_stats,
-    reset_lp_cache_stats,
     solve_min_with_inequalities,
 )
 from repro.optimizer import estimate_costs
@@ -41,14 +40,14 @@ from repro.widths import (
 def _fresh_lp_caches():
     """Counter assertions need isolation from whatever ran before."""
     clear_lp_caches()
-    reset_lp_cache_stats()
+    LP_STATS.reset()
     yield
     clear_lp_caches()
-    reset_lp_cache_stats()
+    LP_STATS.reset()
 
 
 def _events(before):
-    return lp_cache_delta(before)
+    return LP_STATS.delta(before)
 
 
 # ---------------------------------------------------------------------------

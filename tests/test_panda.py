@@ -20,7 +20,7 @@ from repro.panda import (
 from repro.panda.executor import PandaExecutionError
 from repro.query import four_cycle_boolean, four_cycle_projected, triangle_query
 from repro.relational import Database, Relation, kernels
-from repro.relational.kernels import kernel_stats, kernel_stats_delta
+from repro.relational.kernels import KERNEL_STATS, kernel_stats
 from repro.stats import collect_statistics, statistics_for_query
 from repro.utils.varsets import varset
 
@@ -154,7 +154,7 @@ def test_compose_kernel_work_is_bounded_by_the_kept_tuples():
     conditional.encoded()  # encoding the group is the conditional's cost
     before = kernel_stats()
     combined = compose(marginal, conditional, threshold)
-    moved = kernel_stats_delta(before)
+    moved = KERNEL_STATS.delta(before)
     assert sorted(combined.weights) == [(1, index) for index in range(kept)]
     assert moved["compose_kernels"] == 1
     assert moved["compose_entries_examined"] <= kept + 2 * len(marginal)

@@ -14,6 +14,7 @@ The core guarantees under concurrent load:
 from __future__ import annotations
 
 import asyncio
+import pickle
 import threading
 
 import pytest
@@ -21,6 +22,8 @@ import pytest
 from repro.datagen import random_graph_database
 from repro.engine import Engine
 from repro.engine.core import EngineStats
+from repro.relational import ColumnarBackend
+from repro.telemetry import CounterTable
 from repro.query import (
     four_cycle_projected,
     path_query,
@@ -212,9 +215,11 @@ def test_engine_stats_double_finish_is_atomic():
     Before stats updates went through :meth:`EngineStats.bump`, the
     ``executions += 1`` read-modify-write could lose one of two simultaneous
     finishes.  A barrier forces maximal interleaving every iteration; the
-    totals must come out exact.
+    totals must come out exact.  A bare :class:`CounterTable`, the store
+    under every layer's counters, gets the same interleaving.
     """
     stats = EngineStats()
+    table = CounterTable()
     iterations, workers = 300, 2
     barrier = threading.Barrier(workers)
 
@@ -224,6 +229,8 @@ def test_engine_stats_double_finish_is_atomic():
             stats.bump(executions=1, serial_executions=1,
                        wall_time_seconds=0.25)
             stats.absorb_events("storage_cache_events", {"index_builds": 1})
+            table.add("hits")
+            table.add_many({"builds": 1, "seconds": 0.25})
 
     threads = [threading.Thread(target=finisher) for _ in range(workers)]
     for thread in threads:
@@ -235,24 +242,33 @@ def test_engine_stats_double_finish_is_atomic():
     assert snapshot["serial_executions"] == iterations * workers
     assert snapshot["wall_time_seconds"] == pytest.approx(0.25 * iterations * workers)
     assert snapshot["storage_cache_events"]["index_builds"] == iterations * workers
+    assert table.snapshot() == {"hits": iterations * workers,
+                                "builds": iterations * workers,
+                                "seconds": pytest.approx(0.25 * iterations * workers)}
 
 
 def test_engine_stats_snapshot_is_consistent_under_writers():
     """``as_dict`` snapshots under the same lock writers use: every snapshot
-    must show the paired counters equal (they only ever move together)."""
+    must show the paired counters equal (they only ever move together).  The
+    same holds for a bare :class:`CounterTable`'s ``add_many`` batches."""
     stats = EngineStats()
+    table = CounterTable()
     stop = threading.Event()
     inconsistencies = []
 
     def writer():
         while not stop.is_set():
             stats.bump(executions=1, serial_executions=1)
+            table.add_many({"builds": 1, "hits": 1})
 
     def reader():
         for _ in range(2000):
             snap = stats.as_dict()
             if snap["executions"] != snap["serial_executions"]:
                 inconsistencies.append(snap)
+            counts = table.snapshot()
+            if counts.get("builds") != counts.get("hits"):
+                inconsistencies.append(counts)
 
     writer_thread = threading.Thread(target=writer)
     reader_thread = threading.Thread(target=reader)
@@ -262,3 +278,17 @@ def test_engine_stats_snapshot_is_consistent_under_writers():
     stop.set()
     writer_thread.join()
     assert not inconsistencies
+
+
+def test_columnar_backend_pickles_with_its_counts():
+    """Cluster payloads pickle backends: the copy keeps the counts and its
+    table, regrown with a fresh lock, still counts."""
+    backend = ColumnarBackend([(1, 2), (2, 3)])
+    backend.dictionary(0)
+    backend.dictionary(0)
+    clone = pickle.loads(pickle.dumps(backend))
+    assert clone.stats.snapshot() == backend.stats.snapshot() == {
+        "dictionary_builds": 1, "dictionary_hits": 1}
+    clone.dictionary(1)
+    assert clone.stats.snapshot()["dictionary_builds"] == 2
+    assert backend.stats.snapshot()["dictionary_builds"] == 1

@@ -11,7 +11,8 @@ The invariants under test, layer by layer:
   coordinator's trace under their task/shard prefix, retries appearing as
   sibling attempts rather than colliding;
 * **``/metrics`` reconciles with ``/stats``** by construction — the
-  registry's pull sources sample the same dicts the stats document reports;
+  registry samples the same counter tables, under the same keys, that the
+  stats document reports;
 * **``explain(analyze=True)`` reconciles with the WorkCounter**: reported
   work totals equal a plain execution's counter, and every plan node gets
   an observed cardinality next to its polymatroid estimate.
@@ -29,12 +30,14 @@ from repro.engine import ClusterConfig, Engine
 from repro.query import four_cycle_projected, triangle_query
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.service import DeadlineExceededError, QueryService, ServiceConfig, serve
+from repro.lp.model import lp_cache_stats
+from repro.relational.kernels import kernel_stats
+from repro.relational.storage import storage_stats
 from repro.telemetry import (
     SlowQueryLog,
     Tracer,
-    canonical_key,
+    get_registry,
     get_tracer,
-    legacy_key,
     using_tracing,
 )
 from repro.testing.faults import FaultPlan
@@ -137,25 +140,40 @@ def test_ring_buffer_eviction_is_counted():
 
 
 # ---------------------------------------------------------------------------
-# canonical counter naming (satellite: <layer>.<cache>.<event> keys)
+# the counter surface: one table per layer, sampled under its own keys
 # ---------------------------------------------------------------------------
 
-def test_canonical_keys_roundtrip_to_their_legacy_aliases():
-    cases = [
-        ("storage", "hash_index_builds", "storage.hash_index.builds"),
-        ("storage", "hash_index_hits", "storage.hash_index.hits"),
-        ("lp", "region_builds", "lp.region.builds"),
-        ("kernel", "join_kernels", "kernel.join.vectorized"),
-        ("kernel", "join_fallbacks", "kernel.join.fallbacks"),
-        ("plan_cache", "plan_hits", "engine.plan_cache.hits"),
-        ("cluster", "tasks_retried", "cluster.tasks.retried"),
-        ("cluster", "stragglers_redispatched", "cluster.tasks.speculated"),
-        ("admission", "admitted", "service.admission.admitted"),
-        ("engine", "plans_built", "engine.stats.plans_built"),
-    ]
-    for layer, legacy, canonical in cases:
-        assert canonical_key(layer, legacy) == canonical
-        assert legacy_key(canonical) == legacy
+def test_counter_tables_move_and_are_sampled_verbatim():
+    query = triangle_query()
+    database = random_graph_database(query, size=60, domain=12, seed=5,
+                                     backend="columnar")
+    registry = get_registry()
+    built_before = registry.value("engine.stats.plans_built")
+    lp_before, storage_before, kernel_before = (
+        lp_cache_stats(), storage_stats(), kernel_stats())
+    engine = Engine(database)
+    engine.prepare(query).execute()
+
+    def moved(after, before, suffix):
+        return {key for key, count in after.items()
+                if key.endswith(suffix) and count > before.get(key, 0)}
+
+    assert moved(lp_cache_stats(), lp_before, "_builds")
+    assert moved(storage_stats(), storage_before, "_builds")
+    assert moved(kernel_stats(), kernel_before, "_kernels")
+    assert engine.stats.plans_built == 1
+    assert registry.value("engine.stats.plans_built") - built_before == \
+        engine.stats.plans_built
+
+    tables = {"lp": lp_cache_stats(), "kernel": kernel_stats(),
+              "storage": storage_stats(),
+              "engine.stats": registry.table("engine.stats").snapshot()}
+    collected = {sample.name: sample.value for sample in registry.collect()
+                 if not sample.labels}
+    for prefix, table in tables.items():
+        assert table
+        for key, value in table.items():
+            assert collected[f"{prefix}.{key}"] == value, (prefix, key)
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +509,9 @@ def test_traced_request_through_http_against_a_chaotic_cluster():
     acme = stats["tenants"]["acme"]
     assert values["repro_service_tenant_completed"] == \
         acme["outcomes"]["completed"]
-    assert values["repro_engine_plan_cache_builds"] == \
+    assert values["repro_engine_plan_builds"] == \
         acme["caches"]["plan_builds"]
-    # The engine's push-path counters flowed through bump_counters.
+    # Every engine's bump() also moved the process-wide engine.stats table.
     assert values.get("repro_engine_stats_executions", 0) >= \
         acme["engine"]["executions"]
     # And the stats document carries the tracer/slow-log health block.
