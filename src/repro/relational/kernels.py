@@ -9,13 +9,17 @@ NumPy over their dictionary-encoded ``int64`` code arrays (see
   :class:`~repro.relational.storage.CodeTable`; codes of one side are
   translated into the other side's code space through a table memoized on
   the code table, so equality of codes is equality of values;
-* **kernel** — hash joins, semijoins and the generic worst-case-optimal
-  join's extensions and filters all probe through one helper
-  (:func:`_probe`): a memoized dense table of range bounds over the packed
-  key space when that space fits :func:`_lut_capacity`, two
-  ``searchsorted`` probes beyond it.  Projections become ``np.unique`` over
-  packed keys, the generic join a breadth-first frontier of per-level code
-  arrays, and per-semiring ⊕-marginalization
+* **kernel** — every keyed kernel works on packed integer keys.  Dense
+  tables over the packed key space replace sorts and binary searches when
+  that space fits :func:`_lut_capacity`; beyond it the sorted keys and
+  ``searchsorted`` serve.  Joins with extra right columns and the generic
+  worst-case-optimal join's extensions need each key's range of rows
+  (:func:`_probe`: a memoized table of range bounds).  Semijoins, key-only
+  joins, unions and the generic join's filters only ask whether a key is
+  present (:func:`_contains`: a memoized ``bool`` bitmap, :func:`_bitmap`).
+  Distinct projections scatter into a bitmap and read it back in key order
+  (:func:`_distinct_rows`).  The generic join runs as a breadth-first
+  frontier of per-level code arrays, and per-semiring ⊕-marginalization as
   ``np.add/minimum/maximum.reduceat`` over sorted groups;
 * **decode** — set-semantics outputs *stay encoded*: kernels return
   ``(code tables, int64 code arrays, length)`` triples that become
@@ -107,7 +111,7 @@ def kernel_stats() -> dict[str, int]:
 def _memo(backend, key, build):
     """Memoize ``build()`` in the backend's kernel-memo dict (if it has one).
 
-    Packed key arrays, sort permutations and member sets are pure functions
+    Packed key arrays, sort permutations and member bitmaps are pure functions
     of a backend's stored rows (plus the target dictionaries' ``uid``s baked
     into ``key``), so they are cached like the backends' dictionaries — until
     the next mutation — and repeated evaluations only pay the probes.
@@ -157,16 +161,18 @@ def _pack(columns: Sequence, dims: Sequence[int], length: int):
         return np.zeros(length, dtype=np.int64)
     if _packed_space(dims) > _PACK_LIMIT:
         return None
-    packed = columns[0].astype(np.int64, copy=True)
+    # A lone column is its own key; nothing packs in place into it.
+    packed = columns[0].astype(np.int64, copy=len(columns) > 1)
     for column, dim in zip(columns[1:], dims[1:]):
         packed *= max(int(dim), 1)
         packed += column
     return packed
 
 
-#: Dense lookup tables over the packed key space replace ``searchsorted``
-#: probes when the space is at most this factor times the row count (beyond
-#: it, table construction and memory would dominate the probes they save).
+#: Dense tables over the packed key space — range bounds, ``bool`` bitmaps —
+#: replace ``searchsorted`` probes and sorts when the space is at most this
+#: factor times the row count (beyond it, table construction and memory
+#: would dominate the probes they save).
 _LUT_SPACE_FACTOR = 8
 _LUT_SPACE_FLOOR = 1 << 16
 
@@ -185,8 +191,9 @@ def _probe(owner, memo_key, sorted_keys, dims, probes, rows: int):
     ``_lut_capacity(rows)``, a dense table of range bounds over the whole
     space — memoized on ``owner`` under ``memo_key`` — answers every probe
     with two gathers; beyond it, two ``searchsorted`` probes do.  This is
-    the one probing path of the joins, the semijoins and the
-    worst-case-optimal join.
+    the probing path of the joins and of the worst-case-optimal join's
+    extensions; kernels that only ask whether a key is present take
+    :func:`_contains`.
     """
     space = _packed_space(dims)
     if space > _lut_capacity(rows):
@@ -208,6 +215,84 @@ def _probe(owner, memo_key, sorted_keys, dims, probes, rows: int):
     return starts, bounds[1:][probes] - starts
 
 
+def _bitmap(owner, memo_key, keys, space: int):
+    """A ``bool`` bitmap of the packed ``keys`` over ``space`` keys, memoized
+    on ``owner``.
+
+    One scatter, no sort: ``keys`` may repeat, and the key ``-1`` lands in a
+    spare slot at the end that is then cleared, so both a stored and a probed
+    ``-1`` read ``False``.
+    """
+    def build():
+        bits = np.zeros(space + 1, dtype=bool)
+        bits[keys] = True
+        bits[space] = False
+        return bits
+    return _memo(owner, ("bitmap",) + memo_key, build)
+
+
+def _contains(owner, memo_key, keys, dims, probes, rows: int):
+    """Which ``probes`` occur among the packed ``keys``, as a ``bool`` mask.
+
+    ``keys`` may repeat and may hold ``-1`` (rows with a value unknown to
+    the probed code space), which matches nothing.  When the packed key
+    space of ``dims`` fits ``_lut_capacity(rows)``, the :func:`_bitmap` of
+    ``keys`` answers with one gather; beyond it, the keys' memoized sorted
+    distinct values go through :func:`_probe`.  This is the one membership
+    path of the semijoins, the key-only joins, the unions and the
+    worst-case-optimal join's filters.
+    """
+    space = _packed_space(dims)
+    if space <= _lut_capacity(rows):
+        return _bitmap(owner, memo_key, keys, space)[probes]
+    members = _memo(owner, ("distinct",) + memo_key,
+                    lambda: _sorted_distinct(keys[keys >= 0]))
+    _, counts = _probe(owner, memo_key, members, dims, probes, rows)
+    return counts > 0
+
+
+def _sorted_distinct(keys):
+    """The sorted distinct values of ``keys``, as ``np.unique`` returns them.
+
+    One ``np.sort`` and a neighbour comparison: NumPy 2's ``np.unique``
+    hashes the values before it sorts the distinct ones, which is an order
+    of magnitude slower on ``int64`` keys (about 49 ms against 1.4 ms on
+    145k random keys, 2-vCPU host).
+    """
+    ordered = np.sort(keys)
+    fresh = np.empty(ordered.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return ordered[fresh]
+
+
+def _distinct_rows(columns, dims, length: int):
+    """The distinct rows of code ``columns`` as code arrays, ascending by
+    packed key, or ``None`` on pack overflow.
+
+    When the packed key space fits ``_lut_capacity(length)``, the keys are
+    scattered into a bitmap and read back with ``np.flatnonzero``, with no
+    sort; beyond it :func:`_sorted_distinct` sorts them.  Either way
+    ``divmod`` unpacks the keys into per-column codes.
+    """
+    keys = _pack(columns, dims, length)
+    if keys is None:
+        return None
+    space = _packed_space(dims)
+    if space <= _lut_capacity(length):
+        present = np.zeros(space, dtype=bool)
+        present[keys] = True
+        keys = np.flatnonzero(present)
+    else:
+        keys = _sorted_distinct(keys)
+    codes = []
+    for dim in reversed(dims[1:]):
+        keys, column = np.divmod(keys, max(int(dim), 1))
+        codes.append(column)
+    codes.append(keys)
+    return codes[::-1]
+
+
 def _expand_ranges(starts, counts):
     """Expand per-probe equal ranges into ``(sorted positions, probe index)``
     pairs, without a Python loop."""
@@ -216,9 +301,9 @@ def _expand_ranges(starts, counts):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     probe_idx = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    block_starts = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(block_starts, counts)
-    return np.repeat(starts, counts) + within, probe_idx
+    # Entry i of probe b's block sits at starts[b] + (i - the block's first i).
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return np.arange(total, dtype=np.int64) + shift, probe_idx
 
 
 def _match_pairs(left, left_key, dims, right_keys):
@@ -305,21 +390,6 @@ def _translated_keys(right, right_key, left_dicts, dims):
                  lambda: _pack_into(right, right_key, tables, dims))
 
 
-def _member_keys(right, right_key, left_dicts, dims):
-    """Sorted distinct translated keys of ``right`` — the semijoin probe set.
-
-    Memoized alongside :func:`_translated_keys`; returns ``None`` on pack
-    overflow.
-    """
-    def build():
-        right_keys = _translated_keys(right, right_key, left_dicts, dims)
-        if right_keys is None:
-            return None
-        return np.unique(right_keys[right_keys >= 0])
-    uids = tuple(d.table.uid for d in left_dicts)
-    return _memo(right, ("members", right_key, uids), build)
-
-
 def decode_rows(tables, code_arrays, length: int) -> list[tuple]:
     """Row tuples of encoded columns (``length`` of them, which matters only
     for zero columns), decoded by fancy-indexing each table's decode array."""
@@ -395,14 +465,38 @@ def _empty_encoded(width: int):
 # set-semantics kernels: join, semijoin, projection, sharding
 # ---------------------------------------------------------------------------
 
+def _keep_mask(left, right, left_key: tuple, right_key: tuple):
+    """Which ``left`` rows have their key among ``right``'s, as a ``bool``
+    mask, or ``None`` on pack overflow.
+
+    ``right``'s key columns are translated into ``left``'s code space and
+    tested through :func:`_contains`, memoized on ``right``.
+    """
+    packed = _self_keys(left, left_key)
+    if packed is None:
+        return None
+    left_keys, dims = packed
+    left_dicts = [left.dictionary(p) for p in left_key]
+    right_keys = _translated_keys(right, right_key, left_dicts, dims)
+    if right_keys is None:
+        return None
+    uids = tuple(d.table.uid for d in left_dicts)
+    return _contains(right, ("members", right_key, uids), right_keys, dims,
+                     left_keys, len(left))
+
+
 def join_encoded(left, right, left_key: Sequence[int],
                  right_key: Sequence[int], right_extra: Sequence[int],
                  left_width: int):
     """Array hash join, output encoded: left columns + right extras.
 
-    The sorted build side probed through :func:`_probe` makes this a
+    ``right``'s columns are ``right_key`` and ``right_extra``.  With extras,
+    the sorted build side probed through :func:`_probe` makes this a
     sort-merge join over hash-free integer keys — both classical kernels
     collapse into one here because dictionary codes are already integers.
+    Without them, ``right`` is a duplicate-free set of keys, so each left
+    row matches at most once and the output is the left rows whose key
+    :func:`_contains` finds in ``right``, with no build-side sort.
     Returns a ``(code tables, code arrays, length)`` triple for
     ``ColumnarBackend.from_encoded`` whose columns share the inputs' code
     tables (the output rows are unique because the duplicate-free inputs
@@ -413,18 +507,25 @@ def join_encoded(left, right, left_key: Sequence[int],
     if len(left) == 0 or len(right) == 0:
         KERNEL_STATS.add("join_kernels")
         return _empty_encoded(width)
-    left_key = tuple(left_key)
-    packed = _self_keys(left, left_key)
-    if packed is None:
-        KERNEL_STATS.add("join_fallbacks")
-        return None
-    _, dims = packed
-    left_dicts = [left.dictionary(p) for p in left_key]
-    right_keys = _translated_keys(right, tuple(right_key), left_dicts, dims)
-    if right_keys is None:
-        KERNEL_STATS.add("join_fallbacks")
-        return None
-    left_idx, right_idx = _match_pairs(left, left_key, dims, right_keys)
+    left_key, right_key = tuple(left_key), tuple(right_key)
+    if not right_extra:
+        mask = _keep_mask(left, right, left_key, right_key)
+        if mask is None:
+            KERNEL_STATS.add("join_fallbacks")
+            return None
+        left_idx = np.flatnonzero(mask)
+    else:
+        packed = _self_keys(left, left_key)
+        if packed is None:
+            KERNEL_STATS.add("join_fallbacks")
+            return None
+        _, dims = packed
+        left_dicts = [left.dictionary(p) for p in left_key]
+        right_keys = _translated_keys(right, right_key, left_dicts, dims)
+        if right_keys is None:
+            KERNEL_STATS.add("join_fallbacks")
+            return None
+        left_idx, right_idx = _match_pairs(left, left_key, dims, right_keys)
     KERNEL_STATS.add("join_kernels")
     if width == 0:
         # Both sides are zero-column relations; the only possible output row
@@ -453,32 +554,22 @@ def semijoin_keep(left, right, left_key: Sequence[int],
     if len(left) == 0:
         KERNEL_STATS.add("semijoin_kernels")
         return np.empty(0, dtype=np.int64)
-    left_key = tuple(left_key)
-    packed = _self_keys(left, left_key)
-    if packed is None:
+    mask = _keep_mask(left, right, tuple(left_key), tuple(right_key))
+    if mask is None:
         KERNEL_STATS.add("semijoin_fallbacks")
         return None
-    left_keys, dims = packed
-    left_dicts = [left.dictionary(p) for p in left_key]
-    right_key = tuple(right_key)
-    members = _member_keys(right, right_key, left_dicts, dims)
-    if members is None:
-        KERNEL_STATS.add("semijoin_fallbacks")
-        return None
-    uids = tuple(d.table.uid for d in left_dicts)
-    _, counts = _probe(right, ("memberranges", right_key, uids), members, dims,
-                       left_keys, len(left))
     KERNEL_STATS.add("semijoin_kernels")
-    return np.flatnonzero(counts)
+    return np.flatnonzero(mask)
 
 
 def union_encoded(left, right, width: int):
     """``left ∪ right`` in ``left``'s code tables, output encoded.
 
-    Keeps ``left``'s rows, then ``right``'s rows that are new, in first
-    appearance order — the reference union's order.  Returns ``None`` to
-    fall back when a value of ``right`` is absent from ``left``'s tables (it
-    has no code there) or on pack overflow.
+    Keeps ``left``'s rows, then ``right``'s rows whose key :func:`_contains`
+    does not find in ``left``, in their order — the reference union's
+    order.  Returns ``None`` to fall back when a value of ``right`` is
+    absent from ``left``'s tables (it has no code there) or on pack
+    overflow.
     """
     positions = tuple(range(width))
     packed = _self_keys(left, positions)
@@ -491,9 +582,11 @@ def union_encoded(left, right, width: int):
     if right_keys is None or (right_keys < 0).any():
         KERNEL_STATS.add("union_fallbacks")
         return None
-    fresh = np.flatnonzero(~np.isin(right_keys, left_keys))
-    _, first = np.unique(right_keys[fresh], return_index=True)
-    fresh = fresh[np.sort(first)]
+    # Duplicate-free rows have distinct keys, so the fresh ones are kept in
+    # their own order.  No memo owner: a union's left side is most often a
+    # fresh accumulation, probed once.
+    fresh = np.flatnonzero(~_contains(None, ("union",), left_keys, dims,
+                                      right_keys, len(right)))
     codes = []
     for position, table in zip(positions, tables):
         dictionary = right.dictionary(position)
@@ -518,13 +611,11 @@ def distinct_encoded(backend, positions: Sequence[int]):
         KERNEL_STATS.add("projection_kernels")
         return [], [], 1
     dicts = [backend.dictionary(p) for p in positions]
-    dims = [len(d.table.decode) for d in dicts]
-    keys = _pack([d.codes_array() for d in dicts], dims, length)
-    if keys is None:
+    columns = _distinct_rows([d.codes_array() for d in dicts],
+                             [len(d.table.decode) for d in dicts], length)
+    if columns is None:
         KERNEL_STATS.add("projection_fallbacks")
         return None
-    _, representative = np.unique(keys, return_index=True)
-    columns = [d.codes_array()[representative] for d in dicts]
     KERNEL_STATS.add("projection_kernels")
     return [d.table for d in dicts], columns, int(columns[0].size)
 
@@ -598,38 +689,20 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
     explored = 0
 
     def relation_keys(spec_index: int, rank: int):
-        """Distinct packed keys of one relation's first ``rank + 1`` columns,
+        """Packed keys of one relation's first ``rank + 1`` columns,
         translated into the anchor code space (rows with values unknown to an
-        anchor are dropped — they can never meet the frontier).  Memoized per
-        ``(positions, anchor uids)`` — the vectorized analogue of the cached
-        prefix tries, rebuilt only when the stored relations change.  Returns
-        ``(keys, dims, memo key)`` or ``None`` on pack overflow."""
+        anchor get key ``-1`` — they can never meet the frontier).  Memoized
+        per ``(positions, anchor uids)`` — the vectorized analogue of the
+        cached prefix tries, rebuilt only when the stored relations change.
+        Returns ``(keys, dims, memo key)`` or ``None`` on pack overflow."""
         backend, positions, levels = specs[spec_index]
+        tables = [anchors[levels[j]] for j in range(rank + 1)]
         dims = tuple(anchor_dims[levels[j]] for j in range(rank + 1))
-
-        def build():
-            columns = []
-            invalid = None
-            for j in range(rank + 1):
-                column_dict = backend.dictionary(positions[j])
-                codes = column_dict.table.translate_to(anchors[levels[j]])[
-                    column_dict.codes_array()]
-                missing = codes < 0
-                if missing.any():
-                    invalid = missing if invalid is None else (invalid | missing)
-                    codes = np.where(missing, 0, codes)
-                columns.append(codes)
-            keys = _pack(columns, dims, len(backend))
-            if keys is None:
-                return None
-            if invalid is not None:
-                keys = keys[~invalid]
-            return np.unique(keys), dims
-
-        uids = tuple(anchors[levels[j]].uid for j in range(rank + 1))
-        memo_key = ("wcoj", positions[:rank + 1], uids)
-        packed = _memo(backend, memo_key, build)
-        return None if packed is None else packed + (memo_key,)
+        memo_key = ("wcoj", positions[:rank + 1],
+                    tuple(table.uid for table in tables))
+        keys = _memo(backend, memo_key, lambda: _pack_into(
+            backend, positions[:rank + 1], tables, dims))
+        return None if keys is None else (keys, dims, memo_key)
 
     for level in range(depth_total):
         if check is not None:
@@ -645,13 +718,17 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
         if packed is None:
             KERNEL_STATS.add("wcoj_fallbacks")
             return None
-        pair_keys, pair_dims, memo_key = packed
+        keys, pair_dims, memo_key = packed
         value_dim = pair_dims[-1]
-        # pair_keys is sorted (np.unique), so its prefixes are too.
-        prefix_keys = pair_keys // value_dim
 
-        prefix_levels = levels[:ext_rank]
-        frontier_keys = _pack([assign[l] for l in prefix_levels],
+        def distinct_pairs():
+            # Sorted distinct (prefix, value) keys, so their prefixes are too.
+            pairs = _sorted_distinct(keys[keys >= 0])
+            return np.divmod(pairs, value_dim)
+        prefix_keys, pair_values = _memo(
+            backend, ("wcoj-pairs",) + memo_key[1:], distinct_pairs)
+
+        frontier_keys = _pack([assign[l] for l in levels[:ext_rank]],
                               pair_dims[:-1], frontier)
         if frontier_keys is None:
             KERNEL_STATS.add("wcoj_fallbacks")
@@ -660,12 +737,14 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
                                 prefix_keys, pair_dims[:-1], frontier_keys,
                                 len(backend))
         pair_pos, parent_idx = _expand_ranges(starts, counts)
-        assign = [array[parent_idx] for array in assign]
-        assign.append(pair_keys[pair_pos] % value_dim)
-        frontier = int(pair_pos.size)
+        values = pair_values[pair_pos]
 
+        # Only the parent index and the new value are carried through the
+        # filters; a filter gathers the earlier columns it reads, and the
+        # frontier's columns are gathered once, after the last filter.
+        # `frontier` stays the parents' count until then.
         for spec_index, rank in entries[1:]:
-            if frontier == 0:
+            if values.size == 0:
                 break
             packed = relation_keys(spec_index, rank)
             if packed is None:
@@ -673,19 +752,26 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
                 return None
             member_keys, member_dims, memo_key = packed
             member_backend, _, member_levels = specs[spec_index]
-            frontier_keys = _pack([assign[l] for l in member_levels[:rank + 1]],
-                                  member_dims, frontier)
-            if frontier_keys is None:
-                KERNEL_STATS.add("wcoj_fallbacks")
-                return None
-            _, counts = _probe(member_backend, ("wcoj-members",) + memo_key[1:],
-                               member_keys, member_dims, frontier_keys,
-                               len(member_backend))
-            mask = counts > 0
-            if not mask.all():
-                assign = [array[mask] for array in assign]
-                frontier = int(mask.sum())
+            # The filter's earlier columns are packed over the parents and
+            # gathered once; its last column is this level's value.
+            frontier_keys = values
+            if rank:
+                prefix = _pack([assign[l] for l in member_levels[:rank]],
+                               member_dims[:-1], frontier)
+                if prefix is None:
+                    KERNEL_STATS.add("wcoj_fallbacks")
+                    return None
+                frontier_keys = (prefix * member_dims[-1])[parent_idx]
+                frontier_keys += values
+            kept = np.flatnonzero(_contains(
+                member_backend, ("wcoj-members",) + memo_key[1:], member_keys,
+                member_dims, frontier_keys, len(member_backend)))
+            if kept.size < values.size:
+                parent_idx, values = parent_idx[kept], values[kept]
 
+        assign = [array[parent_idx] for array in assign]
+        assign.append(values)
+        frontier = int(values.size)
         explored += frontier
         if frontier == 0:
             KERNEL_STATS.add("wcoj_kernels")
@@ -695,16 +781,16 @@ def wcoj(specs: Sequence[tuple], depth_total: int,
     if not free_levels:
         KERNEL_STATS.add("wcoj_kernels")
         return ([], [], 1 if frontier else 0), explored
-    free_dims = [anchor_dims[l] for l in free_levels]
-    keys = _pack([assign[l] for l in free_levels], free_dims, frontier)
-    if keys is None:
-        KERNEL_STATS.add("wcoj_fallbacks")
-        return None
-    _, representative = np.unique(keys, return_index=True)
+    columns = [assign[l] for l in free_levels]
+    if len(set(free_levels)) < depth_total:
+        # Full assignments are distinct; their projections need not be.
+        columns = _distinct_rows(columns, [anchor_dims[l] for l in free_levels],
+                                 frontier)
+        if columns is None:
+            KERNEL_STATS.add("wcoj_fallbacks")
+            return None
     KERNEL_STATS.add("wcoj_kernels")
-    encoded = ([anchors[l] for l in free_levels],
-               [assign[l][representative] for l in free_levels],
-               int(representative.size))
+    encoded = ([anchors[l] for l in free_levels], columns, int(columns[0].size))
     return encoded, explored
 
 

@@ -375,9 +375,9 @@ class QueryService:
                           "gauge" if key.endswith("in_flight") else "counter")
                    for key, value in self.admission.stats_counters.items()
                    if isinstance(value, (int, float))]
-        samples.append(Sample("service.streams.open", {},
+        samples.append(Sample("service.open_streams", {},
                               len(self._streams), "gauge"))
-        samples.append(Sample("service.queries.active", {},
+        samples.append(Sample("service.active_queries", {},
                               self._active, "gauge"))
         for tenant in self.registry.tenants():
             samples.extend(tenant.metrics_samples())

@@ -490,15 +490,17 @@ def get_tracer() -> Tracer:
     return _TRACER
 
 
+#: The tracer's ``stats()`` keys sampled as ``telemetry.<key>``, with their
+#: kinds: the buffered and open counts are levels, the rest only grow.
+_TRACER_SAMPLED = {"traces": "gauge", "dropped_traces": "counter",
+                   "open_spans": "gauge", "double_finishes": "counter",
+                   "orphan_spans": "counter"}
+
+
 def _tracer_samples() -> list[Sample]:
     stats = _TRACER.stats()
-    return [
-        Sample("telemetry.traces.buffered", {}, stats["traces"], "gauge"),
-        Sample("telemetry.traces.dropped", {}, stats["dropped_traces"]),
-        Sample("telemetry.spans.open", {}, stats["open_spans"], "gauge"),
-        Sample("telemetry.spans.double_finishes", {}, stats["double_finishes"]),
-        Sample("telemetry.spans.orphaned", {}, stats["orphan_spans"]),
-    ]
+    return [Sample(f"telemetry.{key}", {}, stats[key], kind)
+            for key, kind in _TRACER_SAMPLED.items()]
 
 
 get_registry().register_source("tracer", _tracer_samples)

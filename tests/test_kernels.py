@@ -14,9 +14,11 @@ vs cluster executors) must preserve the exact-partition merge identity.
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -182,6 +184,97 @@ def test_kernel_join_matches_set_backend_property(left_rows, right_rows,
     assert counter.intermediate_tuples == reference_counter.intermediate_tuples
 
 
+#: Right-side values run past the left side's domain, so some right keys have
+#: no code in the left tables (key -1); the small domains make the columns
+#: duplicate-heavy, and empty lists make empty sides.
+_TIER_LEFT = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)),
+                      max_size=30)
+_TIER_RIGHT = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 3)),
+                       max_size=30)
+
+
+def _sparse_tier():
+    """A zero dense-table capacity: every key space takes the sorted keys and
+    ``searchsorted``, never a bitmap or a range table."""
+    return mock.patch.multiple(kernels, _LUT_SPACE_FLOOR=0, _LUT_SPACE_FACTOR=0)
+
+
+@PROPERTY
+@given(left_rows=_TIER_LEFT, right_rows=_TIER_RIGHT,
+       right_columns=st.sampled_from([("y", "z"), ("y",), ("y", "x"),
+                                      ("u", "v"), ()]))
+def test_bitmap_and_sparse_tiers_match_the_set_backend(left_rows, right_rows,
+                                                       right_columns):
+    """The dense tier (bitmaps, range tables), the sparse tier (sorted keys,
+    ``searchsorted``) and the ``set`` backend agree on semijoins, joins with
+    and without extra right columns, distinct projections, unions and the
+    generic join, full and projected, with its explored count.
+    ``right_columns`` picks the shared key: one column, two, or none."""
+    right_rows = [row[:len(right_columns)] for row in right_rows]
+
+    def run(kind):
+        left = Relation("L", ("x", "y"), left_rows, backend=kind)
+        right = Relation("R", right_columns, right_rows, backend=kind)
+        relations = [left.hash_join(right), right.hash_join(left),
+                     left.semijoin(right), right.semijoin(left),
+                     left.project(("y",)), left.project(("y", "x")),
+                     left.semijoin(right).union(left.project(("y", "x")))]
+        pairs = right_rows if len(right_columns) == 2 else []
+        database = Database([
+            Relation("R", ("c1", "c2"), left_rows, backend=kind),
+            Relation("S", ("c1", "c2"),
+                     [row[::-1] for row in left_rows[1::2]] + pairs,
+                     backend=kind),
+            Relation("T", ("c1", "c2"), pairs[::2] + left_rows[::3],
+                     backend=kind)])
+        counter = WorkCounter()
+        for query in (triangle_query(), triangle_query(("Z", "X"))):
+            relations.append(generic_join(query, database, counter=counter))
+        # Lengths too: a duplicate row would hide inside `rows`.
+        return ([(r.columns, r.rows, len(r)) for r in relations],
+                counter.intermediate_tuples)
+
+    before = kernel_stats()
+    dense = run("columnar")
+    with _sparse_tier():
+        sparse = run("columnar")
+    moved = KERNEL_STATS.delta(before)
+    assert dense == sparse == run("set")
+    assert not [event for event, count in moved.items()
+                if event.endswith("_fallbacks") and count]
+
+    left = Relation("L", ("x", "y"), left_rows, backend="columnar")._backend
+    right = Relation("R", right_columns, right_rows, backend="columnar")._backend
+    for positions in ((0,), (1,), (1, 0), (0, 1)):
+        tables, codes, length = kernels.distinct_encoded(left, positions)
+        with _sparse_tier():
+            sparse_tables, sparse_codes, sparse_length = \
+                kernels.distinct_encoded(left, positions)
+        assert length == sparse_length
+        if length:
+            assert all(a is b for a, b in zip(tables, sparse_tables))
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype == np.int64
+                   for a, b in zip(codes, sparse_codes))
+    # A zero-width key keeps every left row exactly when the right side has
+    # a row, in either tier.
+    expected = np.arange(len(left) if len(right) else 0)
+    assert np.array_equal(kernels.semijoin_keep(left, right, (), ()), expected)
+    with _sparse_tier():
+        assert np.array_equal(kernels.semijoin_keep(left, right, (), ()),
+                              expected)
+
+
+def test_membership_never_matches_the_untranslatable_key():
+    """A stored or probed key -1 (a value the other side's tables lack)
+    matches nothing, in either tier."""
+    keys = np.array([-1, 3, 3, 0], dtype=np.int64)
+    probes = np.array([-1, 0, 1, 3], dtype=np.int64)
+    for tier in (contextlib.nullcontext(), _sparse_tier()):
+        with tier:
+            found = kernels._contains(None, ("t",), keys, (4,), probes, 4)
+        assert found.tolist() == [False, True, False, True]
+
+
 # ---------------------------------------------------------------------------
 # the backend selects the path
 # ---------------------------------------------------------------------------
@@ -295,15 +388,20 @@ def test_wcoj_kernel_matches_reference_answers_and_explored(
         monkeypatch, query, size, domain, dense):
     database = random_graph_database(query, size, domain, seed=5,
                                      backend="columnar")
-    probed = []
-    probe = kernels._probe
+    probed, bitmapped = [], []
+    probe, bitmap = kernels._probe, kernels._bitmap
 
     def recording_probe(owner, memo_key, sorted_keys, dims, probes, rows):
         fits = kernels._packed_space(dims) <= kernels._lut_capacity(rows)
         probed.append((memo_key[0], fits))
         return probe(owner, memo_key, sorted_keys, dims, probes, rows)
 
+    def recording_bitmap(owner, memo_key, keys, space):
+        bitmapped.append(memo_key[0])
+        return bitmap(owner, memo_key, keys, space)
+
     monkeypatch.setattr(kernels, "_probe", recording_probe)
+    monkeypatch.setattr(kernels, "_bitmap", recording_bitmap)
     kernel_counter = WorkCounter()
     before = kernel_stats()
     kernel_answer = generic_join(query, database, counter=kernel_counter)
@@ -315,7 +413,10 @@ def test_wcoj_kernel_matches_reference_answers_and_explored(
     assert moved.get("wcoj_kernels", 0) > 0
     sparse = {tag for tag, fits in probed if not fits}
     if dense:
+        # Extensions read range tables, filters membership bitmaps.
         assert probed and not sparse
+        assert {tag for tag, _ in probed} == {"wcoj-prefixes"}
+        assert set(bitmapped) == {"wcoj-members"}
     else:
         expected = "wcoj-prefixes" if query is _TERNARY else "wcoj-members"
         assert expected in sparse

@@ -22,6 +22,7 @@ from repro.service import (
     UnknownStreamError,
     serve,
 )
+from repro.telemetry.metrics import get_registry
 
 
 async def _request(port: int, method: str, path: str, body: dict | None = None):
@@ -174,10 +175,19 @@ def test_stats_totals_reconcile_with_tenant_engines():
             service.query(name, query)
             for name in ("acme", "globex") for query in queries))
         stats = service.stats()
+        collected = {sample.name: sample.value
+                     for sample in get_registry().collect() if not sample.labels}
         await service.shutdown()
-        return service, stats
+        return service, stats, collected
 
-    service, stats = asyncio.run(main())
+    service, stats, collected = asyncio.run(main())
+    # /metrics samples the /stats keys verbatim, under their section's prefix.
+    for key in ("open_streams", "active_queries"):
+        assert collected[f"service.{key}"] == stats["service"][key], key
+    for key in ("traces", "dropped_traces", "open_spans", "double_finishes",
+                "orphan_spans"):
+        assert collected[f"telemetry.{key}"] == \
+            stats["telemetry"]["tracer"][key], key
     totals = stats["totals"]
     by_tenant = stats["tenants"]
     for key in ("executions", "plans_built", "plans_reused",
