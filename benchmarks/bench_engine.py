@@ -14,9 +14,7 @@ the plan cache and the memoized statistics.
 
 Asserted: identical answers on every path and a ≥ 2× warm-over-cold
 throughput speedup (best-of-3 loop timings, so one scheduler hiccup cannot
-flip the verdict), plus bit-identical answers between serial and 4-shard
-partition-parallel execution on the adaptive hard-instance workload.
-Timings are appended to the JSON file named by ``$BENCH_ENGINE_JSON`` (the
+flip the verdict).  Timings are appended to the JSON file named by ``$BENCH_ENGINE_JSON`` (the
 CI perf-trajectory artifact).
 """
 
@@ -27,7 +25,6 @@ import os
 import time
 
 from repro.datagen import random_graph_database
-from repro.datagen.workloads import four_cycle_hard_workload
 from repro.engine import Engine
 from repro.optimizer import plan_and_execute
 from repro.query.library import (
@@ -140,35 +137,3 @@ def test_warm_plan_cache_beats_per_call_planning(report_table):
     assert speedup >= REQUIRED_SPEEDUP, (
         f"warm plan cache only {speedup:.2f}x faster over {requests} requests")
 
-
-def test_partition_parallel_matches_serial(report_table):
-    workload = four_cycle_hard_workload(200, backend=BACKEND)
-    statistics = collect_statistics(workload.database, workload.query,
-                                    include_degrees=False)
-    engine = Engine(workload.database)
-    prepared = engine.prepare(workload.query, statistics=statistics)
-
-    start = time.perf_counter()
-    serial = prepared.execute(shards=1)
-    serial_time = time.perf_counter() - start
-    start = time.perf_counter()
-    sharded = prepared.execute(shards=4)
-    sharded_time = time.perf_counter() - start
-
-    # bit-identical answers: same rows, same schema
-    assert sharded.answer.rows == serial.answer.rows
-    assert sharded.answer.columns == serial.answer.columns
-    assert engine.stats.shards_run == 4
-    assert engine.stats.parallel_executions == 1
-
-    report_table(
-        "Engine: hard 4-cycle (N=200), serial vs 4 hash-shards (threads)",
-        ["execution", "seconds", "answers"],
-        [["serial", f"{serial_time:.4f}", str(len(serial.answer))],
-         ["4 shards", f"{sharded_time:.4f}", str(len(sharded.answer))]])
-    _persist_timings({"partition_parallel": {
-        "serial_seconds": serial_time,
-        "sharded_seconds": sharded_time,
-        "shards": 4,
-        "answers": len(serial.answer),
-    }})

@@ -2,7 +2,7 @@
 
 The observability layer (span tracing, the metrics registry, the
 cardinality profiler) instruments the hot path of every query — the
-engine's phase spans, the per-shard execution spans and the per-node
+engine's phase spans, the evaluators' spans and the per-node
 observed-cardinality recording all run inside ``Engine.execute``.  The
 deal the telemetry PR makes is that all of it together costs at most 10%
 on the workload the engine is optimized for: warm, plan-cache-hitting

@@ -194,7 +194,7 @@ def _generic_join_traced(query: ConjunctiveQuery, database: Database,
     result = Relation(query.name, tuple(free), output_rows, backend=backend_kind)
     if counter is not None:
         # One atomic batch update: safe when the caller shares a counter
-        # across partition-parallel shard workers.
+        # across threads.
         counter.tally(explored, len(result),
                       note=f"generic join explored {explored} partial assignments")
     span.set("explored", explored)

@@ -2,8 +2,7 @@
 
 The runtime layers built in PRs 1–6 each rest on invariants none of them
 re-check at execution time: cached :class:`~repro.engine.plan_cache.PlanRecipe`
-objects are rebuilt with ``validate=False``, shard workers trust the bags
-they are shipped, shared counters assume every writer holds the lock, and
+objects are rebuilt with ``validate=False``, shared counters assume every writer holds the lock, and
 the asyncio service assumes no coroutine ever blocks.  Our own history shows
 these rot silently — PR 2's dropped answers came from a raw float threshold
 against an LP objective, PR 4 and PR 6 each fixed an unlocked
@@ -14,7 +13,7 @@ from production triage to CI time:
   (running intersection, atom/variable coverage, free-variable safety,
   semijoin-order validity, width sanity, semiring↔kernel capability,
   Shannon-flow proof-step well-formedness), wired into the engine's plan
-  cache insert and the partition-parallel dispatch path;
+  cache insert;
 * :mod:`repro.analysis.linter` + :mod:`repro.analysis.rules` — an AST
   linter with a rule registry, ``file:line`` findings with fix hints,
   justified inline suppressions and JSON output, encoding the repo's
@@ -37,14 +36,11 @@ from repro.analysis.plan_verifier import (
     WIDTH_SLACK,
     assert_valid,
     verify_bags,
-    verify_cluster_task,
-    verify_dispatch,
     verify_plan,
     verify_proof_sequence,
     verify_recipe,
     verify_semijoin_order,
     verify_semiring_kernel_compatibility,
-    verify_shard_payload,
 )
 
 __all__ = [
@@ -59,12 +55,9 @@ __all__ = [
     "WIDTH_SLACK",
     "assert_valid",
     "verify_bags",
-    "verify_cluster_task",
-    "verify_dispatch",
     "verify_plan",
     "verify_proof_sequence",
     "verify_recipe",
     "verify_semijoin_order",
     "verify_semiring_kernel_compatibility",
-    "verify_shard_payload",
 ]

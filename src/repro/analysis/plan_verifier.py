@@ -8,17 +8,15 @@ legal polymatroid rewrite, and the vectorized kernels compute the right
 ⊕-aggregates *if* the semiring's values fit the registered array reductions.
 The runtime re-checks none of this — plans are rebuilt from cached
 :class:`~repro.engine.plan_cache.PlanRecipe` objects with ``validate=False``
-and shipped to shard workers as bare bag tuples — so a corrupted or poisoned
-recipe would execute silently and return wrong answers.
+— so a corrupted or poisoned recipe would execute silently and return wrong
+answers.
 
 This module is the gate.  Every checker returns a list of *problems* (plain
 actionable strings); empty means verified.  :func:`assert_valid` converts
 problems into a :class:`PlanVerificationError`.  The engine verifies every
 recipe before it enters the plan cache (``Engine._resolve_plan``, counted by
-``EngineStats.plans_verified``) and :func:`verify_dispatch` re-checks a plan
-once before its first partition-parallel dispatch
-(:func:`repro.engine.parallel.run_partitioned`); the cluster coordinator
-checks the pickle-safety of the first task it ships to a worker.
+``EngineStats.plans_verified``), so every later cache hit rebuilds a
+verified decision.
 
 Checks implemented here:
 
@@ -307,96 +305,6 @@ def verify_plan(plan: QueryPlan) -> list[str]:
                 "Yannakakis plan for a non-free-connex projection: the "
                 "semijoin order cannot make the projection linear")
     return problems
-
-
-# ---------------------------------------------------------------------------
-# shard-payload pickle safety (the runtime complement of lint rule REP104)
-# ---------------------------------------------------------------------------
-
-def verify_shard_payload(payload: Mapping | Sequence,
-                         label: str = "shard payload",
-                         _depth: int = 0) -> list[str]:
-    """Reject worker payloads that carry unpicklable callables.
-
-    Walks the payload's plain containers (dict/list/tuple/set) to a bounded
-    depth; any function, lambda or bound method found there would fail to
-    pickle on its way to a worker process — reject it here, with a name,
-    before dispatch.
-    """
-    problems: list[str] = []
-    if _depth > 6:
-        return problems
-    items: Iterable
-    if isinstance(payload, Mapping):
-        items = payload.items()
-    else:
-        items = enumerate(payload)
-    for key, value in items:
-        where = f"{label}[{key!r}]"
-        if callable(value) and not isinstance(value, type):
-            problems.append(
-                f"{where} holds a callable ({getattr(value, '__qualname__', value)!r}): "
-                "lambdas/closures/bound methods cannot cross the process "
-                "boundary — ship plain data and rebuild behaviour in the "
-                "worker")
-        elif isinstance(value, (dict, list, tuple, set, frozenset)):
-            problems.extend(verify_shard_payload(
-                value if isinstance(value, dict) else list(value),
-                label=where, _depth=_depth + 1))
-    return problems
-
-
-def verify_cluster_task(task: Mapping) -> list[str]:
-    """Statically verify a cluster dispatch task before it reaches a worker.
-
-    A task is the cluster coordinator's unit of work: identity fields
-    (``task_id``/``shard``/``attempt``), the shard payload,
-    and optionally a chaos-harness ``fault`` directive.  Everything crosses a
-    process boundary, so the payload must pass the pickle-safety walk of
-    :func:`verify_shard_payload` and the fault directive must be a plain dict
-    naming a known fault kind — a malformed directive would otherwise fail
-    *inside* the worker as a generic task error and be retried pointlessly.
-    """
-    problems: list[str] = []
-    if not isinstance(task.get("task_id"), str) or not task.get("task_id"):
-        problems.append("cluster task needs a non-empty string 'task_id'")
-    if not isinstance(task.get("shard"), int):
-        problems.append("cluster task needs an integer 'shard' index")
-    attempt = task.get("attempt")
-    if not isinstance(attempt, int) or attempt < 1:
-        problems.append("cluster task needs a 1-based integer 'attempt'")
-    payload = task.get("payload")
-    if not isinstance(payload, Mapping):
-        problems.append("cluster task needs a mapping 'payload' "
-                        "(the shard payload)")
-    else:
-        problems.extend(verify_shard_payload(payload, label="cluster payload"))
-    directive = task.get("fault")
-    if directive is not None:
-        from repro.testing.faults import FAULT_KINDS
-
-        if not isinstance(directive, dict):
-            problems.append(
-                f"cluster task fault directive must be a plain dict, "
-                f"got {type(directive).__name__}")
-        elif directive.get("kind") not in FAULT_KINDS:
-            problems.append(
-                f"cluster task fault directive kind {directive.get('kind')!r} "
-                f"is not one of {FAULT_KINDS}")
-    return problems
-
-
-def verify_dispatch(plan: QueryPlan) -> None:
-    """Verify a plan once before partition-parallel dispatch (memoized).
-
-    The result is cached on the plan object, so repeated sharded executions
-    of one prepared plan pay the structural check exactly once — the
-    warm-path overhead budget (<5% on ``bench_engine``) stays intact.
-    """
-    if getattr(plan, "_dispatch_verified", False):
-        return
-    assert_valid(f"{plan.kind.value} plan for {plan.query}", verify_plan(plan))
-    plan._dispatch_verified = True  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------

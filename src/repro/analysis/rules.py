@@ -3,7 +3,7 @@
 Every rule here is a post-mortem turned executable:
 
 * **REP101** — PR 4 and PR 6 each fixed an unlocked read-modify-write race on
-  shared counters (``WorkCounter`` losing parallel-shard counts, then
+  shared counters (``WorkCounter`` losing parallel counts, then
   ``EngineStats`` losing simultaneous-finish increments).  Counter fields may
   only move under their lock or through the atomic ``bump()``/``tally()``
   batch updates.
@@ -37,6 +37,10 @@ Every rule here is a post-mortem turned executable:
   move under a lock or through a ``CounterTable``'s atomic ``add``.  REP101
   polices the two original containers; REP108 extends the discipline to
   every dict the registry scrapes.
+* **REP109** — a cancellation test raced a 0.2 s deadline against an
+  injected 5 s sleep, so tier 1's verdict depended on how loaded the host
+  was.  A test that sleeps or sets a real deadline must take the
+  ``stepping_clock`` fixture, whose readings advance one second per check.
 """
 
 from __future__ import annotations
@@ -59,10 +63,7 @@ COUNTER_FIELDS = frozenset({
     # EngineStats
     "plans_built", "plans_reused", "plans_verified",
     "statistics_measured", "statistics_reused",
-    "executions", "serial_executions", "parallel_executions",
-    "cancelled_executions", "shards_run", "invalidations",
-    "tasks_retried", "stragglers_redispatched", "workers_respawned",
-    "degraded_executions",
+    "executions", "cancelled_executions", "invalidations",
     "wall_time_seconds",
     # WorkCounter
     "intermediate_tuples", "max_intermediate", "materializations",
@@ -120,7 +121,7 @@ REP101 = register_rule(LintRule(
     hint="route the update through the owner's atomic method "
          "(EngineStats.bump, WorkCounter.tally/observe_max, CounterTable.add) "
          "or wrap it in `with self._lock:`",
-    history="PR 4 (WorkCounter lost shard counts) and PR 6 (EngineStats "
+    history="PR 4 (WorkCounter lost parallel counts) and PR 6 (EngineStats "
             "lost simultaneous-finish increments)",
     check=_check_counter_mutation,
 ))
@@ -678,5 +679,52 @@ REP108 = register_rule(LintRule(
     check=_check_unregistered_counter_path,
 ))
 
+# ---------------------------------------------------------------------------
+# REP109: wall-clock waits in tests
+# ---------------------------------------------------------------------------
+
+#: The fixture that makes deadlines deterministic (``tests/conftest.py``).
+_CLOCK_FIXTURE = "stepping_clock"
+
+
+def _check_wall_clock_tests(context: ModuleContext) -> list[Finding]:
+    findings: list[Finding] = []
+    for function in ast.walk(context.tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or not function.name.startswith("test_"):
+            continue
+        arguments = function.args
+        if any(arg.arg == _CLOCK_FIXTURE for arg in (
+                arguments.posonlyargs + arguments.args + arguments.kwonlyargs)):
+            continue
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = ModuleContext.dotted_name(node.func)
+            if dotted == "time.sleep" or (
+                    dotted is not None and dotted.endswith(".with_timeout")):
+                findings.append(REP109.finding(
+                    context, node,
+                    f"{dotted}() in `{function.name}`, which does not take "
+                    f"the {_CLOCK_FIXTURE} fixture: the verdict depends on "
+                    "the host's wall clock"))
+    return findings
+
+
+REP109 = register_rule(LintRule(
+    id="REP109",
+    name="wall-clock-test",
+    summary="test functions that call time.sleep or "
+            "CancellationToken.with_timeout must take the stepping_clock "
+            "fixture",
+    hint="add the `stepping_clock` fixture (deadline readings advance one "
+         "second per check), or trip the token after a fixed number of "
+         "checks instead of sleeping",
+    history="a cancellation test raced a 0.2 s deadline against an injected "
+            "5 s sleep: tier 1 passed or failed with the host's load",
+    check=_check_wall_clock_tests,
+))
+
 #: The full repo rule set, in id order (used by docs and tests).
-ALL_RULES = (REP101, REP102, REP103, REP104, REP105, REP106, REP107, REP108)
+ALL_RULES = (REP101, REP102, REP103, REP104, REP105, REP106, REP107, REP108,
+             REP109)

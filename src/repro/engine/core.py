@@ -15,11 +15,7 @@ adaptive-PANDA per query; PRs 1–3 gave the storage and LP layers caches.  The
 * **prepared queries** (:meth:`Engine.prepare`) whose ``execute`` /
   ``execute_many`` re-validate against the database revision and re-resolve
   transparently on staleness;
-* **partition-parallel execution** (:mod:`repro.engine.parallel`): the
-  heaviest non-self-joined atom is hash-partitioned across N workers, the
-  cached plan runs per shard, and the shard answers union into exactly the
-  serial result;
-* :class:`EngineStats`: plans built/reused, shards run, wall time, and the
+* :class:`EngineStats`: plans built/reused, executions, wall time, and the
   aggregated storage + LP cache deltas observed while serving.
 """
 
@@ -35,7 +31,6 @@ from repro.engine.fingerprint import (
     query_fingerprint,
     statistics_fingerprint,
 )
-from repro.engine.parallel import EXECUTORS, run_partitioned
 from repro.engine.plan_cache import LruDict, PlanCache, PlanRecipe
 from repro.decompositions.treedecomp import TreeDecomposition
 from repro.lp.model import LP_STATS
@@ -67,17 +62,11 @@ _ENGINE_COUNTERS = (
     # verification ever rejects a decision.
     "plans_verified",
     "statistics_measured", "statistics_reused",
-    "executions", "serial_executions", "parallel_executions",
+    "executions",
     # Executions that raised ``QueryCancelledError`` (deadline or explicit
     # cancel) before producing an answer; not counted in ``executions``.
     "cancelled_executions",
-    "shards_run", "invalidations",
-    # The fault-tolerant cluster executor's recoveries: shard tasks
-    # re-dispatched after a failure, stragglers speculatively re-issued,
-    # worker processes replaced, and queries that finished their remaining
-    # shards serially in-process (degraded, never failed).
-    "tasks_retried", "stragglers_redispatched", "workers_respawned",
-    "degraded_executions",
+    "invalidations",
     "wall_time_seconds",
 )
 
@@ -138,21 +127,13 @@ class EngineStats:
     def describe(self) -> str:
         d = self.as_dict()
         lines = [f"engine: {d['executions']} executions "
-                 f"({d['parallel_executions']} parallel, {d['shards_run']} shards, "
-                 f"{d['cancelled_executions']} cancelled) "
+                 f"({d['cancelled_executions']} cancelled) "
                  f"in {d['wall_time_seconds']:.4f}s",
                  f"  plans: {d['plans_built']} built, {d['plans_reused']} reused, "
                  f"{d['plans_verified']} verified; "
                  f"statistics: {d['statistics_measured']} measured, "
                  f"{d['statistics_reused']} reused; "
                  f"{d['invalidations']} invalidations"]
-        if (d["tasks_retried"] or d["stragglers_redispatched"]
-                or d["workers_respawned"] or d["degraded_executions"]):
-            lines.append(
-                f"  faults: {d['tasks_retried']} tasks retried, "
-                f"{d['stragglers_redispatched']} stragglers re-dispatched, "
-                f"{d['workers_respawned']} workers respawned, "
-                f"{d['degraded_executions']} degraded executions")
         for label, bucket in (("storage caches", d["storage_cache_events"]),
                               ("lp caches", d["lp_cache_events"]),
                               ("kernels", d["kernel_cache_events"])):
@@ -167,8 +148,7 @@ class EngineStats:
 class PreparedQuery:
     """A plan bound to an engine, re-validated against the database revision.
 
-    ``execute()`` runs the cached plan (sharded when the prepared shard count
-    or the call-site override asks for it); ``execute_many(batch)`` runs the
+    ``execute()`` runs the cached plan; ``execute_many(batch)`` runs the
     same plan once per database in ``batch`` — the serving pattern for a
     stream of snapshots or tenant databases that share one schema — or, with
     no batch, once per engine database per repetition.
@@ -178,21 +158,17 @@ class PreparedQuery:
     query: ConjunctiveQuery
     statistics: ConstraintSet
     plan: QueryPlan
-    shards: int
     _explicit_statistics: bool
     _revision: int
     _snapshot: tuple
 
-    def execute(self, shards: int | None = None,
-                cancellation: CancellationToken | None = None) -> ExecutionResult:
+    def execute(self, cancellation: CancellationToken | None = None
+                ) -> ExecutionResult:
         self._refresh()
-        return self.engine._execute_plan(
-            self.plan, self.shards if shards is None else shards,
-            cancellation=cancellation)
+        return self.engine._execute_plan(self.plan, cancellation=cancellation)
 
     def execute_many(self, batch: Iterable[Database] | None = None,
-                     repeat: int = 1,
-                     shards: int | None = None) -> list[ExecutionResult]:
+                     repeat: int = 1) -> list[ExecutionResult]:
         """Run the prepared plan over a batch of databases (or ``repeat`` times).
 
         All runs reuse this one plan — no re-planning per database — which is
@@ -200,12 +176,10 @@ class PreparedQuery:
         pass databases that satisfy the prepared statistics for the cost
         guarantees to carry over.
         """
-        shard_count = self.shards if shards is None else shards
         if batch is None:
-            return [self.execute(shards=shard_count) for _ in range(repeat)]
+            return [self.execute() for _ in range(repeat)]
         self._refresh()
-        return [self.engine._execute_plan(self.plan, shard_count,
-                                          database=database)
+        return [self.engine._execute_plan(self.plan, database=database)
                 for database in batch]
 
     def _refresh(self) -> None:
@@ -233,18 +207,6 @@ class Engine:
         LRU capacity of the plan cache (entries, not bytes).
     max_variables, adaptive_threshold:
         Planner configuration, part of the plan-cache key.
-    shards:
-        Default shard count for executions; ``1`` means serial.  Shard counts
-        can be overridden per ``prepare``/``execute`` call.
-    executor:
-        ``"serial"`` (default; runs the shards one after another in this
-        process, sharing warm indexes of unpartitioned relations) or
-        ``"cluster"`` (forked workers under the fault-tolerant coordinator
-        of :mod:`repro.engine.cluster`: retries, straggler re-dispatch,
-        worker respawn, serial degradation).
-    cluster_config:
-        Optional :class:`~repro.engine.cluster.ClusterConfig` for the
-        ``"cluster"`` executor; ``None`` uses the defaults.
     measure_degrees:
         Whether auto-measured statistics include per-split max degrees
         (tighter plans, costlier measurement) or only cardinalities.
@@ -254,21 +216,10 @@ class Engine:
                  plan_cache_size: int = 128,
                  max_variables: int = 9,
                  adaptive_threshold: float = 1e-6,
-                 shards: int = 1,
-                 executor: str = "serial",
-                 cluster_config=None,
                  measure_degrees: bool = False) -> None:
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; pick one of {EXECUTORS}")
-        if isinstance(shards, bool) or not isinstance(shards, int) \
-                or shards < 1:
-            raise ValueError(f"shards must be a positive int, got {shards!r}")
         self.database = database
         self.max_variables = max_variables
         self.adaptive_threshold = adaptive_threshold
-        self.shards = shards
-        self.executor = executor
         self.measure_degrees = measure_degrees
         self.plan_cache = PlanCache(plan_cache_size)
         self.stats = EngineStats()
@@ -276,10 +227,6 @@ class Engine:
         # backend snapshot per query shape ever seen — including superseded
         # backends and their memoized encodings — for the engine's lifetime.
         self._stats_memo: LruDict = LruDict(plan_cache_size)
-        # The cluster coordinator is built lazily, on the first clustered
-        # run, and reports fault counters into this engine's stats.
-        self._cluster_config = cluster_config
-        self._cluster = None
 
     # ------------------------------------------------------------ statistics
     def measured_statistics(self, query: ConjunctiveQuery) -> ConstraintSet:
@@ -307,8 +254,7 @@ class Engine:
 
     # -------------------------------------------------------------- planning
     def prepare(self, query: ConjunctiveQuery,
-                statistics: ConstraintSet | None = None,
-                shards: int | None = None) -> PreparedQuery:
+                statistics: ConstraintSet | None = None) -> PreparedQuery:
         """Resolve (or fetch) the plan for ``query`` and bind it for serving."""
         explicit = statistics is not None
         if statistics is None:
@@ -316,14 +262,12 @@ class Engine:
         chosen = self._resolve_plan(query, statistics)
         return PreparedQuery(engine=self, query=query, statistics=statistics,
                              plan=chosen,
-                             shards=self.shards if shards is None else shards,
                              _explicit_statistics=explicit,
                              _revision=self.database.revision,
                              _snapshot=self.database.backend_snapshot())
 
     def execute(self, query: ConjunctiveQuery,
                 statistics: ConstraintSet | None = None,
-                shards: int | None = None,
                 cancellation: CancellationToken | None = None) -> ExecutionResult:
         """Plan-cache-aware one-shot execution against the engine database.
 
@@ -332,17 +276,16 @@ class Engine:
         :class:`~repro.utils.cancellation.QueryCancelledError` and the
         execution is accounted under ``stats.cancelled_executions``.
         """
-        return self.prepare(query, statistics=statistics,
-                            shards=shards).execute(cancellation=cancellation)
+        return self.prepare(query, statistics=statistics).execute(
+            cancellation=cancellation)
 
-    def execute_many(self, queries: Sequence[ConjunctiveQuery],
-                     shards: int | None = None) -> list[ExecutionResult]:
+    def execute_many(self, queries: Sequence[ConjunctiveQuery]
+                     ) -> list[ExecutionResult]:
         """Serve a workload of queries; repeated shapes hit the plan cache."""
-        return [self.execute(query, shards=shards) for query in queries]
+        return [self.execute(query) for query in queries]
 
     def explain(self, query: ConjunctiveQuery,
                 statistics: ConstraintSet | None = None,
-                shards: int | None = None,
                 analyze: bool = False) -> dict:
         """The chosen plan as a structured document; ``analyze=True`` also
         executes it and reports what actually happened.
@@ -353,14 +296,13 @@ class Engine:
         ``estimated_vs_observed`` cardinality report — the polymatroid
         prediction next to the observed size for every plan node.
         """
-        prepared = self.prepare(query, statistics=statistics, shards=shards)
+        prepared = self.prepare(query, statistics=statistics)
         plan = prepared.plan
         doc = {
             "query": str(query),
             "kind": plan.kind.value,
             "reason": plan.reason,
             "fingerprint": plan.fingerprint,
-            "shards": prepared.shards,
             "explain": plan.explain(),
         }
         if not analyze:
@@ -410,25 +352,6 @@ class Engine:
         self._stats_memo.clear()
         self.stats.bump(invalidations=1)
 
-    def cluster_coordinator(self):
-        """This engine's (lazily built) cluster coordinator.
-
-        Exposed so operators and the chaos harness can install a fault plan,
-        read lifetime fault counters or shut the pool down explicitly.
-        """
-        if self._cluster is None:
-            from repro.engine.cluster import ClusterCoordinator
-
-            self._cluster = ClusterCoordinator(self._cluster_config,
-                                               stats=self.stats)
-        return self._cluster
-
-    def close(self) -> None:
-        """Release worker processes (idempotent; the engine stays usable —
-        the pool rebuilds lazily on the next clustered execution)."""
-        if self._cluster is not None:
-            self._cluster.shutdown()
-
     # -------------------------------------------------------------- internals
     def _plan_key(self, query_digest: str, statistics_digest: str) -> tuple:
         return (query_digest, statistics_digest,
@@ -475,8 +398,8 @@ class Engine:
         fresh_recipe = self._recipe_from_plan(chosen, renaming)
         # Statically verify the decision before it becomes a cache entry:
         # a malformed recipe cached here would be rebuilt with
-        # ``validate=False`` on every later hit and shipped to shard
-        # workers as bare bags, returning wrong answers silently.
+        # ``validate=False`` on every later hit, returning wrong answers
+        # silently.
         with tracer.span("engine.verify",
                          {"fingerprint": fresh_recipe.fingerprint}):
             assert_valid(f"plan recipe {fresh_recipe.fingerprint}",
@@ -534,7 +457,7 @@ class Engine:
                             validate=False,
                             fingerprint=recipe.fingerprint)
 
-    def _execute_plan(self, chosen: QueryPlan, shards: int,
+    def _execute_plan(self, chosen: QueryPlan,
                       database: Database | None = None,
                       cancellation: CancellationToken | None = None) -> ExecutionResult:
         database = self.database if database is None else database
@@ -544,26 +467,13 @@ class Engine:
         started = time.perf_counter()
         with get_tracer().span("engine.execute",
                                {"query": chosen.query.name,
-                                "kind": chosen.kind.value,
-                                "shards": shards,
-                                "executor": self.executor}) as span:
+                                "kind": chosen.kind.value}) as span:
             try:
+                counter = None
                 if cancellation is not None:
                     cancellation.check()
-                result = None
-                if shards > 1:
-                    cluster = (self.cluster_coordinator()
-                               if self.executor == "cluster" else None)
-                    result = run_partitioned(chosen, database, shards,
-                                             cancellation=cancellation,
-                                             cluster=cluster)
-                if result is not None:
-                    parallel = True
-                else:
-                    counter = (WorkCounter(cancellation=cancellation)
-                               if cancellation is not None else None)
-                    result = chosen.execute(database, counter=counter)
-                    parallel = False
+                    counter = WorkCounter(cancellation=cancellation)
+                result = chosen.execute(database, counter=counter)
             except QueryCancelledError:
                 # A cancelled run still spent wall time and moved the caches;
                 # account for it (separately from successful executions) so
@@ -575,15 +485,9 @@ class Engine:
                 self._absorb_execution_events(database, storage_before,
                                               lp_before, kernel_before)
                 raise
-            span.set("parallel", parallel)
             span.set("rows_out", len(result.answer))
-        if parallel:
-            self.stats.bump(executions=1, parallel_executions=1,
-                            shards_run=shards,
-                            wall_time_seconds=time.perf_counter() - started)
-        else:
-            self.stats.bump(executions=1, serial_executions=1,
-                            wall_time_seconds=time.perf_counter() - started)
+        self.stats.bump(executions=1,
+                        wall_time_seconds=time.perf_counter() - started)
         self._absorb_execution_events(database, storage_before,
                                       lp_before, kernel_before)
         self._record_profile(chosen, result)

@@ -58,9 +58,6 @@ class ExecutionResult:
     answer: Relation
     counter: WorkCounter
     details: object | None = None
-    #: Finished span records a shard worker ships back with its result, to
-    #: be readopted into the coordinator's trace (empty in-process).
-    spans: list = field(default_factory=list)
 
     @property
     def output_size(self) -> int:
@@ -74,8 +71,8 @@ class QueryPlan:
     ``estimate`` is the full cost estimate when the plan was freshly costed
     and ``None`` when the plan was rebuilt from the engine's plan cache (the
     widths then live in ``reason``/``fingerprint``).  ``decomposition`` /
-    ``decompositions`` expose the plan's structure so it can be cached,
-    shipped to worker processes and explained without re-deriving anything.
+    ``decompositions`` expose the plan's structure so it can be cached and
+    explained without re-deriving anything.
     """
 
     kind: PlanKind

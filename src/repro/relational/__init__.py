@@ -21,7 +21,6 @@ from repro.relational.storage import (
     StorageBackend,
     get_default_backend,
     resolve_annotated_backend,
-    stable_row_hash,
 )
 from repro.relational.relation import Relation, relation_from_pairs
 from repro.relational.database import Database, database_from_edges
@@ -56,7 +55,6 @@ __all__ = [
     "ANNOTATED_BACKENDS",
     "resolve_annotated_backend",
     "get_default_backend",
-    "stable_row_hash",
     "kernel_ready",
     "kernel_stats",
     "KERNEL_STATS",

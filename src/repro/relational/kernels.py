@@ -420,40 +420,6 @@ def gather_encoded(backend, indices, width: int):
             int(indices.size))
 
 
-def slice_tables(tables, code_arrays):
-    """Each distinct table cut down to the values its columns use.
-
-    Returns ``(tables, code arrays)`` for shipping an encoded relation to a
-    worker process.  A shard view or derived column shares its base
-    column's whole table, most of which its rows may not use; shipping that
-    table as it is would pickle the full decode list once per shard.
-    Columns that share a table keep sharing one sliced table, codes keep
-    their relative order, and a table whose values are all used ships
-    unchanged.
-    """
-    from repro.relational.storage import CodeTable
-    remaps = {}
-    for table in tables:
-        if id(table) in remaps:
-            continue
-        used = np.zeros(len(table.decode), dtype=bool)
-        for other, codes in zip(tables, code_arrays):
-            if other is table:
-                used[codes] = True
-        if used.all():
-            remaps[id(table)] = (table, None)
-        else:
-            present = np.flatnonzero(used).tolist()
-            remaps[id(table)] = (CodeTable([table.decode[c] for c in present]),
-                                 np.cumsum(used, dtype=np.int64) - 1)
-    sliced_tables, sliced_codes = [], []
-    for table, codes in zip(tables, code_arrays):
-        sliced, remap = remaps[id(table)]
-        sliced_tables.append(sliced)
-        sliced_codes.append(codes if remap is None else remap[codes])
-    return sliced_tables, sliced_codes
-
-
 def _empty_encoded(width: int):
     """An encoded-columns triple holding no rows."""
     from repro.relational.storage import CodeTable
@@ -462,7 +428,7 @@ def _empty_encoded(width: int):
 
 
 # ---------------------------------------------------------------------------
-# set-semantics kernels: join, semijoin, projection, sharding
+# set-semantics kernels: join, semijoin, projection
 # ---------------------------------------------------------------------------
 
 def _keep_mask(left, right, left_key: tuple, right_key: tuple):
@@ -618,28 +584,6 @@ def distinct_encoded(backend, positions: Sequence[int]):
         return None
     KERNEL_STATS.add("projection_kernels")
     return [d.table for d in dicts], columns, int(columns[0].size)
-
-
-def shard_assignments(backend, width: int, count: int):
-    """Deterministic shard index per row, mixed from the code arrays.
-
-    Only the parent process ever assigns shards (workers receive ready
-    shards), so any deterministic function of the stored rows preserves the
-    partition-parallel identity; mixing dictionary codes avoids building a
-    single Python tuple.
-    """
-    if not kernel_ready(backend):
-        return None
-    length = len(backend)
-    mixed = np.zeros(length, dtype=np.uint64)
-    prime = np.uint64(0x100000001B3)
-    with np.errstate(over="ignore"):
-        for position in range(width):
-            codes = backend.dictionary(position).codes_array()
-            mixed = mixed * prime + codes.astype(np.uint64) + np.uint64(1)
-            mixed ^= mixed >> np.uint64(29)
-    KERNEL_STATS.add("shard_kernels")
-    return (mixed % np.uint64(count)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ class WorkCounter:
     is exactly the cost measure of Section 4.1 of the paper.
 
     Counters are thread-safe: every update happens under an internal lock,
-    so a counter shared between the engine's partition-parallel shard workers
-    never loses counts.  (The engine's default is still one counter per
-    worker, merged at join — :meth:`merge` snapshots the source under its own
-    lock, so merging is safe in either topology.)
+    so a counter shared between threads never loses counts, and
+    :meth:`merge` (how the binary-join and static-plan runners fold a
+    sub-plan's counter into their report) snapshots the source under its own
+    lock.
 
     ``cancellation`` optionally carries a cooperative cancellation token
     (:class:`~repro.utils.cancellation.CancellationToken`).  The evaluation
@@ -48,8 +48,8 @@ class WorkCounter:
     notes: list[str] = field(default_factory=list)
     #: Per-plan-node observed sizes, ``(kind, variables, rows)`` triples
     #: recorded by the runners and consumed by the telemetry cardinality
-    #: profiler.  Plain tuples so they pickle across shard workers and merge
-    #: exactly like the scalar counters.
+    #: profiler.  Plain tuples, so they merge exactly like the scalar
+    #: counters.
     observations: list[tuple[str, tuple[str, ...], int]] = \
         field(default_factory=list)
     #: Optional cooperative-cancellation token (anything with ``check()``).
@@ -92,7 +92,7 @@ class WorkCounter:
         """Raise ``max_intermediate`` to at least ``largest``, atomically.
 
         The adaptive runner folds a report's peak intermediate back into a
-        counter that parallel shard workers may be moving concurrently; a
+        counter that another thread may be moving concurrently; a
         bare ``counter.max_intermediate = max(...)`` here is the same
         read-modify-write race :meth:`tally` exists to prevent (lint rule
         REP101), so the fold gets its own locked method.
@@ -115,17 +115,6 @@ class WorkCounter:
             self.materializations += materializations
             self.notes.extend(notes)
             self.observations.extend(observations)
-
-    # Locks cannot cross pickle (process-parallel shard payloads) — drop the
-    # lock on the way out and give the copy a fresh one.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
 
 def join_all(relations: Sequence[Relation],

@@ -26,7 +26,6 @@ from repro.relational.storage import (
     StorageBackend,
     get_default_backend,
     resolve_backend,
-    stable_row_hash,
 )
 
 
@@ -281,64 +280,6 @@ class Relation:
         light = self._derive(f"{self.name}_light", self.columns, light_rows, unique=True)
         heavy = self._derive(f"{self.name}_heavy", self.columns, heavy_rows, unique=True)
         return light, heavy
-
-    def hash_shards(self, count: int) -> list["Relation"]:
-        """Partition into ``count`` disjoint relations by a stable row hash.
-
-        The shards cover the relation exactly (every row lands in one shard),
-        and the assignment uses :func:`~repro.relational.storage.stable_row_hash`
-        so it is identical across worker processes — the invariant the
-        engine's partition-parallel execution relies on to merge shard
-        answers into exactly the serial result.  ``count == 1`` returns a
-        backend-sharing copy (no repartitioning cost).
-        """
-        if count < 1:
-            raise ValueError("the shard count must be at least 1")
-        if count == 1:
-            return [self.copy()]
-        assignment = kernels.shard_assignments(self._backend,
-                                               len(self.columns), count)
-        if assignment is not None:
-            # Zero-copy shard views: each shard shares the parent's code
-            # tables and holds only sliced int64 code arrays.  Sharding always
-            # happens in the parent (workers receive ready shards), so any
-            # deterministic assignment preserves the merge identity.
-            views = self._backend.shard_views(assignment, count,
-                                              len(self.columns))
-            return [Relation._from_backend(f"{self.name}[{index}/{count}]",
-                                           self.columns, view)
-                    for index, view in enumerate(views)]
-        buckets: list[list[tuple]] = [[] for _ in range(count)]
-        for row in self._backend.iter_rows():
-            buckets[stable_row_hash(row) % count].append(row)
-        return [self._derive(f"{self.name}[{index}/{count}]", self.columns,
-                             bucket, unique=True)
-                for index, bucket in enumerate(buckets)]
-
-    def encoded_payload(self):
-        """Compact dictionary-encoded form for process-worker transport.
-
-        Returns ``(code tables, int64 code arrays, row count)`` — the
-        arguments of :meth:`ColumnarBackend.from_encoded` — or ``None`` when
-        the backend cannot serve the kernel path.  Each table ships cut down
-        to the values this relation's rows use
-        (:func:`~repro.relational.kernels.slice_tables`), so a shard view
-        does not pickle its base column's whole table; together with
-        shipping codes instead of Python row tuples this keeps
-        partition-parallel serialization proportional to the shard's data,
-        not to the number of Python objects.  A table shared by several
-        columns pickles once, and the worker rebuilds exactly the shipped
-        codes with no recompaction.
-        """
-        backend = self._backend
-        if not kernels.kernel_ready(backend):
-            return None
-        width = len(self.columns)
-        dictionaries = [backend.dictionary(p) for p in range(width)]
-        tables, codes = kernels.slice_tables(
-            [d.table for d in dictionaries],
-            [d.codes_array() for d in dictionaries])
-        return tables, codes, len(backend)
 
     # ------------------------------------------------------------------ joins
     def prefix_trie(self, positions: Sequence[int]) -> list[dict[tuple, set]]:

@@ -43,7 +43,6 @@ Every build and memo hit records a counter in the backend's
 from __future__ import annotations
 
 import itertools
-import zlib
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as _np
@@ -64,19 +63,6 @@ STORAGE_STATS = get_registry().table("storage")
 def storage_stats() -> dict[str, int]:
     """A snapshot of the process-wide storage build/hit counters."""
     return STORAGE_STATS.snapshot()
-
-
-def stable_row_hash(row: tuple) -> int:
-    """A process-independent hash of a row.
-
-    Python's builtin ``hash`` is salted per process for strings, so it cannot
-    decide which shard a row belongs to when shards are evaluated by worker
-    *processes*: the parent and the workers would disagree.  CRC32 over the
-    row's ``repr`` is deterministic across processes and Python versions,
-    which is what partition-parallel execution needs so that hash-partitioning
-    a relation yields the same shards everywhere.
-    """
-    return zlib.crc32(repr(row).encode("utf-8"))
 
 
 class StorageBackend:
@@ -278,9 +264,9 @@ class CodeTable:
     inverse map (built lazily — most tables are only ever decoded).  A table
     is created once per *base* column (:meth:`ColumnDictionary.from_values`)
     and then shared by reference with every relation derived from that
-    column: kernel join outputs, semijoin gathers, distinct projections and
-    shard views.  So the table, its ``uid`` and its memoized translations live as
-    long as the base relation, and a warm re-execution finds every
+    column: kernel join outputs, semijoin gathers and distinct projections.
+    So the table, its ``uid`` and its memoized translations live as long as
+    the base relation, and a warm re-execution finds every
     translation it needs already built.
 
     A derived column's codes are *not* dense over the values it holds: the
@@ -295,14 +281,6 @@ class CodeTable:
         self._decode_array = None
         self._translations: dict[int, object] = {}
         self.uid = next(_table_uids)
-
-    # Memoized arrays and per-process uids do not cross pickle.  (A
-    # one-element tuple, never a falsy state, so ``__setstate__`` always runs.)
-    def __getstate__(self) -> tuple:
-        return (self.decode,)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.__init__(state[0])
 
     @property
     def encode(self) -> dict:
@@ -399,13 +377,6 @@ class ColumnDictionary:
             self._codes = self._codes_array.tolist()
         return self._codes
 
-    # Memoized arrays do not cross pickle; the table pickles by reference.
-    def __getstate__(self) -> tuple:
-        return (self.table, self.codes_array())
-
-    def __setstate__(self, state: tuple) -> None:
-        self.__init__(state[0], codes_array=state[1])
-
     def codes_array(self):
         """The codes as a cached ``int64`` NumPy array."""
         if self._codes_array is None:
@@ -469,12 +440,9 @@ class ColumnarBackend(StorageBackend):
         ``code_arrays[p]`` its ``int64`` codes into it.  The tables are taken
         by reference: column ``p``'s dictionary is exactly
         ``(tables[p], code_arrays[p])``, with no recompaction, so a kernel
-        output, semijoin gather, distinct projection or shard view shares
-        its base column's table — and that table's memoized translations —
-        and costs no value copies.  The same triple, with each table cut
-        down to the values the rows use, is the payload shipped to cluster
-        workers instead of Python row tuples
-        (:meth:`~repro.relational.relation.Relation.encoded_payload`).
+        output, semijoin gather or distinct projection shares its base
+        column's table — and that table's memoized translations — and costs
+        no value copies.
         """
         backend = cls()
         backend._rows = None
@@ -533,7 +501,7 @@ class ColumnarBackend(StorageBackend):
         dictionary = self._dictionaries.get(position)
         if dictionary is None:
             if self._encoded is not None:
-                # Encoded construction (shard view / kernel output): the
+                # Encoded construction (kernel output): the
                 # column wraps its base column's shared table.
                 self._count("dictionary_wraps")
                 tables, codes = self._encoded
@@ -547,25 +515,6 @@ class ColumnarBackend(StorageBackend):
         else:
             self._count("dictionary_hits")
         return dictionary
-
-    def shard_views(self, assignment, count: int,
-                    width: int) -> list["ColumnarBackend"]:
-        """``count`` encoded shard backends selected by ``assignment``.
-
-        ``assignment[r]`` is row ``r``'s shard index.  Each view shares the
-        parent's code tables by reference and holds only its own sliced
-        ``int64`` code arrays — no Python row tuples are built here.
-        """
-        dictionaries = [self.dictionary(p) for p in range(width)]
-        tables = [d.table for d in dictionaries]
-        code_columns = [d.codes_array() for d in dictionaries]
-        views = []
-        for index in range(count):
-            mask = assignment == index
-            views.append(ColumnarBackend.from_encoded(
-                tables, [column[mask] for column in code_columns],
-                int(mask.sum())))
-        return views
 
     def project_backend(self, positions: IndexKey) -> "ColumnarBackend":
         cached = self._projections.get(positions)

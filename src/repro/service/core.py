@@ -12,10 +12,9 @@ testable here without opening a socket.
 
 Deadlines are cooperative: each query gets a
 :class:`~repro.utils.cancellation.CancellationToken` threaded through the
-engine into the evaluation inner loops (and across process boundaries as a
-wall-clock deadline), so a query over a pathological intermediate join stops
-*mid-plan*, within a bounded number of work steps of its deadline — it does
-not run to completion and then notice it was late.
+engine into the evaluation inner loops, so a query over a pathological
+intermediate join stops *mid-plan*, within a bounded number of work steps of
+its deadline — it does not run to completion and then notice it was late.
 
 Shutdown drains: new queries are refused with ``service-unavailable``,
 in-flight queries finish (or, past an optional grace period, are cancelled
@@ -146,17 +145,13 @@ class QueryService:
 
     # -------------------------------------------------------------- tenants
     def create_tenant(self, name: str, database: Database, *,
-                      shards: int = 1, executor: str = "serial",
                       plan_cache_size: int = 128, max_variables: int = 9,
-                      cluster_config=None,
                       measure_degrees: bool = False) -> Tenant:
         if self._closing:
             raise ServiceUnavailableError("service is shutting down")
         return self.registry.create(
-            name, database, shards=shards, executor=executor,
-            plan_cache_size=plan_cache_size, max_variables=max_variables,
-            cluster_config=cluster_config,
-            measure_degrees=measure_degrees)
+            name, database, plan_cache_size=plan_cache_size,
+            max_variables=max_variables, measure_degrees=measure_degrees)
 
     def drop_tenant(self, name: str) -> None:
         self.registry.drop(name)
@@ -166,7 +161,7 @@ class QueryService:
 
     # -------------------------------------------------------------- queries
     async def query(self, tenant_name: str, query: ConjunctiveQuery | str, *,
-                    timeout: float | None = None, shards: int | None = None,
+                    timeout: float | None = None,
                     page_size: int | None = None) -> QueryResult:
         """Admit, execute and stream one query for ``tenant_name``.
 
@@ -191,8 +186,8 @@ class QueryService:
             try:
                 async with self.admission.slot(tenant_name):
                     started = time.perf_counter()
-                    result = await self._run_on_pool(tenant, parsed, shards,
-                                                     token, ctx)
+                    result = await self._run_on_pool(tenant, parsed, token,
+                                                     ctx)
                     elapsed = time.perf_counter() - started
             except AdmissionRejectedError:
                 tenant.bump(rejected=1)
@@ -216,8 +211,7 @@ class QueryService:
                                      page_size, elapsed, trace_id=trace_id)
 
     async def _run_on_pool(self, tenant: Tenant, parsed: ConjunctiveQuery,
-                           shards: int | None, token: CancellationToken,
-                           ctx=None):
+                           token: CancellationToken, ctx=None):
         """Run the blocking engine call on the worker pool, mapping engine
         exceptions to the service error taxonomy.
 
@@ -231,8 +225,7 @@ class QueryService:
 
         def call():
             with tracer.attach(ctx):
-                return tenant.engine.execute(parsed, shards=shards,
-                                             cancellation=token)
+                return tenant.engine.execute(parsed, cancellation=token)
 
         self._track(token, +1)
         try:
@@ -284,8 +277,7 @@ class QueryService:
 
     async def explain(self, tenant_name: str,
                       query: ConjunctiveQuery | str, *,
-                      analyze: bool = False,
-                      shards: int | None = None) -> dict:
+                      analyze: bool = False) -> dict:
         """The engine's plan explanation for ``tenant_name``'s query.
 
         With ``analyze=True`` the query actually executes (through the same
@@ -301,8 +293,7 @@ class QueryService:
             async with self.admission.slot(tenant_name):
                 return await loop.run_in_executor(
                     self._executor,
-                    lambda: tenant.engine.explain(parsed, shards=shards,
-                                                  analyze=analyze))
+                    lambda: tenant.engine.explain(parsed, analyze=analyze))
         except AdmissionRejectedError:
             tenant.bump(rejected=1)
             raise
@@ -403,11 +394,6 @@ class QueryService:
                 self._cancel_active(f"shutdown grace of {grace}s expired")
         await self._wait_idle()
         self._executor.shutdown(wait=True)
-        # Release every tenant's cluster worker processes — daemon workers
-        # would die with the process anyway, but an explicit close keeps
-        # shutdown deterministic.
-        for name in self.registry.names():
-            self.registry.get(name).engine.close()
 
     def _cancel_active(self, reason: str) -> None:
         for token in list(self._active_tokens):
@@ -446,8 +432,7 @@ class QueryService:
             self._require(request, "name", "relations")
             database = database_from_payload(request)
             engine_opts = request.get("engine", {})
-            allowed = {"shards", "executor", "plan_cache_size",
-                       "max_variables", "measure_degrees"}
+            allowed = {"plan_cache_size", "max_variables", "measure_degrees"}
             unknown = set(engine_opts) - allowed
             if unknown:
                 raise BadRequestError(
@@ -455,7 +440,7 @@ class QueryService:
             try:
                 tenant = self.create_tenant(request["name"], database,
                                             **engine_opts)
-            except ValueError as exc:  # e.g. an unknown executor
+            except ValueError as exc:  # e.g. a plan cache with no capacity
                 raise BadRequestError(str(exc)) from exc
             return {"tenant": tenant.name,
                     "relations": database.summary()}
@@ -464,11 +449,11 @@ class QueryService:
             self.drop_tenant(request["name"])
             return {"tenant": request["name"], "dropped": True}
         if op == "query":
-            self._require(request, "tenant", "query")
+            self._require(request, "tenant", "query",
+                          optional=("timeout", "page_size"))
             result = await self.query(
                 request["tenant"], request["query"],
                 timeout=request.get("timeout"),
-                shards=request.get("shards"),
                 page_size=request.get("page_size"))
             return result.to_dict()
         if op == "page":
@@ -484,18 +469,26 @@ class QueryService:
             return {"slow_queries": self.slow_log.entries(),
                     "log": self.slow_log.stats()}
         if op == "explain":
-            self._require(request, "tenant", "query")
+            self._require(request, "tenant", "query", optional=("analyze",))
             return await self.explain(
                 request["tenant"], request["query"],
-                analyze=bool(request.get("analyze", False)),
-                shards=request.get("shards"))
+                analyze=bool(request.get("analyze", False)))
         raise BadRequestError(f"unknown op {op!r}")
 
     @staticmethod
-    def _require(request: dict, *fields: str) -> None:
+    def _require(request: dict, *fields: str,
+                 optional: tuple[str, ...] | None = None) -> None:
+        """Reject a request missing any of ``fields``; with ``optional``
+        given, also reject every field outside ``fields`` and ``optional``
+        (a misspelled ``"timout"`` must not silently run with no deadline)."""
         missing = [name for name in fields if name not in request]
         if missing:
             raise BadRequestError(f"missing request fields: {missing}")
+        if optional is not None:
+            unknown = set(request) - {"op", *fields, *optional}
+            if unknown:
+                raise BadRequestError(
+                    f"unknown request fields: {sorted(unknown)}")
 
 
 def database_from_payload(request: dict) -> Database:

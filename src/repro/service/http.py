@@ -14,8 +14,8 @@ method     path            body / query string
 ``GET``    ``/slow``       — (the slow-query log, with trace ids)
 ``GET``    ``/tenants``    —
 ``POST``   ``/tenants``    ``{name, backend?, relations, engine?}``
-``POST``   ``/query``      ``{tenant, query, timeout?, shards?, page_size?}``
-``POST``   ``/explain``    ``{tenant, query, analyze?, shards?}``
+``POST``   ``/query``      ``{tenant, query, timeout?, page_size?}``
+``POST``   ``/explain``    ``{tenant, query, analyze?}``
 ``GET``    ``/page``       ``?tenant=..&stream_id=..&offset=..&page_size=..``
 =========  ==============  ==========================================
 

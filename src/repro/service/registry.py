@@ -91,15 +91,11 @@ class TenantRegistry:
         return name in self._tenants
 
     def create(self, name: str, database: Database, *,
-               shards: int = 1, executor: str = "serial",
                plan_cache_size: int = 128, max_variables: int = 9,
-               cluster_config=None,
                measure_degrees: bool = False) -> Tenant:
         """Register ``name`` with a fresh engine over ``database``."""
-        engine = Engine(database, shards=shards, executor=executor,
-                        plan_cache_size=plan_cache_size,
+        engine = Engine(database, plan_cache_size=plan_cache_size,
                         max_variables=max_variables,
-                        cluster_config=cluster_config,
                         measure_degrees=measure_degrees)
         tenant = Tenant(name=name, engine=engine)
         with self._lock:
@@ -120,9 +116,6 @@ class TenantRegistry:
             tenant = self._tenants.pop(name, None)
         if tenant is None:
             raise UnknownTenantError(f"unknown tenant {name!r}")
-        # Dropping a tenant releases its cluster worker processes — engines
-        # otherwise hold them for reuse.
-        tenant.engine.close()
         return tenant
 
     def names(self) -> list[str]:

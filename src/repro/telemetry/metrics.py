@@ -52,8 +52,7 @@ class CounterTable:
 
     Every update is atomic: :meth:`add` moves one key, :meth:`add_many` a
     whole batch under one acquisition, so a snapshot never sees half a
-    batch.  Zero amounts are skipped and never create a key.  A table
-    pickles with its counts and regrows its lock on the other side.
+    batch.  Zero amounts are skipped and never create a key.
     """
 
     def __init__(self, initial: Mapping[str, int | float] | None = None) -> None:
@@ -82,14 +81,6 @@ class CounterTable:
     def reset(self) -> None:
         with self._lock:
             self._counts.clear()
-
-    # A one-element tuple, never a falsy state, so ``__setstate__`` always
-    # runs and regrows the lock.
-    def __getstate__(self) -> tuple:
-        return (self.snapshot(),)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.__init__(state[0])
 
 
 class MetricsRegistry:

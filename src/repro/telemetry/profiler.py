@@ -15,8 +15,8 @@ read-only telemetry:
   (:func:`repro.bounds.polymatroid.polymatroid_bound` accepts a bare
   variable set; the LP solves are region-cached, so seeding is cheap);
 * at execution time the runners report observed node sizes through
-  ``WorkCounter.observe_node`` (they pickle across shard workers and merge
-  with the counters), and the engine folds them into the profile;
+  ``WorkCounter.observe_node`` (they merge with the counters), and the
+  engine folds them into the profile;
 * the profile is keyed by the plan-cache entry — it lives *inside* the
   cached :class:`~repro.engine.plan_cache.PlanRecipe`, so every execution of
   the same query fingerprint (including alpha-renamings, via the canonical

@@ -1,18 +1,15 @@
-"""Lightweight query tracing: spans, deterministic ids, cross-process reattach.
+"""Lightweight query tracing: spans, deterministic ids, explicit hops.
 
 A *span* is one timed step of serving a query — the service request, the
 engine's plan-cache lookup, an LP solve, a Yannakakis semijoin pass, a PANDA
-proof step, one shard's execution on a cluster worker.  Spans form a tree:
+proof step.  Spans form a tree:
 each records its parent's id, and the tree for one request is a *trace*.
 
 Design constraints, in order:
 
 * **Determinism** — span ids are per-trace sequence numbers (``s1``,
   ``s2``, …) and trace ids a process-wide serial (``t1``, ``t2``, …), never
-  random.  Spans created in a *worker* process are namespaced by the prefix
-  shipped with their parent context (``task-7.s1``), so two attempts of the
-  same shard — retries and speculative twins carry distinct task ids — can
-  never collide when their spans reassemble under the coordinator's trace.
+  random.
 * **Bounded memory** — finished traces live in a ring buffer
   (:data:`DEFAULT_TRACE_CAPACITY` traces); evictions are *counted*
   (``dropped_traces``), never silent.
@@ -23,23 +20,14 @@ Design constraints, in order:
   counted, not applied), and the context-manager form closes on every exit
   path including exceptions, which it records as the span's status.
 
-Timing uses ``time.perf_counter`` (CLOCK_MONOTONIC): monotonic within a
-process and — on the POSIX platforms the fork-based cluster runs on —
-shared across the coordinator and its forked workers, so cross-process span
-timings are directly comparable.
+Timing uses ``time.perf_counter`` (CLOCK_MONOTONIC), monotonic within the
+process.
 
 Propagation is contextvar-based (``with tracer.span(...)`` makes the span
-the ambient parent).  Contextvars do **not** cross thread-pool or process
-boundaries on their own; callers hop them explicitly:
-
-* thread pools / asyncio executors: capture ``span.context()`` (or
-  ``tracer.export_context()``) before the hop and wrap the work in
-  ``tracer.attach(ctx)`` or pass ``parent=ctx`` to the first span;
-* cluster workers: ship ``tracer.export_context(prefix=...)`` (a
-  plain picklable dict) in the payload, open worker spans with
-  ``parent=SpanContext.from_dict(...)``, then ``drain_remote(...)`` the
-  finished span records and return them with the result; the coordinator
-  calls :meth:`Tracer.adopt` to splice them into the original trace.
+the ambient parent).  Contextvars do **not** cross thread-pool boundaries
+on their own, so callers hop them explicitly: capture ``span.context()``
+before the hop and wrap the work in ``tracer.attach(ctx)`` or pass
+``parent=ctx`` to the first span.
 """
 
 from __future__ import annotations
@@ -68,24 +56,10 @@ _SUPPRESSED = object()
 
 @dataclass(frozen=True)
 class SpanContext:
-    """The picklable identity of a span, for crossing thread/process hops."""
+    """The identity of a span, for crossing thread hops."""
 
     trace_id: str
     span_id: str
-    #: Id namespace for spans created under this context in *another*
-    #: process; empty for same-process hops.
-    prefix: str = ""
-
-    def as_dict(self) -> dict:
-        return {"trace_id": self.trace_id, "span_id": self.span_id,
-                "prefix": self.prefix}
-
-    @classmethod
-    def from_dict(cls, doc: dict | None) -> "SpanContext | None":
-        if not doc:
-            return None
-        return cls(trace_id=doc["trace_id"], span_id=doc["span_id"],
-                   prefix=doc.get("prefix", ""))
 
 
 class _NullSpan:
@@ -154,19 +128,18 @@ class Span:
     """One timed step; use as a context manager or finish manually."""
 
     __slots__ = ("_tracer", "trace_id", "span_id", "parent_id", "name",
-                 "attrs", "prefix", "started", "ended", "status",
-                 "finished", "_token")
+                 "attrs", "started", "ended", "status", "finished",
+                 "_token")
 
     def __init__(self, tracer: "Tracer", trace_id: str, span_id: str,
-                 parent_id: str | None, name: str, attrs: dict | None,
-                 prefix: str) -> None:
+                 parent_id: str | None, name: str,
+                 attrs: dict | None) -> None:
         self._tracer = tracer
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
         self.attrs = dict(attrs) if attrs else {}
-        self.prefix = prefix
         self.started = time.perf_counter()
         self.ended: float | None = None
         self.status = "ok"
@@ -180,7 +153,7 @@ class Span:
         return self
 
     def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id, self.prefix)
+        return SpanContext(self.trace_id, self.span_id)
 
     def finish(self, status: str | None = None, **attrs) -> None:
         self._tracer._finish(self, status, attrs)
@@ -203,7 +176,7 @@ class Span:
         return True
 
     def as_record(self) -> dict:
-        """The span as a plain picklable/JSON-able dict."""
+        """The span as a plain JSON-able dict."""
         return {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
@@ -217,19 +190,16 @@ class Span:
 
 
 class _TraceRecord:
-    """Coordinator-side state of one trace: finished spans + open count."""
+    """The state of one trace: finished spans + open count."""
 
-    __slots__ = ("trace_id", "spans", "open_spans", "serials", "foreign")
+    __slots__ = ("trace_id", "spans", "open_spans", "serial")
 
-    def __init__(self, trace_id: str, foreign: bool = False) -> None:
+    def __init__(self, trace_id: str) -> None:
         self.trace_id = trace_id
         self.spans: list[dict] = []
         self.open_spans = 0
-        #: Next span sequence number, per id prefix ("" = local spans).
-        self.serials: dict[str, int] = {}
-        #: True when this record only relays spans to another process (a
-        #: worker tracing under a shipped remote context).
-        self.foreign = foreign
+        #: The last span sequence number allocated in this trace.
+        self.serial = 0
 
 
 class Tracer:
@@ -246,8 +216,8 @@ class Tracer:
         self._trace_serial = 0
         self.dropped_traces = 0
         self.double_finishes = 0
-        #: Finished spans whose trace had already been evicted (or, for
-        #: ``adopt``, never existed here) — counted, never silently lost.
+        #: Finished spans whose trace had already been evicted — counted,
+        #: never silently lost.
         self.orphan_spans = 0
 
     # ------------------------------------------------------------- switches
@@ -286,9 +256,7 @@ class Tracer:
 
         With no explicit ``parent`` the ambient span of the current context
         is the parent; with none ambient either, a new trace is rooted here
-        (subject to sampling).  Pass a :class:`SpanContext` rebuilt from a
-        shipped payload to attach a *remote* parent — the span (and its
-        descendants) then allocate ids under the context's prefix.
+        (subject to sampling).
         """
         if not self._enabled:
             return NULL_SPAN
@@ -302,26 +270,22 @@ class Tracer:
                 self._trace_serial += 1
                 trace_id = f"t{self._trace_serial}"
                 record = self._new_record_locked(trace_id)
-                span_id = self._next_id_locked(record, "")
+                span_id = self._next_id_locked(record)
                 record.open_spans += 1
-            return Span(self, trace_id, span_id, None, name, attrs, "")
+            return Span(self, trace_id, span_id, None, name, attrs)
         if isinstance(parent_ctx, (_NullSpan, _SuppressedSpan)):
             return NULL_SPAN
-        prefix = getattr(parent_ctx, "prefix", "")
         trace_id = parent_ctx.trace_id
-        foreign = isinstance(parent_ctx, SpanContext) and bool(prefix)
         with self._lock:
             record = self._records.get(trace_id)
             if record is None:
-                record = self._new_record_locked(trace_id, foreign=foreign)
-            span_id = self._next_id_locked(record, prefix)
+                record = self._new_record_locked(trace_id)
+            span_id = self._next_id_locked(record)
             record.open_spans += 1
-        return Span(self, trace_id, span_id, parent_ctx.span_id, name,
-                    attrs, prefix)
+        return Span(self, trace_id, span_id, parent_ctx.span_id, name, attrs)
 
-    def _new_record_locked(self, trace_id: str,
-                           foreign: bool = False) -> _TraceRecord:
-        record = _TraceRecord(trace_id, foreign=foreign)
+    def _new_record_locked(self, trace_id: str) -> _TraceRecord:
+        record = _TraceRecord(trace_id)
         self._records[trace_id] = record
         while len(self._records) > self.capacity:
             _, evicted = self._records.popitem(last=False)
@@ -330,10 +294,9 @@ class Tracer:
         return record
 
     @staticmethod
-    def _next_id_locked(record: _TraceRecord, prefix: str) -> str:
-        serial = record.serials.get(prefix, 0) + 1
-        record.serials[prefix] = serial
-        return f"{prefix}.s{serial}" if prefix else f"s{serial}"
+    def _next_id_locked(record: _TraceRecord) -> str:
+        record.serial += 1
+        return f"s{record.serial}"
 
     def _finish(self, span: Span, status: str | None, attrs: dict) -> None:
         ended = time.perf_counter()
@@ -366,14 +329,6 @@ class Tracer:
             return current.context()
         return None
 
-    def export_context(self, prefix: str = "") -> dict | None:
-        """The ambient context as a picklable dict for a worker payload."""
-        ctx = self.current_context()
-        if ctx is None:
-            return None
-        return {"trace_id": ctx.trace_id, "span_id": ctx.span_id,
-                "prefix": prefix}
-
     @contextmanager
     def attach(self, context: SpanContext | None):
         """Make ``context`` the ambient parent inside the block (explicit
@@ -387,47 +342,10 @@ class Tracer:
         finally:
             _CURRENT.reset(token)
 
-    def drain_remote(self, trace_id: str, prefix: str) -> list[dict]:
-        """Worker side: pop this process's finished spans under ``prefix``
-        for shipping back with the shard result."""
-        if not trace_id or not prefix:
-            return []
-        marker = f"{prefix}.s"
-        with self._lock:
-            record = self._records.get(trace_id)
-            if record is None:
-                return []
-            shipped = [doc for doc in record.spans
-                       if doc["span_id"].startswith(marker)]
-            if shipped:
-                record.spans = [doc for doc in record.spans
-                                if not doc["span_id"].startswith(marker)]
-            if record.foreign and not record.spans and record.open_spans <= 0:
-                del self._records[trace_id]
-        return shipped
-
-    def adopt(self, span_records: list[dict]) -> int:
-        """Coordinator side: splice worker span records into their traces.
-
-        Returns how many were adopted; records for unknown (evicted) traces
-        are counted as orphans instead.
-        """
-        adopted = 0
-        with self._lock:
-            for doc in span_records:
-                record = self._records.get(doc.get("trace_id", ""))
-                if record is None:
-                    self.orphan_spans += 1
-                    continue
-                record.spans.append(dict(doc))
-                adopted += 1
-        return adopted
-
     # -------------------------------------------------------------- export
     def trace_ids(self) -> list[str]:
         with self._lock:
-            return [tid for tid, record in self._records.items()
-                    if not record.foreign]
+            return list(self._records)
 
     def open_spans(self, trace_id: str | None = None) -> int:
         with self._lock:

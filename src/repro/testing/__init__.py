@@ -1,25 +1,13 @@
-"""Shared deterministic test instrumentation (fault injection, chaos plans).
+"""Shared deterministic test instrumentation (storage fault injection).
 
-This package is importable from production code paths — the cluster worker
-loop interprets fault directives through :mod:`repro.testing.faults` — but it
-is only ever *activated* by tests and benchmarks: with no fault plan
-installed, nothing here runs.
+Only tests activate anything here: with no :class:`FlakyBackend` installed,
+nothing in this package runs.
 """
 
-from repro.testing.faults import (
-    ALL_INDEX_METHODS,
-    FaultInjected,
-    FaultPlan,
-    FlakyBackend,
-    flaky_database,
-    perform_fault,
-)
+from repro.testing.faults import ALL_INDEX_METHODS, FlakyBackend, flaky_database
 
 __all__ = [
     "ALL_INDEX_METHODS",
-    "FaultInjected",
-    "FaultPlan",
     "FlakyBackend",
     "flaky_database",
-    "perform_fault",
 ]

@@ -12,10 +12,7 @@ A tripped token raises :class:`QueryCancelledError` *mid-plan*, so a query
 with a huge intermediate join stops within a bounded amount of extra work
 instead of at the next materialised result.
 
-Deadlines are absolute wall-clock times (``time.time()``), so a token's
-deadline can be shipped to shard workers in other processes — every worker
-on the box reads the same clock and trips within the same instant, which is
-how the engine's ``"cluster"`` executor cancels sharded runs cooperatively.
+Deadlines are absolute wall-clock times (``time.time()``).
 """
 
 from __future__ import annotations
@@ -32,10 +29,7 @@ class CancellationToken:
 
     The token itself holds no lock: ``cancel()`` flips a single attribute
     (atomic under the GIL) and ``check()`` only reads, so tokens can be shared
-    freely between the asyncio service loop, its engine-call thread pool and
-    in-process shards.  Tokens are picklable — the deadline is a plain
-    wall-clock float — which is what lets a cluster worker rebuild an
-    equivalent token inside each shard task.
+    freely between the asyncio service loop and its engine-call thread pool.
     """
 
     def __init__(self, deadline: float | None = None) -> None:

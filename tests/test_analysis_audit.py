@@ -7,9 +7,8 @@ Two promises ride on this module:
   (``python -m repro.analysis src/ --format=json``), run here so a local
   ``pytest`` catches a violation before CI does;
 * every query in the library builds a plan that passes static verification
-  under both storage backends, including the partition-parallel dispatch
-  check — the verifier must never reject a plan the engine legitimately
-  builds (no false positives on the happy path).
+  under both storage backends — the verifier must never reject a plan the
+  engine legitimately builds (no false positives on the happy path).
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ def test_gate_actually_covers_the_tree():
     files = iter_python_files([SRC])
     assert len(files) > 40
     names = {path.name for path in files}
-    assert {"core.py", "parallel.py", "kernels.py", "planner.py"} <= names
+    assert {"core.py", "storage.py", "kernels.py", "planner.py"} <= names
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,7 @@ def test_library_plans_pass_static_verification(query, size, domain, backend):
     assert engine.stats.plans_verified == 1
     # ... the rebuilt executable plan is clean in the original space too ...
     assert verify_plan(prepared.plan) == []
-    # ... and the sharded path's dispatch-time verification accepts it
-    # (queries without a partitionable atom fall back to the serial path).
-    result = engine.execute(query, statistics=statistics, shards=2)
-    assert result is not None
+    # ... and executing rebuilds it from the verified cache entry.
+    engine.execute(query, statistics=statistics)
+    assert engine.stats.plans_reused == 1
+    assert engine.stats.plans_verified == 1

@@ -1,10 +1,9 @@
-"""Tests for the engine service layer: plan cache, prepared queries, sharding.
+"""Tests for the engine service layer: plan cache and prepared queries.
 
 The parity suite is the engine's core guarantee: for every query in the
-library, under both storage backends, the serial engine path, the
-partition-parallel path and the uncached per-call path all produce exactly
-the brute-force answer — and the engine's metrics account for every
-execution.
+library, under both storage backends, the freshly planned engine path, the
+plan-cache hit path and the uncached per-call path all produce exactly the
+brute-force answer — and the engine's metrics account for every execution.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.algorithms import evaluate_bruteforce
 from repro.datagen import hard_four_cycle_instance, random_graph_database
 from repro.engine import (
     Engine,
-    choose_partition_atom,
     query_fingerprint,
     statistics_fingerprint,
 )
@@ -199,7 +197,7 @@ def test_plan_and_execute_costs_the_query_exactly_once(four_cycle, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# parity: library x backends x serial / parallel / uncached
+# parity: library x backends x fresh / cached / uncached
 # ---------------------------------------------------------------------------
 
 LIBRARY_CASES = [
@@ -216,6 +214,9 @@ LIBRARY_CASES = [
     ("clique-4", clique_query(4), 24, 7),
     ("loomis-whitney-3", loomis_whitney_query(3), 24, 6),
     ("bowtie", bowtie_query(free_variables=("X",)), 24, 7),
+    # Both atoms read one relation: answers pair tuples of the same table.
+    ("self-join", ConjunctiveQuery([Atom("R", ("X", "Y")),
+                                    Atom("R", ("Y", "Z"))]), 30, 6),
 ]
 
 
@@ -231,74 +232,20 @@ def test_engine_parity_across_paths(query, size, domain, backend):
     expected = evaluate_bruteforce(query, database)
 
     engine = Engine(database)
-    serial = engine.execute(query, statistics=statistics)
-    parallel = engine.execute(query, statistics=statistics, shards=4)
+    fresh = engine.execute(query, statistics=statistics)
+    cached = engine.execute(query, statistics=statistics)
     _, uncached = plan_and_execute(query, database, statistics)
 
-    for label, result in [("serial", serial), ("parallel", parallel),
+    for label, result in [("fresh", fresh), ("cached", cached),
                           ("uncached", uncached)]:
         assert result.answer.rows == expected.rows, f"{label} path diverged"
-        assert result.answer.columns == serial.answer.columns
+        assert result.answer.columns == fresh.answer.columns
 
     stats = engine.stats
     assert stats.executions == 2
     assert stats.plans_built == 1
     assert stats.plans_reused == 1
-    assert stats.serial_executions == 1
-    assert stats.parallel_executions == 1
-    assert stats.shards_run == 4
     assert stats.wall_time_seconds > 0
-
-
-def test_parallel_execution_falls_back_on_self_joins():
-    # Both atoms read the same relation, so no atom is safe to partition:
-    # sharding R would lose answers pairing tuples from different shards.
-    query = ConjunctiveQuery([Atom("R", ("X", "Y")), Atom("R", ("Y", "Z"))])
-    database = random_graph_database(query, 30, 6, seed=3)
-    assert choose_partition_atom(query, database) is None
-    engine = Engine(database)
-    result = engine.execute(query, shards=4)
-    assert result.answer.rows == evaluate_bruteforce(query, database).rows
-    assert engine.stats.parallel_executions == 0
-    assert engine.stats.serial_executions == 1
-
-
-def test_process_executor_matches_serial(four_cycle):
-    database = hard_four_cycle_instance(20)
-    statistics = collect_statistics(database, four_cycle, include_degrees=False)
-    engine = Engine(database, executor="cluster")
-    try:
-        serial = engine.execute(four_cycle, statistics=statistics)
-        forked = engine.execute(four_cycle, statistics=statistics, shards=2)
-    finally:
-        engine.close()
-    assert forked.answer.rows == serial.answer.rows
-    assert forked.answer.columns == serial.answer.columns
-    assert engine.stats.shards_run == 2
-
-
-@pytest.mark.parametrize("options", [{"executor": "process"},
-                                     {"executor": "thread"},
-                                     {"shards": 0},
-                                     {"shards": 2.0}])
-def test_engine_rejects_bad_execution_options_at_construction(options):
-    database = random_graph_database(triangle_query(), 10, 4, seed=1)
-    with pytest.raises(ValueError):
-        Engine(database, **options)
-
-
-def test_hash_shards_partition_exactly():
-    relation = Relation("R", ("a", "b"), [(i, i * i) for i in range(50)])
-    shards = relation.hash_shards(4)
-    assert len(shards) == 4
-    assert sum(len(shard) for shard in shards) == len(relation)
-    union: set[tuple] = set()
-    for shard in shards:
-        assert not (union & set(shard.rows))  # disjoint
-        union |= set(shard.rows)
-    assert union == set(relation.rows)
-    [same] = relation.hash_shards(1)
-    assert same.rows == relation.rows
 
 
 def test_prepared_execute_many_over_a_batch(four_cycle):

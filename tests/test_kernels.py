@@ -8,14 +8,12 @@ hypothesis property sweep), the depth-first trie walk for the generic join
 engine for semiring marginalization.  The fallback ladder is exercised
 explicitly: pack overflow, counting-overflow vetting, and a non-vectorizable
 semiring (top-k min-plus) must take the fallback counters, never wrong
-answers.  The encoded transport path (shard views, pickled payloads, serial
-vs cluster executors) must preserve the exact-partition merge identity.
+answers.
 """
 
 from __future__ import annotations
 
 import contextlib
-import pickle
 from unittest import mock
 
 import numpy as np
@@ -36,7 +34,6 @@ from repro.query import (
 from repro.relational import (
     COUNTING_SEMIRING,
     AnnotatedRelation,
-    ColumnarBackend,
     Database,
     Relation,
     WorkCounter,
@@ -522,33 +519,9 @@ def test_columnar_join_returns_the_stored_value_object():
     assert type(row[2]) is float
 
 
-# ---------------------------------------------------------------------------
-# encoded transport: shard views, payloads, executors
-# ---------------------------------------------------------------------------
-
-def test_kernel_shard_views_partition_exactly():
-    query = triangle_query()
-    database = random_graph_database(query, 80, 16, seed=9, backend="columnar")
-    relation = database["R"]
-    before = kernel_stats()
-    shards = relation.hash_shards(4)
-    moved = KERNEL_STATS.delta(before)
-    assert moved.get("shard_kernels", 0) > 0
-    assert len(shards) == 4
-    seen: set[tuple] = set()
-    total = 0
-    for shard in shards:
-        assert shard.columns == relation.columns
-        rows = shard.rows
-        assert not (seen & rows), "shards overlap"
-        seen |= rows
-        total += len(shard)
-    assert seen == relation.rows and total == len(relation)
-
-
 def test_shard_dictionary_encodings_are_insertion_order_stable():
-    """Workers rebuild dictionaries from their own shard: identical value
-    sets must encode identically regardless of arrival order."""
+    """A column's codes are a function of its value set: identical value
+    sets encode identically regardless of arrival order."""
     rows = [("b",), ("a",), ("c",), (2,), (1,)]
     forward = Relation("R", ("x",), rows, backend="columnar")
     backward = Relation("R", ("x",), list(reversed(rows)), backend="columnar")
@@ -556,73 +529,6 @@ def test_shard_dictionary_encodings_are_insertion_order_stable():
     backward_dictionary = backward._backend.dictionary(0)
     assert forward_dictionary.table.decode == backward_dictionary.table.decode
     assert sorted(forward_dictionary.codes) == sorted(backward_dictionary.codes)
-
-
-def test_encoded_payload_pickle_round_trip():
-    rows = [(1, "a"), (2, "b"), (3, "a"), (None, (4, 5))]
-    relation = Relation("R", ("x", "y"), rows, backend="columnar")
-    payload = relation.encoded_payload()
-    assert payload is not None
-    revived = pickle.loads(pickle.dumps(payload))
-    rebuilt = ColumnarBackend.from_encoded(*revived)
-    assert len(rebuilt) == len(relation)
-    assert set(rebuilt.iter_rows()) == relation.rows
-
-    # A self-join's output holds two columns over one base table that also
-    # holds a value (9) no output row uses: the payload ships that table cut
-    # down to the used values, still one object for both columns, and the
-    # worker side rebuilds exactly the shipped codes.
-    edges = Relation("E", ("x", "y"), [(1, 2), (2, 3), (3, 1), (2, 1), (4, 9)],
-                     backend="columnar")
-    joined = edges.hash_join(edges.rename({"x": "y", "y": "z"}))
-    payload = joined.encoded_payload()
-    assert joined._backend.dictionary(1).table.decode == [1, 2, 3, 9]
-    tables, codes, length = payload
-    assert tables[1] is tables[2]
-    assert tables[1].decode == [1, 2, 3]
-    revived_tables, revived_codes, revived_length = pickle.loads(
-        pickle.dumps(payload))
-    assert revived_tables[1] is revived_tables[2]
-    assert revived_tables[0] is not revived_tables[1]
-    rebuilt = ColumnarBackend.from_encoded(revived_tables, revived_codes,
-                                           revived_length)
-    for position in range(3):
-        dictionary = rebuilt.dictionary(position)
-        assert dictionary.codes == codes[position].tolist()
-        assert dictionary.table is revived_tables[position]
-    assert set(rebuilt.iter_rows()) == joined.rows
-
-    # Shard views share their base column's whole table; each shard's payload
-    # carries only the values its own rows hold.
-    wide = Relation("W", ("k", "v"), [(i, i % 3) for i in range(40)],
-                    backend="columnar")
-    shards = wide.hash_shards(4)
-    payloads = [shard.encoded_payload() for shard in shards]
-    base_table = wide._backend.dictionary(0).table
-    for shard, payload in zip(shards, payloads):
-        assert shard._backend.dictionary(0).table is base_table
-        tables, codes, length = pickle.loads(pickle.dumps(payload))
-        assert sorted(tables[0].decode) == sorted(row[0] for row in shard.rows)
-        assert set(ColumnarBackend.from_encoded(tables, codes,
-                                                length).iter_rows()) == shard.rows
-
-
-@pytest.mark.parametrize("executor", ["serial", "cluster"])
-def test_partitioned_kernel_execution_matches_serial(executor):
-    """Shard-stable encodings mean in-process shards (shared memory) and
-    cluster workers (pickled encoded payloads) both reproduce the
-    unsharded answer exactly."""
-    query = four_cycle_projected()
-    database = random_graph_database(query, 40, 10, seed=21, backend="columnar")
-    engine = Engine(database, executor=executor)
-    try:
-        serial = engine.execute(query)
-        sharded = engine.execute(query, shards=2)
-    finally:
-        engine.close()
-    assert sharded.answer.columns == serial.answer.columns
-    assert sharded.answer.rows == serial.answer.rows
-    assert engine.stats.shards_run == 2
 
 
 def test_engine_stats_surface_kernel_cache_events():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.analysis.rules import (
     REP106,
     REP107,
     REP108,
+    REP109,
 )
 from repro.relational import WorkCounter
 
@@ -489,6 +491,59 @@ def test_rep108_keeps_the_shipped_tree_clean():
     suppressed = [f for f in report.findings if f.suppressed]
     assert suppressed
     assert all(f.justification for f in suppressed)
+
+
+# ---------------------------------------------------------------------------
+# REP109: wall-clock waits in tests
+# ---------------------------------------------------------------------------
+
+def test_rep109_flags_sleep_and_real_deadlines_in_tests():
+    findings = _lint("""
+        import time
+
+        from repro.utils.cancellation import CancellationToken
+
+        def test_deadline_race():
+            token = CancellationToken.with_timeout(0.2)
+            time.sleep(0.5)
+            token.check()
+
+        class TestWorkers:
+            async def test_nested_helper(self):
+                def wait():
+                    time.sleep(0.1)
+                wait()
+    """, path="tests/test_example.py", rules=[REP109])
+    hits = _hits(findings, "REP109")
+    assert [(f.line, f.message.split("(")[0]) for f in hits] == [
+        (7, "CancellationToken.with_timeout"), (8, "time.sleep"),
+        (14, "time.sleep")]
+    assert "test_deadline_race" in hits[0].message
+
+
+def test_rep109_clean_with_the_stepping_clock_and_outside_tests():
+    findings = _lint("""
+        import asyncio
+        import time
+
+        from repro.utils.cancellation import CancellationToken
+
+        def test_deadline(stepping_clock):
+            CancellationToken.with_timeout(0.2).check()
+            time.sleep(0.1)
+
+        async def test_event_loop_yield():
+            await asyncio.sleep(0.01)
+
+        def slow_helper():
+            time.sleep(0.1)
+    """, path="tests/test_example.py", rules=[REP109])
+    assert not _hits(findings, "REP109")
+
+
+def test_rep109_keeps_the_shipped_tests_clean():
+    report = lint_paths([Path(__file__).parent], rules=[REP109])
+    assert not [f for f in report.findings if not f.suppressed]
 
 
 # ---------------------------------------------------------------------------

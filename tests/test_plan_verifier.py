@@ -2,9 +2,8 @@
 
 The corrupted-recipe classes here are the attack surface the verifier
 guards: the engine rebuilds cached :class:`PlanRecipe` objects with
-``validate=False`` and ships bare bag tuples to shard workers, so each
-corruption below would otherwise execute silently and return wrong
-answers.  Every rejection must carry an actionable message — the assertion
+``validate=False``, so each corruption below would otherwise execute
+silently and return wrong answers.  Every rejection must carry an actionable message — the assertion
 style checks the *explanation*, not just the refusal.
 """
 
@@ -20,22 +19,18 @@ from repro.analysis import (
     WIDTH_SLACK,
     assert_valid,
     verify_bags,
-    verify_dispatch,
     verify_plan,
     verify_proof_sequence,
     verify_recipe,
     verify_semijoin_order,
     verify_semiring_kernel_compatibility,
-    verify_shard_payload,
 )
 from repro.datagen import random_graph_database
-from repro.decompositions.treedecomp import TreeDecomposition
 from repro.engine import Engine, query_fingerprint
 from repro.engine.plan_cache import PlanRecipe
 from repro.flows import construct_proof_sequence, find_shannon_flow
 from repro.flows.proof_sequence import ProofSequence
 from repro.optimizer import PlanKind
-from repro.optimizer.planner import realize_plan
 from repro.query.library import (
     triangle_query,
     two_path_projected,
@@ -282,88 +277,12 @@ def test_engine_refuses_to_cache_a_corrupted_recipe(monkeypatch):
     assert engine.stats.plans_verified == 0
 
 
-# ---------------------------------------------------------------------------
-# dispatch-time verification (partition-parallel path)
-# ---------------------------------------------------------------------------
-
-def _static_plan(query, statistics, bags):
-    return realize_plan(PlanKind.STATIC_TD, query, statistics,
-                        reason="fixture", decomposition=TreeDecomposition(bags),
-                        validate=False)
-
-
-def test_run_partitioned_rejects_corrupted_decompositions():
-    from repro.engine import run_partitioned
-
-    query = triangle_query()
-    database = random_graph_database(query, 30, 8, seed=11)
-    statistics = collect_statistics(database, query, include_degrees=False)
-    # Bags covering only two atoms: the shard workers would rebuild this
-    # structure with validate=False and drop the third join silently.
-    plan = _static_plan(query, statistics, [varset("XY"), varset("YZ")])
-    with pytest.raises(PlanVerificationError) as excinfo:
-        run_partitioned(plan, database, shards=2)
-    assert "covers no bag for atom" in str(excinfo.value)
-
-
-def test_run_partitioned_verifies_once_per_plan():
-    from repro.engine import run_partitioned
-
-    query = triangle_query()
-    database = random_graph_database(query, 24, 7, seed=5)
-    statistics = collect_statistics(database, query, include_degrees=False)
-    plan = _static_plan(query, statistics, [varset("XYZ")])
-    assert not getattr(plan, "_dispatch_verified", False)
-    first = run_partitioned(plan, database, shards=2)
-    assert plan._dispatch_verified is True
-    second = run_partitioned(plan, database, shards=2)
-    assert first.answer.rows == second.answer.rows
-
-
 def test_verify_plan_accepts_engine_built_plans():
     query = triangle_query()
     database = random_graph_database(query, 24, 7, seed=5)
     statistics = collect_statistics(database, query, include_degrees=False)
     prepared = Engine(database).prepare(query, statistics=statistics)
     assert verify_plan(prepared.plan) == []
-
-
-# ---------------------------------------------------------------------------
-# shard-payload pickle safety
-# ---------------------------------------------------------------------------
-
-def test_shard_payload_rejects_callables_with_their_location():
-    payload = {"relations": {"R": ("rows", ("X", "Y"), [(1, 2)])},
-               "rebuild": lambda: None}
-    (problem,) = verify_shard_payload(payload)
-    assert "['rebuild']" in problem
-    assert "process boundary" in problem
-
-
-def test_shard_payload_walks_nested_containers():
-    payload = {"relations": {"R": ("rows", [(1, 2), (lambda: 0, 3)])}}
-    (problem,) = verify_shard_payload(payload)
-    assert "'relations'" in problem
-
-
-def test_shard_payload_accepts_plain_data_and_classes():
-    payload = {"kind": PlanKind.STATIC_TD,
-               "relations": {"R": ("rows", ("X",), [(1,)])},
-               "type_tag": TreeDecomposition,  # classes pickle by name
-               "deadline": None}
-    assert verify_shard_payload(payload) == []
-
-
-def test_real_shard_payloads_are_clean():
-    from repro.engine.cluster import _shard_payload
-    from repro.engine.parallel import shard_databases
-
-    query = triangle_query()
-    database = random_graph_database(query, 24, 7, seed=5)
-    statistics = collect_statistics(database, query, include_degrees=False)
-    plan = _static_plan(query, statistics, [varset("XYZ")])
-    shard_db = shard_databases(database, query.atoms[0], 2)[0]
-    assert verify_shard_payload(_shard_payload(plan, shard_db)) == []
 
 
 # ---------------------------------------------------------------------------

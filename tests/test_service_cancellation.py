@@ -5,8 +5,7 @@ overshoot — it does not run the join to completion and then notice.  The
 bound is checked from :class:`~repro.relational.operators.WorkCounter`
 tallies (the generic join checks its token every ``CHECK_INTERVAL`` explored
 partial assignments, so work past the trip point is at most one interval per
-DFS level), and end-to-end through the engine, the sharded serial and cluster
-executors and the asyncio service.
+DFS level), and end-to-end through the engine and the asyncio service.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.service import (
     QueryService,
     ServiceConfig,
 )
-from repro.testing.faults import FaultPlan
 from repro.utils.cancellation import CancellationToken, QueryCancelledError
 
 
@@ -46,7 +44,9 @@ class TripAfter(CancellationToken):
         super().check()
 
 
-def test_token_deadline_and_explicit_cancel():
+def test_token_deadline_and_explicit_cancel(stepping_clock):
+    """Each deadline reading is one second later: the 60 s token is far from
+    its deadline, the 0 s token has passed it by its first check."""
     token = CancellationToken.with_timeout(60.0)
     token.check()  # far-future deadline: no trip
     assert token.remaining() > 0
@@ -126,32 +126,6 @@ def test_engine_counts_already_cancelled_execution():
         engine.execute(triangle_query(), cancellation=token)
     assert engine.stats.cancelled_executions == 1
     assert engine.stats.executions == 0
-
-
-@pytest.mark.parametrize("executor", ["serial", "cluster"])
-def test_sharded_execution_cancels_across_executors(executor):
-    """Cancellation reaches shard workers: the shared token in-process, a
-    wall-clock deadline shipped in the payload to cluster workers.
-
-    Neither case races the clock: the serial token trips after a fixed
-    number of checks, and the cluster's first shard sleeps well past the
-    deadline, so the coordinator observes the expiry before any answer."""
-    database = hard_four_cycle_instance(1200 if executor == "serial" else 100)
-    engine = Engine(database, shards=2, executor=executor)
-    query = four_cycle_projected()
-    prepared = engine.prepare(query)
-    if executor == "serial":
-        token = TripAfter(4)
-    else:
-        engine.cluster_coordinator().fault_plan = FaultPlan(
-            delay_shard=0, delay_seconds=5.0)
-        token = CancellationToken.with_timeout(0.2)
-    try:
-        with pytest.raises(QueryCancelledError):
-            prepared.execute(cancellation=token)
-    finally:
-        engine.close()
-    assert engine.stats.cancelled_executions == 1
 
 
 def test_faq_evaluation_cancels():

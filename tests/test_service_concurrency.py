@@ -14,7 +14,6 @@ The core guarantees under concurrent load:
 from __future__ import annotations
 
 import asyncio
-import pickle
 import threading
 
 import pytest
@@ -22,7 +21,6 @@ import pytest
 from repro.datagen import random_graph_database
 from repro.engine import Engine
 from repro.engine.core import EngineStats
-from repro.relational import ColumnarBackend
 from repro.telemetry import CounterTable
 from repro.query import (
     four_cycle_projected,
@@ -226,7 +224,7 @@ def test_engine_stats_double_finish_is_atomic():
     def finisher():
         for _ in range(iterations):
             barrier.wait()
-            stats.bump(executions=1, serial_executions=1,
+            stats.bump(executions=1, plans_reused=1,
                        wall_time_seconds=0.25)
             stats.absorb_events("storage_cache_events", {"index_builds": 1})
             table.add("hits")
@@ -239,7 +237,7 @@ def test_engine_stats_double_finish_is_atomic():
         thread.join()
     snapshot = stats.as_dict()
     assert snapshot["executions"] == iterations * workers
-    assert snapshot["serial_executions"] == iterations * workers
+    assert snapshot["plans_reused"] == iterations * workers
     assert snapshot["wall_time_seconds"] == pytest.approx(0.25 * iterations * workers)
     assert snapshot["storage_cache_events"]["index_builds"] == iterations * workers
     assert table.snapshot() == {"hits": iterations * workers,
@@ -258,13 +256,13 @@ def test_engine_stats_snapshot_is_consistent_under_writers():
 
     def writer():
         while not stop.is_set():
-            stats.bump(executions=1, serial_executions=1)
+            stats.bump(executions=1, plans_reused=1)
             table.add_many({"builds": 1, "hits": 1})
 
     def reader():
         for _ in range(2000):
             snap = stats.as_dict()
-            if snap["executions"] != snap["serial_executions"]:
+            if snap["executions"] != snap["plans_reused"]:
                 inconsistencies.append(snap)
             counts = table.snapshot()
             if counts.get("builds") != counts.get("hits"):
@@ -279,16 +277,3 @@ def test_engine_stats_snapshot_is_consistent_under_writers():
     writer_thread.join()
     assert not inconsistencies
 
-
-def test_columnar_backend_pickles_with_its_counts():
-    """Cluster payloads pickle backends: the copy keeps the counts and its
-    table, regrown with a fresh lock, still counts."""
-    backend = ColumnarBackend([(1, 2), (2, 3)])
-    backend.dictionary(0)
-    backend.dictionary(0)
-    clone = pickle.loads(pickle.dumps(backend))
-    assert clone.stats.snapshot() == backend.stats.snapshot() == {
-        "dictionary_builds": 1, "dictionary_hits": 1}
-    clone.dictionary(1)
-    assert clone.stats.snapshot()["dictionary_builds"] == 2
-    assert backend.stats.snapshot()["dictionary_builds"] == 1

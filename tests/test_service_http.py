@@ -76,6 +76,16 @@ def test_http_round_trip_and_status_mapping():
         out["bad_query"] = await _request(
             port, "POST", "/query", {"tenant": "acme", "query": "nonsense("})
         out["bad_json"] = await _request(port, "POST", "/query", None)
+        # Unknown fields are rejected, not ignored: a misspelled timeout
+        # would otherwise run with no deadline, and the retired shard and
+        # executor options would silently run serially.
+        for field in ({"timout": 0.1}, {"shards": 4}, {"executor": "cluster"}):
+            out[f"unknown_{next(iter(field))}"] = await _request(
+                port, "POST", "/query",
+                {"tenant": "acme", "query": "Q(x) :- R(x, y)", **field})
+        out["unknown_explain"] = await _request(
+            port, "POST", "/explain",
+            {"tenant": "acme", "query": "Q(x) :- R(x, y)", "shards": 2})
         out["bad_route"] = await _request(port, "GET", "/nope")
         out["tenants"] = await _request(port, "GET", "/tenants")
         out["stats"] = await _request(port, "GET", "/stats")
@@ -105,30 +115,42 @@ def test_http_round_trip_and_status_mapping():
     assert out["bad_query"][0] == 400
     assert out["bad_query"][1]["error"]["code"] == "invalid-query"
     assert out["bad_json"][0] == 400
+    for field in ("timout", "shards", "executor"):
+        status, doc = out[f"unknown_{field}"]
+        assert status == 400, field
+        assert doc["error"]["code"] == "bad-request"
+        assert f"'{field}'" in doc["error"]["message"]
+    status, doc = out["unknown_explain"]
+    assert status == 400 and "'shards'" in doc["error"]["message"]
     assert out["bad_route"][0] == 405
     assert out["tenants"][1]["result"]["tenants"] == ["acme"]
     assert out["stats"][0] == 200
 
 
 def test_create_tenant_rejects_an_unknown_executor():
-    """A retired executor name is a bad request, not a tenant that fails its
-    first sharded query."""
+    """Retired engine options (an executor, a shard count) are bad requests
+    that name the option, not tenants created without them."""
     database = random_graph_database(triangle_query(), size=20, domain=6,
                                      seed=5)
+    options = ({"executor": "process"}, {"shards": 2},
+               {"shards": 2, "executor": "cluster"})
 
     async def main():
         service = QueryService(ServiceConfig())
         frontend = await serve(service)
-        body = dict(_tenant_payload("acme", database),
-                    engine={"shards": 2, "executor": "process"})
-        response = await _request(frontend.port, "POST", "/tenants", body)
+        responses = []
+        for engine in options:
+            body = dict(_tenant_payload("acme", database), engine=engine)
+            responses.append(
+                await _request(frontend.port, "POST", "/tenants", body))
         await frontend.stop()
-        return service, response
+        return service, responses
 
-    service, (status, doc) = asyncio.run(main())
-    assert status == 400
-    assert doc["error"]["code"] == "bad-request"
-    assert "process" in doc["error"]["message"]
+    service, responses = asyncio.run(main())
+    for engine, (status, doc) in zip(options, responses):
+        assert status == 400
+        assert doc["error"]["code"] == "bad-request"
+        assert str(sorted(engine)) in doc["error"]["message"]
     assert "acme" not in service.registry
 
 
@@ -191,7 +213,7 @@ def test_stats_totals_reconcile_with_tenant_engines():
     totals = stats["totals"]
     by_tenant = stats["tenants"]
     for key in ("executions", "plans_built", "plans_reused",
-                "cancelled_executions", "shards_run"):
+                "cancelled_executions"):
         assert totals[key] == sum(doc["engine"][key]
                                   for doc in by_tenant.values()), key
     # And the per-tenant documents agree with the live engine objects.

@@ -4,12 +4,10 @@ telemetry layer's test battery.
 The invariants under test, layer by layer:
 
 * **spans close exactly once**, on every exit path — normal return, raised
-  exception, a blown deadline mid-execution, a cluster worker killed by
-  ``os._exit`` — and parent ids always resolve within their trace;
-* **cross-process reattach**: spans recorded inside process-pool and
-  cluster workers ship home with the shard result and splice back into the
-  coordinator's trace under their task/shard prefix, retries appearing as
-  sibling attempts rather than colliding;
+  exception, a blown deadline mid-execution — and parent ids always resolve
+  within their trace;
+* **one trace per request**: a query served over HTTP yields one trace
+  holding the service, engine, LP and execution spans;
 * **``/metrics`` reconciles with ``/stats``** by construction — the
   registry samples the same counter tables, under the same keys, that the
   stats document reports;
@@ -26,7 +24,7 @@ import json
 import pytest
 
 from repro.datagen import hard_four_cycle_instance, random_graph_database
-from repro.engine import ClusterConfig, Engine
+from repro.engine import Engine
 from repro.query import four_cycle_projected, triangle_query
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.service import DeadlineExceededError, QueryService, ServiceConfig, serve
@@ -40,8 +38,6 @@ from repro.telemetry import (
     get_tracer,
     using_tracing,
 )
-from repro.testing.faults import FaultPlan
-from repro.utils.retry import RetryPolicy
 
 
 @pytest.fixture(autouse=True)
@@ -270,96 +266,6 @@ def test_engine_phase_spans_parent_under_one_trace():
     assert "engine.lp_solve" not in warm_names
 
 
-def test_thread_shard_spans_nest_under_the_engine_trace():
-    query = four_cycle_projected()
-    database = random_graph_database(query, size=60, domain=12, seed=11)
-    engine = Engine(database, shards=3, executor="serial")
-    tracer = get_tracer()
-    with tracer.span("test.root") as root:
-        engine.execute(query)
-    trace = tracer.export_trace(root.trace_id)
-    _assert_trace_integrity(trace)
-    shard_spans = [doc for doc in trace["spans"]
-                   if doc["name"] == "exec.shard"]
-    assert len(shard_spans) == 3
-    parent_of = _span_index(trace)
-    for doc in shard_spans:
-        assert parent_of[doc["parent_id"]]["name"] == "engine.execute"
-
-
-def test_process_worker_spans_reattach_under_their_shard_prefix():
-    query = four_cycle_projected()
-    database = random_graph_database(query, size=60, domain=12, seed=11)
-    engine = Engine(database, shards=2, executor="cluster")
-    tracer = get_tracer()
-    try:
-        with tracer.span("test.root") as root:
-            result = engine.execute(query)
-    finally:
-        engine.close()
-    assert len(result.answer) > 0
-    trace = tracer.export_trace(root.trace_id)
-    _assert_trace_integrity(trace)
-    shard_spans = [doc for doc in trace["spans"]
-                   if doc["name"] == "exec.shard"]
-    prefixes = {doc["span_id"].rsplit(".", 1)[0] for doc in shard_spans}
-    assert len(prefixes) == 2
-    assert all(prefix.startswith("task-") for prefix in prefixes), (
-        "worker span ids must be namespaced by their task prefix")
-    for doc in shard_spans:
-        assert doc["parent_id"] == "engine.execute" or \
-            _span_index(trace)[doc["parent_id"]]["name"] == "engine.execute"
-
-
-def _chaos_cluster_config() -> ClusterConfig:
-    return ClusterConfig(
-        max_workers=2,
-        retry=RetryPolicy(max_attempts=3, base_delay=0.005, multiplier=2.0,
-                          max_delay=0.05),
-        straggler_factor=1.5, straggler_min_seconds=0.02,
-        speculation_min_completed=2, poll_interval=0.01)
-
-
-def test_cluster_worker_kill_yields_one_reassembled_trace():
-    query = triangle_query()
-    database = random_graph_database(query, size=60, domain=12, seed=5)
-    expected = set(Engine(database.copy()).execute(query).answer.rows)
-    engine = Engine(database, shards=4, executor="cluster",
-                    cluster_config=_chaos_cluster_config())
-    tracer = get_tracer()
-    try:
-        engine.cluster_coordinator().fault_plan = FaultPlan(kill_on_task=2)
-        with tracer.span("test.root") as root:
-            result = engine.execute(query)
-    finally:
-        engine.close()
-    assert set(result.answer.rows) == expected
-    trace = tracer.export_trace(root.trace_id)
-    _assert_trace_integrity(trace)
-    dispatches = [doc for doc in trace["spans"]
-                  if doc["name"] == "cluster.task"]
-    assert len(dispatches) >= 5, "4 shards + at least one retry"
-    # The kill is observable in the trace: one dispatch span closed with an
-    # error status, and its shard re-dispatched as a *sibling* attempt with
-    # a distinct task id (so the worker spans can never collide).
-    failed = [doc for doc in dispatches if doc["status"] != "ok"]
-    assert failed, [doc["status"] for doc in dispatches]
-    retried_shards = {doc["attrs"]["shard"] for doc in failed}
-    for shard in retried_shards:
-        attempts = [doc for doc in dispatches
-                    if doc["attrs"]["shard"] == shard]
-        assert len(attempts) >= 2
-        assert len({doc["attrs"]["task_id"] for doc in attempts}) == \
-            len(attempts)
-    # Surviving workers' spans reattached under their task prefix.
-    worker_spans = [doc for doc in trace["spans"]
-                    if doc["name"] == "exec.shard"]
-    assert worker_spans
-    task_ids = {doc["attrs"]["task_id"] for doc in dispatches}
-    for doc in worker_spans:
-        assert doc["span_id"].rsplit(".", 1)[0] in task_ids
-
-
 # ---------------------------------------------------------------------------
 # service layer: request spans, deadlines, slow log, /metrics vs /stats
 # ---------------------------------------------------------------------------
@@ -394,12 +300,7 @@ def test_deadline_exceeded_closes_every_span(stepping_clock):
 
 
 async def _http(port: int, method: str, path: str, body: dict | None = None):
-    """One HTTP/1.1 exchange, reading the body by Content-Length.
-
-    Deliberately NOT read-to-EOF: cluster worker processes forked while a
-    connection is open inherit its fd, so EOF only arrives when every
-    worker exits — a real HTTP client (and this one) trusts the length.
-    """
+    """One HTTP/1.1 exchange, reading the body by Content-Length."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     payload = json.dumps(body).encode() if body is not None else b""
     head = (f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
@@ -430,11 +331,10 @@ def _prometheus_values(text: str) -> dict[str, float]:
     return values
 
 
-def test_traced_request_through_http_against_a_chaotic_cluster():
-    """The acceptance bar: one HTTP query against a clustered tenant with an
-    injected worker kill yields one reassembled trace holding service,
-    engine, LP, execution and worker-retry spans — and the observability
-    endpoints (/metrics, /slow, /stats) agree about what happened."""
+def test_traced_request_through_http_yields_one_trace():
+    """The acceptance bar: one HTTP query yields one trace holding service,
+    engine, LP and execution spans — and the observability endpoints
+    (/metrics, /slow, /stats) agree about what happened."""
     query = triangle_query()
     database = random_graph_database(query, size=60, domain=12, seed=5)
     expected = set(Engine(database.copy()).execute(query).answer.rows)
@@ -443,11 +343,7 @@ def test_traced_request_through_http_against_a_chaotic_cluster():
 
     async def main():
         service = QueryService(ServiceConfig(slow_query_seconds=0.0))
-        tenant = service.create_tenant(
-            "acme", database, shards=4, executor="cluster",
-            cluster_config=_chaos_cluster_config())
-        tenant.engine.cluster_coordinator().fault_plan = \
-            FaultPlan(kill_on_task=2)
+        service.create_tenant("acme", database)
         frontend = await serve(service)
         port = frontend.port
         out["query"] = await _http(
@@ -471,15 +367,12 @@ def test_traced_request_through_http_against_a_chaotic_cluster():
     trace_id = result["trace_id"]
     assert trace_id
 
-    # One reassembled trace with every layer's spans.
+    # One trace with every layer's spans.
     trace = tracer.export_trace(trace_id)
     _assert_trace_integrity(trace)
     names = {doc["name"] for doc in trace["spans"]}
     assert {"service.request", "engine.plan_cache", "engine.lp_solve",
-            "engine.verify", "engine.execute", "cluster.task"} <= names
-    dispatches = [d for d in trace["spans"] if d["name"] == "cluster.task"]
-    assert len(dispatches) >= 5, "the worker kill must appear as a retry"
-    assert any(d["status"] != "ok" for d in dispatches)
+            "engine.verify", "engine.execute"} <= names
 
     # /slow indexes the trace ring by trace id (threshold 0 → everything).
     status, slow = out["slow"]
