@@ -80,7 +80,7 @@ from repro.algorithms import (
     evaluate_yannakakis,
     generic_join,
 )
-from repro.optimizer import PlanKind, estimate_costs, plan, plan_and_execute
+from repro.optimizer import PlanKind, estimate_costs, plan
 from repro.engine import Engine, EngineStats, PreparedQuery
 
 __version__ = "1.0.0"
@@ -120,7 +120,6 @@ __all__ = [
     "generic_join",
     "estimate_costs",
     "plan",
-    "plan_and_execute",
     "PlanKind",
     "Engine",
     "EngineStats",

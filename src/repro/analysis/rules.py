@@ -16,9 +16,6 @@ Every rule here is a post-mortem turned executable:
   mutation path that forgets to clear memos or bump the revision serves
   answers from a stale index.  (PR 1/PR 5 built the memo layers; the engine's
   revision-validated prepared queries came in PR 4.)
-* **REP104** — process-pool shard dispatch pickles its payloads; a lambda or
-  closure smuggled into a payload (or submitted as the worker function)
-  fails only at runtime, on the first sharded query, in production.
 * **REP105** — cooperative cancellation (PR 6) only works if every unbounded
   loop in the evaluation algorithms consults ``WorkCounter.check()``; a loop
   that forgets makes deadline overshoot unbounded.
@@ -26,11 +23,6 @@ Every rule here is a post-mortem turned executable:
   against an LP objective that undershoots its exact optimum by ~1e-9.
   Comparing an LP objective with ``==``/``>=`` and no epsilon slack is how
   answers silently disappear.
-* **REP107** — the fault-tolerant dispatch paths (PR 8) are built on the
-  rule that *every* failure is observable: retried, counted or re-raised.
-  A bare ``except Exception:`` in a dispatch/worker path that neither
-  re-raises nor records to a counter/stats object swallows faults the
-  chaos harness (and production operators) can never see.
 * **REP108** — the telemetry layer (PR 9) exposes every layer's counters
   through the metrics registry, so ``/metrics`` and ``/stats`` reconcile by
   construction; that only holds if counter dicts (``*_stats``/``*_counters``)
@@ -304,108 +296,6 @@ REP103 = register_rule(LintRule(
 ))
 
 # ---------------------------------------------------------------------------
-# REP104: pickle-safety of process-worker payloads
-# ---------------------------------------------------------------------------
-
-
-def _nested_function_names(tree: ast.Module) -> frozenset[str]:
-    """Names of functions defined inside another function (closures)."""
-    nested: set[str] = set()
-
-    def visit(node: ast.AST, inside_function: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if inside_function:
-                    nested.add(child.name)
-                visit(child, True)
-            elif isinstance(child, ast.Lambda):
-                visit(child, inside_function)
-            else:
-                visit(child, inside_function)
-
-    visit(tree, False)
-    return frozenset(nested)
-
-
-def _is_process_pool_call(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    callee = ModuleContext.dotted_name(node.func) or ""
-    return callee.split(".")[-1] == "ProcessPoolExecutor"
-
-
-def _process_pool_scopes(tree: ast.Module) -> list[tuple[str, ast.AST]]:
-    """``(pool name, scope node)`` pairs: the region where the name IS a
-    process pool.
-
-    A ``with ProcessPoolExecutor(...) as pool:`` binds the name only for the
-    ``with`` body (the same name often rebinds to a thread pool in a sibling
-    branch — scoping to the block keeps that legal); a plain assignment
-    binds it for the enclosing module/function.
-    """
-    scopes: list[tuple[str, ast.AST]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if _is_process_pool_call(item.context_expr) and \
-                        isinstance(item.optional_vars, ast.Name):
-                    scopes.append((item.optional_vars.id, node))
-        elif isinstance(node, ast.Assign) and \
-                _is_process_pool_call(node.value) and \
-                len(node.targets) == 1 and \
-                isinstance(node.targets[0], ast.Name):
-            scopes.append((node.targets[0].id, tree))
-    return scopes
-
-
-def _check_payload_pickle_safety(context: ModuleContext) -> list[Finding]:
-    findings: list[Finding] = []
-    nested = _nested_function_names(context.tree)
-    for pool_name, scope in _process_pool_scopes(context.tree):
-        for node in ast.walk(scope):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("map", "submit")
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == pool_name and node.args):
-                continue
-            worker = node.args[0]
-            if isinstance(worker, ast.Lambda):
-                findings.append(REP104.finding(
-                    context, worker,
-                    "lambda submitted to a ProcessPoolExecutor: lambdas "
-                    "cannot pickle, the dispatch dies at runtime on the "
-                    "first sharded query"))
-            elif isinstance(worker, ast.Name) and worker.id in nested:
-                findings.append(REP104.finding(
-                    context, worker,
-                    f"locally-defined function {worker.id!r} submitted to a "
-                    "ProcessPoolExecutor: closures cannot pickle under "
-                    "spawn, so the dispatch is platform-dependent"))
-    for node in ast.walk(context.tree):
-        if isinstance(node, ast.Lambda):
-            function = context.enclosing_function(node)
-            if function is not None and "payload" in function.name:
-                findings.append(REP104.finding(
-                    context, node,
-                    f"lambda placed inside {function.name}(): shard payloads "
-                    "cross the process boundary and must stay picklable"))
-    return findings
-
-
-REP104 = register_rule(LintRule(
-    id="REP104",
-    name="payload-pickle-safety",
-    summary="process-worker shard payloads and submitted worker functions "
-            "must be picklable: no lambdas, no local closures",
-    hint="hoist the worker to a module-level function and ship plain data "
-         "in the payload (the thread executor may keep its lambda)",
-    history="the PR 5 encoded shard payloads: pickling failures surface "
-            "only at runtime, inside the pool, as BrokenProcessPool",
-    check=_check_payload_pickle_safety,
-))
-
-# ---------------------------------------------------------------------------
 # REP105: cancellation discipline in the evaluation algorithms
 # ---------------------------------------------------------------------------
 
@@ -515,98 +405,6 @@ REP106 = register_rule(LintRule(
             "1e-9 above the true 1/B, because the flow LP's objective "
             "undershoots while body-tuple weights attain 1/B exactly",
     check=_check_float_lp_compare,
-))
-
-# ---------------------------------------------------------------------------
-# REP107: swallowed exceptions in dispatch/worker paths
-# ---------------------------------------------------------------------------
-
-#: Call-name fragments that count as "recording" a failure: routing it into
-#: a counter/stats object (bump/tally/absorb/count), a result/ack channel
-#: (put), or an explicit log/note sink.
-_RECORDING_TOKENS = ("bump", "tally", "record", "put", "note", "count",
-                     "absorb", "log")
-
-_BROAD_EXCEPTION_NAMES = frozenset({"Exception", "BaseException"})
-
-
-def _is_broad_handler(handler: ast.ExceptHandler) -> bool:
-    """Bare ``except:`` or ``except Exception/BaseException`` (incl. tuples)."""
-    if handler.type is None:
-        return True
-    types = (handler.type.elts if isinstance(handler.type, ast.Tuple)
-             else [handler.type])
-    for node in types:
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
-        if name in _BROAD_EXCEPTION_NAMES:
-            return True
-    return False
-
-
-def _handler_observes_failure(handler: ast.ExceptHandler) -> bool:
-    """True when the handler re-raises or records the failure somewhere."""
-    for node in ast.walk(handler):
-        if isinstance(node, ast.Raise):
-            return True
-        if isinstance(node, ast.Call):
-            dotted = ModuleContext.dotted_name(node.func)
-            if dotted is not None:
-                last = dotted.split(".")[-1].lower()
-                if any(token in last for token in _RECORDING_TOKENS):
-                    return True
-        if isinstance(node, ast.AugAssign) and \
-                isinstance(node.target, (ast.Attribute, ast.Subscript)):
-            # `self.failures += 1` / `counters["task_failures"] += 1`
-            return True
-    return False
-
-
-def _in_dispatch_scope(context: ModuleContext, node: ast.AST) -> bool:
-    path = context.path.replace("\\", "/")
-    if "engine/" in path:
-        return True
-    function = context.enclosing_function(node)
-    if function is None:
-        return False
-    name = function.name.lower()
-    return "worker" in name or "dispatch" in name
-
-
-def _check_swallowed_dispatch_errors(context: ModuleContext) -> list[Finding]:
-    findings: list[Finding] = []
-    for node in ast.walk(context.tree):
-        if not isinstance(node, ast.ExceptHandler):
-            continue
-        if not _is_broad_handler(node):
-            continue
-        if not _in_dispatch_scope(context, node):
-            continue
-        if _handler_observes_failure(node):
-            continue
-        shape = "bare `except:`" if node.type is None \
-            else f"`except {ast.unparse(node.type)}:`"
-        findings.append(REP107.finding(
-            context, node,
-            f"{shape} in a dispatch/worker path neither re-raises nor "
-            "records the failure: the fault becomes invisible to retry "
-            "accounting, EngineStats and the chaos harness"))
-    return findings
-
-
-REP107 = register_rule(LintRule(
-    id="REP107",
-    name="swallowed-dispatch-error",
-    summary="broad exception handlers in dispatch/worker paths must "
-            "re-raise or record the failure to a counter/stats/result "
-            "channel",
-    hint="re-raise after cleanup, or route the failure into an observable "
-         "sink (stats.bump(...), run counters, result_queue.put(('err', ...)))"
-         " — or narrow the except to the specific expected type",
-    history="PR 8's fault-tolerant executor: every retry/respawn decision "
-            "reads failure signals, so a swallowed exception disables "
-            "fault tolerance silently",
-    check=_check_swallowed_dispatch_errors,
 ))
 
 # ---------------------------------------------------------------------------
@@ -726,5 +524,4 @@ REP109 = register_rule(LintRule(
 ))
 
 #: The full repo rule set, in id order (used by docs and tests).
-ALL_RULES = (REP101, REP102, REP103, REP104, REP105, REP106, REP107, REP108,
-             REP109)
+ALL_RULES = (REP101, REP102, REP103, REP105, REP106, REP108, REP109)

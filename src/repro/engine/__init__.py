@@ -20,13 +20,12 @@ from repro.engine.fingerprint import (
     query_fingerprint,
     statistics_fingerprint,
 )
-from repro.engine.plan_cache import LruDict, PlanCache, PlanRecipe
+from repro.engine.plan_cache import PlanCache, PlanRecipe
 
 __all__ = [
     "Engine",
     "EngineStats",
     "PreparedQuery",
-    "LruDict",
     "PlanCache",
     "PlanRecipe",
     "query_fingerprint",

@@ -15,8 +15,11 @@ adaptive-PANDA per query; PRs 1–3 gave the storage and LP layers caches.  The
 * **prepared queries** (:meth:`Engine.prepare`) whose ``execute`` /
   ``execute_many`` re-validate against the database revision and re-resolve
   transparently on staleness;
-* :class:`EngineStats`: plans built/reused, executions, wall time, and the
-  aggregated storage + LP cache deltas observed while serving.
+* :class:`EngineStats`: plans built/reused, statistics measured/reused,
+  executions and wall time.  Storage, LP and kernel cache counters live once,
+  in their layers' process-wide tables (``Database.cache_stats``,
+  ``LP_STATS``, ``KERNEL_STATS``); ``explain(analyze=True)`` reports one
+  run's movements of them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.engine.fingerprint import (
     query_fingerprint,
     statistics_fingerprint,
 )
-from repro.engine.plan_cache import LruDict, PlanCache, PlanRecipe
+from repro.engine.plan_cache import PlanCache, PlanRecipe
 from repro.decompositions.treedecomp import TreeDecomposition
 from repro.lp.model import LP_STATS
 from repro.optimizer.cost import estimate_costs
@@ -51,6 +54,7 @@ from repro.telemetry.metrics import CounterTable, counter_delta, get_registry
 from repro.telemetry.profiler import CardinalityProfile, plan_nodes
 from repro.telemetry.trace import get_tracer
 from repro.utils.cancellation import CancellationToken, QueryCancelledError
+from repro.utils.lru import LruDict
 
 
 #: The counters :meth:`EngineStats.bump` moves, in ``as_dict`` order.
@@ -70,42 +74,28 @@ _ENGINE_COUNTERS = (
     "wall_time_seconds",
 )
 
-#: Event buckets: storage-backend index build/hit movements of the engine
-#: database, LP-substrate cache movements during planning and execution, and
-#: vectorized-kernel usage/fallback movements during execution.
-_ENGINE_BUCKETS = ("storage_cache_events", "lp_cache_events",
-                   "kernel_cache_events")
-
 #: Every engine's :meth:`EngineStats.bump` summed over the process (engines
 #: come and go; these totals only grow), sampled as ``engine.stats.<key>``.
 ENGINE_TOTALS = get_registry().table("engine.stats")
 
 
 class EngineStats:
-    """Serving metrics: planning reuse, execution shape, cache activity.
+    """Serving metrics: planning reuse and execution shape.
 
     The counters in ``_ENGINE_COUNTERS`` read as attributes
-    (``stats.plans_built``); each event bucket reads as a dict
-    (``stats.lp_cache_events``).  Both live in
-    :class:`~repro.telemetry.metrics.CounterTable` s, so every update is
+    (``stats.plans_built``) and live in a
+    :class:`~repro.telemetry.metrics.CounterTable`, so every update is
     atomic: :meth:`bump` applies its whole batch under one lock, two sessions
     finishing simultaneously never lose increments, and :meth:`as_dict`
-    returns a consistent snapshot of the counters.  (The LP and kernel event
-    deltas are measured against process-global counters, so under
-    concurrent sessions an execution's bucket may include a neighbour's
-    movements — the totals remain exact, the per-session attribution is
-    approximate.)
+    returns a consistent snapshot of the counters.
     """
 
     def __init__(self) -> None:
         self._counters = CounterTable(dict.fromkeys(_ENGINE_COUNTERS, 0))
-        self._buckets = {bucket: CounterTable() for bucket in _ENGINE_BUCKETS}
 
     def __getattr__(self, name: str):
         if name in _ENGINE_COUNTERS:
             return self._counters.snapshot()[name]
-        if name in _ENGINE_BUCKETS:
-            return self._buckets[name].snapshot()
         raise AttributeError(name)
 
     def bump(self, **deltas: int | float) -> None:
@@ -116,13 +106,8 @@ class EngineStats:
         self._counters.add_many(deltas)
         ENGINE_TOTALS.add_many(deltas)
 
-    def absorb_events(self, target: str, delta: dict[str, int]) -> None:
-        self._buckets[target].add_many(delta)
-
     def as_dict(self) -> dict:
-        return {**self._counters.snapshot(),
-                **{bucket: table.snapshot()
-                   for bucket, table in self._buckets.items()}}
+        return self._counters.snapshot()
 
     def describe(self) -> str:
         d = self.as_dict()
@@ -134,13 +119,6 @@ class EngineStats:
                  f"statistics: {d['statistics_measured']} measured, "
                  f"{d['statistics_reused']} reused; "
                  f"{d['invalidations']} invalidations"]
-        for label, bucket in (("storage caches", d["storage_cache_events"]),
-                              ("lp caches", d["lp_cache_events"]),
-                              ("kernels", d["kernel_cache_events"])):
-            if bucket:
-                events = ", ".join(f"{key}={value}"
-                                   for key, value in sorted(bucket.items()))
-                lines.append(f"  {label}: {events}")
         return "\n".join(lines)
 
 
@@ -315,11 +293,9 @@ class Engine:
         with tracer.span("engine.explain_analyze",
                          {"query": query.name}) as span:
             result = prepared.execute()
-            ctx = span.context()
-        trace_id = ctx.trace_id if ctx is not None else ""
         counter = result.counter
         doc["analyze"] = {
-            "trace_id": trace_id,
+            "trace_id": span.trace_id,
             "row_count": len(result.answer),
             "wall_seconds": time.perf_counter() - started,
             "work": {
@@ -333,7 +309,7 @@ class Engine:
                 "lp": LP_STATS.delta(lp_before),
                 "kernels": KERNEL_STATS.delta(kernel_before),
             },
-            "trace": tracer.export_trace(trace_id) if trace_id else None,
+            "trace": tracer.export_trace(span.trace_id),
             "estimated_vs_observed": (plan.profile.estimated_vs_observed()
                                       if plan.profile is not None else []),
         }
@@ -380,7 +356,6 @@ class Engine:
                 recipe.profile.seed(plan_nodes(rebuilt), statistics, renaming)
             self.stats.bump(plans_reused=1)
             return rebuilt
-        before_lp = LP_STATS.snapshot()
         with tracer.span("engine.lp_solve", {"query": query.name}) as lp_span:
             estimate = estimate_costs(query, statistics,
                                       max_variables=self.max_variables)
@@ -390,7 +365,6 @@ class Engine:
                                  estimate=estimate)
             lp_span.set("kind", chosen.kind.value)
         chosen.fingerprint = plan_fingerprint(query_digest, statistics_digest)
-        self.stats.absorb_events("lp_cache_events", LP_STATS.delta(before_lp))
         profile = CardinalityProfile(chosen.fingerprint, chosen.kind.value)
         profile.seed(plan_nodes(chosen), statistics, renaming)
         chosen.profile = profile
@@ -461,9 +435,6 @@ class Engine:
                       database: Database | None = None,
                       cancellation: CancellationToken | None = None) -> ExecutionResult:
         database = self.database if database is None else database
-        storage_before = database.cache_stats()
-        lp_before = LP_STATS.snapshot()
-        kernel_before = KERNEL_STATS.snapshot()
         started = time.perf_counter()
         with get_tracer().span("engine.execute",
                                {"query": chosen.query.name,
@@ -475,21 +446,17 @@ class Engine:
                     counter = WorkCounter(cancellation=cancellation)
                 result = chosen.execute(database, counter=counter)
             except QueryCancelledError:
-                # A cancelled run still spent wall time and moved the caches;
-                # account for it (separately from successful executions) so
-                # the service's deadline tests can assert bounded overshoot
-                # from the stats alone.
+                # A cancelled run still spent wall time; account for it
+                # (separately from successful executions) so the service's
+                # deadline tests can assert bounded overshoot from the stats
+                # alone.
                 self.stats.bump(
                     cancelled_executions=1,
                     wall_time_seconds=time.perf_counter() - started)
-                self._absorb_execution_events(database, storage_before,
-                                              lp_before, kernel_before)
                 raise
             span.set("rows_out", len(result.answer))
         self.stats.bump(executions=1,
                         wall_time_seconds=time.perf_counter() - started)
-        self._absorb_execution_events(database, storage_before,
-                                      lp_before, kernel_before)
         self._record_profile(chosen, result)
         return result
 
@@ -505,15 +472,3 @@ class Engine:
                              tuple(sorted(result.answer.columns)),
                              len(result.answer)))
         profile.record(observations, chosen.renaming or {})
-
-    def _absorb_execution_events(self, database: Database,
-                                 storage_before: dict[str, int],
-                                 lp_before: dict[str, int],
-                                 kernel_before: dict[str, int]) -> None:
-        self.stats.absorb_events("storage_cache_events",
-                                 counter_delta(database.cache_stats(),
-                                               storage_before))
-        self.stats.absorb_events("lp_cache_events", LP_STATS.delta(lp_before))
-        self.stats.absorb_events("kernel_cache_events",
-                                 KERNEL_STATS.delta(kernel_before))
-

@@ -17,12 +17,11 @@ the engine reports reuse across all three cache layers uniformly.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.optimizer.planner import PlanKind
 from repro.telemetry.metrics import CounterTable
+from repro.utils.lru import LruDict
 
 
 @dataclass(frozen=True)
@@ -48,58 +47,6 @@ class PlanRecipe:
     #: every execution (and every alpha-renaming) served from this entry,
     #: and is excluded from the recipe's value semantics.
     profile: object | None = field(default=None, repr=False, compare=False)
-
-
-class LruDict:
-    """A bounded mapping with least-recently-used eviction.
-
-    The one LRU policy in the engine: the plan cache and the engine's
-    measured-statistics memo both delegate here, so eviction semantics
-    cannot drift between them.
-
-    Operations are individually atomic (an internal lock): the multi-tenant
-    service executes queries of one engine from several worker threads at
-    once, and ``OrderedDict``'s move-to-end bookkeeping is not safe under
-    concurrent mutation.  Lookups of a missing key and concurrent ``put`` of
-    the same key remain benign races (the last writer wins, which for
-    idempotent recipe/statistics entries is the same value).
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("an LRU cache needs capacity for at least one entry")
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
-    def get(self, key):
-        """The entry for ``key`` (marked most recently used), or ``None``."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            return value
-
-    def put(self, key, value) -> int:
-        """Store ``key -> value``; returns how many entries were evicted."""
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            evictions = 0
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                evictions += 1
-            return evictions
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
 
 class PlanCache:

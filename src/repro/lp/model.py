@@ -33,7 +33,6 @@ to the LP work counts ``highs_iterations``, ``exact_solves`` and
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
@@ -49,6 +48,7 @@ from scipy.optimize._highspy._core import (
 )
 
 from repro.telemetry.metrics import get_registry
+from repro.utils.lru import LruDict
 
 
 class InfeasibleProgramError(RuntimeError):
@@ -99,29 +99,27 @@ class BoundedCache:
     Lookups and stores count ``{prefix}_hits`` / ``{prefix}_builds`` in
     :func:`lp_cache_stats`, and the cache registers itself with
     :func:`clear_lp_caches`.  The region, elemental-inequality, Shannon-flow
-    and edge-cover caches are all instances.
+    and edge-cover caches are all instances; the entries live in a locked
+    :class:`~repro.utils.lru.LruDict`, because the service plans on several
+    worker threads at once.
     """
 
     def __init__(self, event_prefix: str, capacity: int) -> None:
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._entries = LruDict(capacity)
         self._prefix = event_prefix
-        self._capacity = capacity
         register_lp_cache(self._entries.clear)
 
     def lookup(self, key: Hashable) -> Any | None:
         """The memoized value (counting a hit) or ``None``."""
         value = self._entries.get(key)
         if value is not None:
-            self._entries.move_to_end(key)
             LP_STATS.add(f"{self._prefix}_hits")
         return value
 
     def store(self, key: Hashable, value: Any) -> Any:
         """Memoize ``value`` (counting a build), evicting least-recently-used."""
         LP_STATS.add(f"{self._prefix}_builds")
-        self._entries[key] = value
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
+        self._entries.put(key, value)
         return value
 
 

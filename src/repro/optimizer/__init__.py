@@ -6,7 +6,6 @@ from repro.optimizer.planner import (
     PlanKind,
     QueryPlan,
     plan,
-    plan_and_execute,
     realize_plan,
 )
 
@@ -17,6 +16,5 @@ __all__ = [
     "QueryPlan",
     "ExecutionResult",
     "plan",
-    "plan_and_execute",
     "realize_plan",
 ]

@@ -12,10 +12,9 @@ The cost of a plan is the worst-case size of its largest intermediate relation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.decompositions.enumerate import enumerate_tree_decompositions
-from repro.lp.model import LP_STATS
 from repro.query.cq import ConjunctiveQuery
 from repro.query.hypergraph import is_acyclic, is_free_connex
 from repro.stats.constraints import ConstraintSet
@@ -37,10 +36,6 @@ class CostEstimate:
     #: Plan runners reuse them, so choosing *and executing* a plan enumerates
     #: decompositions exactly once per costed estimate.
     decompositions: tuple = ()
-    #: LP-layer cache events during this estimate: ``fhtw`` and ``subw`` key
-    #: the polymatroid-region cache identically, so one compiled region
-    #: serves both widths (``region_builds`` ≤ 1 on a cold cache).
-    lp_cache_events: dict[str, int] = field(default_factory=dict)
 
     @property
     def fhtw_exponent(self) -> float:
@@ -63,10 +58,6 @@ class CostEstimate:
         lines.append(f"  subw(Q,S) = {self.subw.width:.4g}")
         if self.adaptive_gain > 1e-9:
             lines.append(f"  adaptive plans win by N^{self.adaptive_gain:.4g}")
-        if self.lp_cache_events:
-            events = ", ".join(f"{key}={value}" for key, value
-                               in sorted(self.lp_cache_events.items()))
-            lines.append(f"  lp caches: {events}")
         return "\n".join(lines)
 
 
@@ -80,7 +71,6 @@ def estimate_costs(query: ConjunctiveQuery, statistics: ConstraintSet,
     """
     decompositions = enumerate_tree_decompositions(query, max_variables=max_variables)
     atom_sets = [atom.varset for atom in query.atoms]
-    before = LP_STATS.snapshot()
     fhtw = fractional_hypertree_width(query, statistics, decompositions=decompositions)
     subw = submodular_width(query, statistics, decompositions=decompositions)
     return CostEstimate(
@@ -91,5 +81,4 @@ def estimate_costs(query: ConjunctiveQuery, statistics: ConstraintSet,
         fhtw=fhtw,
         subw=subw,
         decompositions=tuple(decompositions),
-        lp_cache_events=LP_STATS.delta(before),
     )

@@ -20,8 +20,7 @@ decompositions that estimate enumerated, so choosing *and* executing a plan
 never re-derives widths, LP bounds or decompositions — the historical
 behaviour of re-running ``estimate_costs`` when switching between plan kinds
 is gone.  For repeated traffic, :class:`repro.engine.Engine` caches whole
-plans across calls; :func:`plan_and_execute` routes through a single-shot
-engine so every caller shares that one costed-plan path.
+plans across calls.
 """
 
 from __future__ import annotations
@@ -194,31 +193,6 @@ def plan(query: ConjunctiveQuery, statistics: ConstraintSet,
         reason=(f"a single tree decomposition already attains the submodular width "
                 f"({estimate.fhtw_exponent:.4g})"),
         max_variables=max_variables, validate=False)
-
-
-def plan_and_execute(query: ConjunctiveQuery, database: Database,
-                     statistics: ConstraintSet,
-                     max_variables: int = 9,
-                     backend: str | None = None) -> tuple[QueryPlan, ExecutionResult]:
-    """Convenience wrapper: plan, execute, and return both.
-
-    Routes through a single-shot :class:`repro.engine.Engine`, so the query
-    is costed exactly once (one ``estimate_costs`` call feeds both the plan
-    choice and the runner) and benefits from the engine's canonical plan
-    fingerprinting.  For repeated traffic keep a long-lived engine instead —
-    this wrapper deliberately starts with a cold plan cache on every call.
-
-    ``backend`` optionally pins the execution to a storage engine (e.g.
-    ``"columnar"`` for the vectorized kernels); the database is converted
-    before the plan runs.
-    """
-    from repro.engine import Engine
-
-    if backend is not None and database.backend_kind != backend:
-        database = database.with_backend(backend)
-    engine = Engine(database, max_variables=max_variables)
-    prepared = engine.prepare(query, statistics=statistics)
-    return prepared.plan, prepared.execute()
 
 
 # ---------------------------------------------------------------------------

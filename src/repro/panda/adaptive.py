@@ -25,7 +25,6 @@ from repro.algorithms.yannakakis import yannakakis_over_relations
 from repro.ddr.rule import DisjunctiveDatalogRule, bag_selectors
 from repro.decompositions.enumerate import enumerate_tree_decompositions
 from repro.decompositions.treedecomp import TreeDecomposition
-from repro.lp.model import LP_STATS
 from repro.panda.executor import PandaReport, evaluate_ddr
 from repro.query.cq import ConjunctiveQuery
 from repro.relational.database import Database
@@ -44,10 +43,6 @@ class AdaptiveReport:
     ddr_reports: list[PandaReport] = field(default_factory=list)
     bag_sizes: dict[frozenset[str], int] = field(default_factory=dict)
     counter: WorkCounter = field(default_factory=WorkCounter)
-    #: LP-layer cache events (flow/region/elemental builds and hits) that
-    #: occurred during this evaluation — nonzero ``flow_hits`` means the run
-    #: reused memoized Shannon-flow certificates instead of re-deriving them.
-    lp_cache_events: dict[str, int] = field(default_factory=dict)
 
     @property
     def max_bag_size(self) -> int:
@@ -68,10 +63,6 @@ class AdaptiveReport:
         for bag, size in sorted(self.bag_sizes.items(), key=lambda kv: sorted(kv[0])):
             lines.append(f"  bag {format_varset(bag)}: {size} tuples")
         lines.append(f"  max intermediate: {self.max_intermediate} tuples")
-        if self.lp_cache_events:
-            events = ", ".join(f"{key}={value}" for key, value
-                               in sorted(self.lp_cache_events.items()))
-            lines.append(f"  lp caches: {events}")
         return "\n".join(lines)
 
 
@@ -107,9 +98,7 @@ def evaluate_adaptive(query: ConjunctiveQuery, database: Database,
                             for bag in decomposition.bags}
         return Relation(query.name, tuple(sorted(query.free_variables)), []), report
 
-    before = LP_STATS.snapshot()
     bag_relations = _evaluate_all_ddrs(query, database, statistics, decompositions, report)
-    report.lp_cache_events = LP_STATS.delta(before)
     _semijoin_reduce_bags(query, database, bag_relations, report)
     report.bag_sizes = {bag: len(rel) for bag, rel in bag_relations.items()}
 

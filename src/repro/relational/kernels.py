@@ -48,11 +48,10 @@ semiring without a registered reduction) return ``None`` and the caller falls
 back to the reference Python path.  Each call counts ``<op>_kernels`` or
 ``<op>_fallbacks`` (plus ``translation_builds`` and
 ``compose_entries_examined``) in the process-wide :data:`KERNEL_STATS`
-table, which :func:`kernel_stats` reads, ``/metrics`` samples as
-``kernel.<key>`` and ``EngineStats.kernel_cache_events`` accumulates per
-engine.  The per-backend encode counters — ``dictionary_builds`` for a column
-encoded from Python values, ``dictionary_wraps`` for one wrapped around codes
-a kernel already produced, ``dictionary_hits`` — flow through
+table, which :func:`kernel_stats` reads and ``/metrics`` samples as
+``kernel.<key>``.  The per-backend encode counters — ``dictionary_builds``
+for a column encoded from Python values, ``dictionary_wraps`` for one wrapped
+around codes a kernel already produced, ``dictionary_hits`` — flow through
 ``Database.cache_stats`` and :func:`~repro.relational.storage.storage_stats`
 like every other index counter.
 

@@ -14,8 +14,10 @@ A query arriving past either bound is rejected *immediately* with a typed
 :class:`~repro.service.errors.AdmissionRejectedError` — clients get fast
 backpressure instead of unbounded latency.
 
-All counter updates happen on the event loop (no ``await`` between read and
-write), so they need no lock; the invariant the concurrency tests assert is
+The counts live in a :class:`~repro.telemetry.metrics.CounterTable`, and
+every update happens on the event loop with no ``await`` between the
+updates of one event, so a snapshot taken there holds the invariants the
+concurrency tests assert:
 ``submitted == admitted + rejected_global + rejected_tenant`` and
 ``admitted == completed + in_flight + waiting``.
 """
@@ -26,6 +28,7 @@ import asyncio
 from contextlib import asynccontextmanager
 
 from repro.service.errors import AdmissionRejectedError
+from repro.telemetry.metrics import CounterTable
 
 
 class AdmissionController:
@@ -43,11 +46,11 @@ class AdmissionController:
         self._per_tenant: dict[str, asyncio.Semaphore] = {}
         self._waiting_global = 0
         self._waiting_tenant: dict[str, int] = {}
-        self.stats_counters = {
+        self.counters = CounterTable({
             "submitted": 0, "admitted": 0, "completed": 0,
             "rejected_global": 0, "rejected_tenant": 0,
             "in_flight": 0, "peak_in_flight": 0,
-        }
+        })
 
     def _tenant_sem(self, tenant: str) -> asyncio.Semaphore:
         sem = self._per_tenant.get(tenant)
@@ -64,19 +67,16 @@ class AdmissionController:
         tenant already at its own limit queues (or rejects) without pinning a
         global slot that another tenant could use.
         """
-        # Every mutation below runs on the event loop with no `await` between
-        # read and write (the module invariant the concurrency tests assert),
-        # so these are single-threaded and need no lock.
-        counters = self.stats_counters
-        counters["submitted"] += 1  # repro-analysis: allow[REP108] -- event-loop single-threaded; no await between read and write
+        counters = self.counters
+        counters.add("submitted")
         waiting_here = self._waiting_tenant.get(tenant, 0)
         if waiting_here >= self.tenant_queue_depth:
-            counters["rejected_tenant"] += 1  # repro-analysis: allow[REP108] -- event-loop single-threaded; no await between read and write
+            counters.add("rejected_tenant")
             raise AdmissionRejectedError(
                 f"tenant {tenant!r} already has {waiting_here} queries queued "
                 f"(limit {self.tenant_queue_depth})", scope="tenant", tenant=tenant)
         if self._waiting_global >= self.queue_depth:
-            counters["rejected_global"] += 1  # repro-analysis: allow[REP108] -- event-loop single-threaded; no await between read and write
+            counters.add("rejected_global")
             raise AdmissionRejectedError(
                 f"{self._waiting_global} queries already queued globally "
                 f"(limit {self.queue_depth})", scope="global", tenant=tenant)
@@ -97,16 +97,14 @@ class AdmissionController:
                 # did acquire so the slot accounting stays exact.
                 if acquired_tenant:
                     self._tenant_sem(tenant).release()
-        counters["admitted"] += 1  # repro-analysis: allow[REP108] -- event-loop single-threaded; no await between read and write
-        counters["in_flight"] += 1  # repro-analysis: allow[REP108] -- event-loop single-threaded; no await between read and write
-        # repro-analysis: allow[REP108] -- event-loop single-threaded; no await between read and write
-        counters["peak_in_flight"] = max(counters["peak_in_flight"],
-                                         counters["in_flight"])
+        counters.add_many({"admitted": 1, "in_flight": 1})
+        now = counters.snapshot()
+        counters.add("peak_in_flight",
+                     max(0, now["in_flight"] - now["peak_in_flight"]))
         try:
             yield
         finally:
-            counters["in_flight"] -= 1  # repro-analysis: allow[REP108] -- event-loop single-threaded; no await between read and write
-            counters["completed"] += 1  # repro-analysis: allow[REP108] -- event-loop single-threaded; no await between read and write
+            counters.add_many({"in_flight": -1, "completed": 1})
             self._global.release()
             self._tenant_sem(tenant).release()
 
@@ -120,7 +118,7 @@ class AdmissionController:
         """Counters plus the live queue depths (an internally consistent
         snapshot: taken on the event loop, where all updates happen)."""
         return {
-            **self.stats_counters,
+            **self.counters.snapshot(),
             "waiting": self._waiting_global,
             "limits": {
                 "max_concurrent": self.max_concurrent,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -52,7 +53,7 @@ from repro.service.registry import Tenant, TenantRegistry
 from repro.service.streaming import ResultPage, ResultStream
 from repro.telemetry.metrics import Sample, get_registry
 from repro.telemetry.slowlog import SlowQueryLog
-from repro.telemetry.trace import get_tracer
+from repro.telemetry.trace import SpanContext, get_tracer
 from repro.utils.cancellation import CancellationToken, QueryCancelledError
 
 
@@ -104,9 +105,9 @@ class QueryResult:
     #: The answer relation itself — in-process callers can keep joining /
     #: comparing without round-tripping rows through pages.
     answer: Relation = field(repr=False)
-    #: The tracer's id for this request (empty when tracing is disabled or
-    #: the trace was sampled out) — the key into ``export_trace`` / ``/slow``.
-    trace_id: str = ""
+    #: The tracer's id for this request — the key into ``export_trace`` /
+    #: ``/slow``.
+    trace_id: str
 
     def to_dict(self) -> dict:
         return {"tenant": self.tenant, "stream_id": self.stream_id,
@@ -180,8 +181,8 @@ class QueryService:
         with get_tracer().span("service.request",
                                {"tenant": tenant_name,
                                 "query": parsed.name}) as span:
-            ctx = span.context() if span else None
-            trace_id = ctx.trace_id if ctx is not None else ""
+            ctx = span.context()
+            trace_id = ctx.trace_id
             started = time.perf_counter()
             try:
                 async with self.admission.slot(tenant_name):
@@ -211,7 +212,7 @@ class QueryService:
                                      page_size, elapsed, trace_id=trace_id)
 
     async def _run_on_pool(self, tenant: Tenant, parsed: ConjunctiveQuery,
-                           token: CancellationToken, ctx=None):
+                           token: CancellationToken, ctx: SpanContext):
         """Run the blocking engine call on the worker pool, mapping engine
         exceptions to the service error taxonomy.
 
@@ -262,7 +263,7 @@ class QueryService:
 
     def _register_stream(self, tenant_name: str, parsed: ConjunctiveQuery,
                          answer: Relation, page_size: int | None,
-                         elapsed: float, trace_id: str = "") -> QueryResult:
+                         elapsed: float, trace_id: str) -> QueryResult:
         size = (self.config.default_page_size
                 if page_size is None else page_size)
         stream_id = f"{tenant_name}-{next(self._stream_ids)}"
@@ -326,8 +327,7 @@ class QueryService:
         totals: dict[str, float] = {}
         for doc in tenants.values():
             for key, value in doc["engine"].items():
-                if isinstance(value, (int, float)):
-                    totals[key] = totals.get(key, 0) + value
+                totals[key] = totals.get(key, 0) + value
             for key, value in doc["outcomes"].items():
                 totals[key] = totals.get(key, 0) + value
         return {
@@ -358,14 +358,13 @@ class QueryService:
         """The registry pull source for service-level counters.
 
         Samples the *same* structures ``stats()`` reports, under the same
-        keys — the admission controller's counter dict and each tenant's
+        keys — the admission controller's counter table and each tenant's
         outcome counters — so ``/metrics`` and ``/stats`` reconcile by
         construction.
         """
         samples = [Sample(f"service.admission.{key}", {}, value,
                           "gauge" if key.endswith("in_flight") else "counter")
-                   for key, value in self.admission.stats_counters.items()
-                   if isinstance(value, (int, float))]
+                   for key, value in self.admission.counters.snapshot().items()]
         samples.append(Sample("service.open_streams", {},
                               len(self._streams), "gauge"))
         samples.append(Sample("service.active_queries", {},
@@ -453,14 +452,16 @@ class QueryService:
                           optional=("timeout", "page_size"))
             result = await self.query(
                 request["tenant"], request["query"],
-                timeout=request.get("timeout"),
-                page_size=request.get("page_size"))
+                timeout=_timeout_field(request),
+                page_size=_integer_field(request, "page_size", minimum=1))
             return result.to_dict()
         if op == "page":
-            self._require(request, "tenant", "stream_id")
-            page = self.fetch_page(request["tenant"], request["stream_id"],
-                                   offset=int(request.get("offset", 0)),
-                                   page_size=request.get("page_size"))
+            self._require(request, "tenant", "stream_id",
+                          optional=("offset", "page_size"))
+            page = self.fetch_page(
+                request["tenant"], request["stream_id"],
+                offset=_integer_field(request, "offset", minimum=0) or 0,
+                page_size=_integer_field(request, "page_size", minimum=1))
             return page.to_dict()
         if op == "metrics":
             return {"content_type": "text/plain; version=0.0.4",
@@ -489,6 +490,40 @@ class QueryService:
             if unknown:
                 raise BadRequestError(
                     f"unknown request fields: {sorted(unknown)}")
+
+
+def _integer_field(request: dict, name: str, minimum: int) -> int | None:
+    """``request[name]`` as an integer ``>= minimum`` (``None`` if absent).
+
+    A decimal string counts: ``GET /page`` carries its numbers in the query
+    string.  Anything else is a bad request, never a 500 or, for a page size
+    of 0, a cursor that stops moving.
+    """
+    value = request.get(name)
+    if value is None:
+        return None
+    try:
+        number = int(value) if isinstance(value, str) else value
+    except ValueError:
+        number = None
+    if isinstance(number, bool) or not isinstance(number, int) \
+            or number < minimum:
+        raise BadRequestError(
+            f"{name!r} must be an integer >= {minimum}, not {value!r}")
+    return number
+
+
+def _timeout_field(request: dict) -> float | None:
+    """``request["timeout"]`` in seconds: a finite number ``>= 0``, or
+    ``None`` if absent."""
+    value = request.get("timeout")
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or value < 0:
+        raise BadRequestError(
+            f"'timeout' must be a number of seconds >= 0, not {value!r}")
+    return value
 
 
 def database_from_payload(request: dict) -> Database:

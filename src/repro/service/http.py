@@ -165,10 +165,7 @@ class HttpFrontend:
         if method == "GET" and path == "/tenants":
             return {"op": "tenants"}
         if method == "GET" and path == "/page":
-            doc: dict = {"op": "page", **query}
-            if "page_size" in doc:
-                doc["page_size"] = int(doc["page_size"])
-            return doc
+            return {"op": "page", **query}
         if method == "POST":
             try:
                 payload = json.loads(body.decode() or "{}")

@@ -15,19 +15,9 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.profiler import CardinalityProfile, NodeProfile, plan_nodes
 from repro.telemetry.slowlog import SlowQueryLog
-from repro.telemetry.trace import (
-    NULL_SPAN,
-    Span,
-    SpanContext,
-    Tracer,
-    get_tracer,
-    set_tracing_enabled,
-    tracing_enabled,
-    using_tracing,
-)
+from repro.telemetry.trace import Span, SpanContext, Tracer, get_tracer
 
 __all__ = [
-    "NULL_SPAN",
     "CardinalityProfile",
     "CounterTable",
     "MetricsRegistry",
@@ -41,7 +31,4 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "plan_nodes",
-    "set_tracing_enabled",
-    "tracing_enabled",
-    "using_tracing",
 ]

@@ -13,9 +13,6 @@ Design constraints, in order:
 * **Bounded memory** — finished traces live in a ring buffer
   (:data:`DEFAULT_TRACE_CAPACITY` traces); evictions are *counted*
   (``dropped_traces``), never silent.
-* **Cheap when off** — with tracing disabled every ``span()`` call returns
-  the shared :data:`NULL_SPAN` after one attribute check; no allocation, no
-  lock, no timestamp.
 * **Closed exactly once** — ``finish()`` is idempotent (double finishes are
   counted, not applied), and the context-manager form closes on every exit
   path including exceptions, which it records as the span's status.
@@ -26,8 +23,7 @@ process.
 Propagation is contextvar-based (``with tracer.span(...)`` makes the span
 the ambient parent).  Contextvars do **not** cross thread-pool boundaries
 on their own, so callers hop them explicitly: capture ``span.context()``
-before the hop and wrap the work in ``tracer.attach(ctx)`` or pass
-``parent=ctx`` to the first span.
+before the hop and wrap the work in ``tracer.attach(ctx)``.
 """
 
 from __future__ import annotations
@@ -44,14 +40,9 @@ from repro.telemetry.metrics import Sample, get_registry
 DEFAULT_TRACE_CAPACITY = 256
 
 #: The ambient span of the current logical context: a :class:`Span`, a
-#: :class:`SpanContext` (after an explicit ``attach``), the suppression
-#: sentinel (inside an unsampled trace), or ``None``.
+#: :class:`SpanContext` (after an explicit ``attach``), or ``None``.
 _CURRENT: contextvars.ContextVar = contextvars.ContextVar(
     "repro_current_span", default=None)
-
-#: Sentinel marking "inside an unsampled trace": descendants must not start
-#: fresh root traces of their own.
-_SUPPRESSED = object()
 
 
 @dataclass(frozen=True)
@@ -60,68 +51,6 @@ class SpanContext:
 
     trace_id: str
     span_id: str
-
-
-class _NullSpan:
-    """The shared do-nothing span returned when tracing is disabled."""
-
-    __slots__ = ()
-    trace_id = ""
-    span_id = ""
-    parent_id = None
-    name = ""
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-    def set(self, key, value) -> "_NullSpan":
-        return self
-
-    def finish(self, status: str | None = None, **attrs) -> None:
-        return None
-
-    def context(self) -> None:
-        return None
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NULL_SPAN = _NullSpan()
-
-
-class _SuppressedSpan:
-    """Root span of an *unsampled* trace: records nothing, but marks the
-    context so descendants do not each start a fresh root trace."""
-
-    __slots__ = ("_token",)
-    trace_id = ""
-    span_id = ""
-    parent_id = None
-    name = ""
-
-    def __enter__(self) -> "_SuppressedSpan":
-        self._token = _CURRENT.set(_SUPPRESSED)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        _CURRENT.reset(self._token)
-        return False
-
-    def set(self, key, value) -> "_SuppressedSpan":
-        return self
-
-    def finish(self, status: str | None = None, **attrs) -> None:
-        return None
-
-    def context(self) -> None:
-        return None
-
-    def __bool__(self) -> bool:
-        return False
 
 
 class Span:
@@ -172,9 +101,6 @@ class Span:
         self.finish(status=status)
         return False
 
-    def __bool__(self) -> bool:
-        return True
-
     def as_record(self) -> dict:
         """The span as a plain JSON-able dict."""
         return {
@@ -205,14 +131,10 @@ class _TraceRecord:
 class Tracer:
     """The span factory and per-process trace store (ring-buffered)."""
 
-    def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY,
-                 enabled: bool = True, sampling: float = 1.0) -> None:
+    def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
         self._lock = threading.Lock()
         self._records: OrderedDict[str, _TraceRecord] = OrderedDict()
         self.capacity = capacity
-        self._enabled = enabled
-        self._sampling = sampling
-        self._sample_acc = 0.0
         self._trace_serial = 0
         self.dropped_traces = 0
         self.double_finishes = 0
@@ -220,69 +142,24 @@ class Tracer:
         #: never silently lost.
         self.orphan_spans = 0
 
-    # ------------------------------------------------------------- switches
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    def set_enabled(self, flag: bool) -> bool:
-        previous = self._enabled
-        self._enabled = bool(flag)
-        return previous
-
-    def set_sampling(self, rate: float) -> float:
-        """Fraction of *root* traces recorded (children follow their root);
-        deterministic (a running accumulator, not a PRNG)."""
-        previous = self._sampling
-        self._sampling = min(1.0, max(0.0, rate))
-        return previous
-
-    def _sample(self) -> bool:
-        if self._sampling >= 1.0:
-            return True
-        if self._sampling <= 0.0:
-            return False
+    def span(self, name: str, attrs: dict | None = None) -> Span:
+        """Open a span under the ambient span of the current context, or
+        root a new trace here when there is none."""
+        parent = _CURRENT.get()
         with self._lock:
-            self._sample_acc += self._sampling
-            if self._sample_acc >= 1.0:
-                self._sample_acc -= 1.0
-                return True
-            return False
-
-    # ---------------------------------------------------------------- spans
-    def span(self, name: str, attrs: dict | None = None,
-             parent: SpanContext | Span | None = None):
-        """Open a span (returns :data:`NULL_SPAN` when tracing is off).
-
-        With no explicit ``parent`` the ambient span of the current context
-        is the parent; with none ambient either, a new trace is rooted here
-        (subject to sampling).
-        """
-        if not self._enabled:
-            return NULL_SPAN
-        parent_ctx = parent if parent is not None else _CURRENT.get()
-        if parent_ctx is _SUPPRESSED:
-            return NULL_SPAN
-        if parent_ctx is None:
-            if not self._sample():
-                return _SuppressedSpan()
-            with self._lock:
+            if parent is None:
                 self._trace_serial += 1
                 trace_id = f"t{self._trace_serial}"
                 record = self._new_record_locked(trace_id)
-                span_id = self._next_id_locked(record)
-                record.open_spans += 1
-            return Span(self, trace_id, span_id, None, name, attrs)
-        if isinstance(parent_ctx, (_NullSpan, _SuppressedSpan)):
-            return NULL_SPAN
-        trace_id = parent_ctx.trace_id
-        with self._lock:
-            record = self._records.get(trace_id)
-            if record is None:
-                record = self._new_record_locked(trace_id)
+            else:
+                trace_id = parent.trace_id
+                record = self._records.get(trace_id)
+                if record is None:
+                    record = self._new_record_locked(trace_id)
             span_id = self._next_id_locked(record)
             record.open_spans += 1
-        return Span(self, trace_id, span_id, parent_ctx.span_id, name, attrs)
+        return Span(self, trace_id, span_id,
+                    None if parent is None else parent.span_id, name, attrs)
 
     def _new_record_locked(self, trace_id: str) -> _TraceRecord:
         record = _TraceRecord(trace_id)
@@ -318,24 +195,10 @@ class Tracer:
             record.open_spans -= 1
 
     # ---------------------------------------------------------- propagation
-    def current_context(self) -> SpanContext | None:
-        """The ambient span's context, or ``None`` (incl. unsampled traces)."""
-        current = _CURRENT.get()
-        if current is None or current is _SUPPRESSED:
-            return None
-        if isinstance(current, SpanContext):
-            return current
-        if isinstance(current, Span):
-            return current.context()
-        return None
-
     @contextmanager
-    def attach(self, context: SpanContext | None):
+    def attach(self, context: SpanContext):
         """Make ``context`` the ambient parent inside the block (explicit
-        hop across a thread/executor boundary); ``None`` is a no-op."""
-        if context is None:
-            yield
-            return
+        hop across a thread/executor boundary)."""
         token = _CURRENT.set(context)
         try:
             yield
@@ -380,8 +243,6 @@ class Tracer:
         """Ring-buffer and integrity counters (for ``/stats`` and tests)."""
         with self._lock:
             return {
-                "enabled": self._enabled,
-                "sampling": self._sampling,
                 "capacity": self.capacity,
                 "traces": len(self._records),
                 "open_spans": sum(r.open_spans for r in self._records.values()),
@@ -397,7 +258,6 @@ class Tracer:
             self.dropped_traces = 0
             self.double_finishes = 0
             self.orphan_spans = 0
-            self._sample_acc = 0.0
 
 
 #: The process-wide tracer every layer shares.
@@ -423,21 +283,3 @@ def _tracer_samples() -> list[Sample]:
 
 get_registry().register_source("tracer", _tracer_samples)
 
-
-def tracing_enabled() -> bool:
-    return _TRACER.enabled
-
-
-def set_tracing_enabled(flag: bool) -> bool:
-    """Globally enable/disable span recording; returns the previous state."""
-    return _TRACER.set_enabled(flag)
-
-
-@contextmanager
-def using_tracing(flag: bool):
-    """Temporarily force tracing on/off (benchmarks, tests)."""
-    previous = _TRACER.set_enabled(flag)
-    try:
-        yield _TRACER
-    finally:
-        _TRACER.set_enabled(previous)

@@ -19,7 +19,8 @@ from repro.engine import (
     query_fingerprint,
     statistics_fingerprint,
 )
-from repro.optimizer import PlanKind, plan_and_execute
+from repro.lp.model import LP_STATS, clear_lp_caches
+from repro.optimizer import PlanKind, plan
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.query.library import (
     bowtie_query,
@@ -36,6 +37,7 @@ from repro.query.library import (
 )
 from repro.relational import Relation, WorkCounter
 from repro.stats import collect_statistics, statistics_for_query
+from repro.telemetry.metrics import counter_delta
 
 
 def _renamed_four_cycle() -> ConjunctiveQuery:
@@ -160,7 +162,7 @@ def test_measured_statistics_memoized_until_revision_changes(four_cycle):
 
 
 # ---------------------------------------------------------------------------
-# satellite: every plan_and_execute costs the query exactly once
+# satellite: preparing a query costs it exactly once
 # ---------------------------------------------------------------------------
 
 def test_plan_rejects_an_estimate_for_a_different_query(four_cycle, s_box):
@@ -174,7 +176,7 @@ def test_plan_rejects_an_estimate_for_a_different_query(four_cycle, s_box):
         plan(four_cycle, s_box, estimate=foreign)
 
 
-def test_plan_and_execute_costs_the_query_exactly_once(four_cycle, monkeypatch):
+def test_prepare_costs_the_query_exactly_once(four_cycle, monkeypatch):
     import repro.engine.core as engine_core
     import repro.optimizer.planner as planner_module
 
@@ -189,7 +191,8 @@ def test_plan_and_execute_costs_the_query_exactly_once(four_cycle, monkeypatch):
     monkeypatch.setattr(planner_module, "estimate_costs", counting)
     database = hard_four_cycle_instance(20)
     statistics = collect_statistics(database, four_cycle, include_degrees=False)
-    chosen, result = plan_and_execute(four_cycle, database, statistics)
+    prepared = Engine(database).prepare(four_cycle, statistics=statistics)
+    chosen, result = prepared.plan, prepared.execute()
     assert len(calls) == 1
     assert chosen.kind is PlanKind.ADAPTIVE_PANDA
     assert chosen.decompositions  # the runner reuses the estimate's TDs
@@ -234,7 +237,7 @@ def test_engine_parity_across_paths(query, size, domain, backend):
     engine = Engine(database)
     fresh = engine.execute(query, statistics=statistics)
     cached = engine.execute(query, statistics=statistics)
-    _, uncached = plan_and_execute(query, database, statistics)
+    uncached = plan(query, statistics).execute(database)
 
     for label, result in [("fresh", fresh), ("cached", cached),
                           ("uncached", uncached)]:
@@ -262,14 +265,18 @@ def test_prepared_execute_many_over_a_batch(four_cycle):
 
 def test_engine_execute_many_reuses_plans(four_cycle):
     engine = Engine(hard_four_cycle_instance(20, backend="columnar"))
+    clear_lp_caches()
+    storage_before = engine.database.cache_stats()
+    lp_before = LP_STATS.snapshot()
     results = engine.execute_many([four_cycle] * 3)
     assert engine.stats.plans_built == 1
     assert engine.stats.plans_reused == 2
     assert len({frozenset(result.answer.rows) for result in results}) == 1
-    # Aggregated cache deltas made it into the engine metrics.
+    # Serving moved the storage and LP layers' own counters.
+    storage = counter_delta(engine.database.cache_stats(), storage_before)
     assert any(event.endswith("_hits") and count > 0
-               for event, count in engine.stats.storage_cache_events.items())
-    assert engine.stats.lp_cache_events
+               for event, count in storage.items())
+    assert any(event.endswith("_builds") for event in LP_STATS.delta(lp_before))
 
 
 # ---------------------------------------------------------------------------

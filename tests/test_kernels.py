@@ -531,13 +531,13 @@ def test_shard_dictionary_encodings_are_insertion_order_stable():
     assert sorted(forward_dictionary.codes) == sorted(backward_dictionary.codes)
 
 
-def test_engine_stats_surface_kernel_cache_events():
+def test_engine_execution_moves_the_kernel_counters():
     query = triangle_query()
     database = random_graph_database(query, 40, 10, seed=3, backend="columnar")
     engine = Engine(database)
+    before = kernels.KERNEL_STATS.snapshot()
     engine.execute(query)
-    events = engine.stats.kernel_cache_events
+    events = kernels.KERNEL_STATS.delta(before)
     assert sum(events.values()) > 0
     assert any(count > 0 for event, count in events.items()
                if event.endswith("_kernels"))
-    assert "kernel_cache_events" in engine.stats.as_dict()

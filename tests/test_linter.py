@@ -25,10 +25,8 @@ from repro.analysis.rules import (
     REP101,
     REP102,
     REP103,
-    REP104,
     REP105,
     REP106,
-    REP107,
     REP108,
     REP109,
 )
@@ -220,65 +218,6 @@ def test_rep103_clean_database_mutation_with_revision_bump():
 
 
 # ---------------------------------------------------------------------------
-# REP104: pickle safety of process-pool dispatch
-# ---------------------------------------------------------------------------
-
-def test_rep104_flags_lambda_submitted_to_process_pool():
-    findings = _lint("""
-        from concurrent.futures import ProcessPoolExecutor
-
-        def run(items):
-            with ProcessPoolExecutor() as pool:
-                return list(pool.map(lambda item: item + 1, items))
-    """, rules=[REP104])
-    (finding,) = _hits(findings, "REP104")
-    assert "lambda" in finding.message
-
-
-def test_rep104_flags_closure_submitted_to_process_pool():
-    findings = _lint("""
-        from concurrent.futures import ProcessPoolExecutor
-
-        def run(items):
-            def worker(item):
-                return item + 1
-            with ProcessPoolExecutor() as pool:
-                return list(pool.map(worker, items))
-    """, rules=[REP104])
-    (finding,) = _hits(findings, "REP104")
-    assert "worker" in finding.message
-
-
-def test_rep104_flags_lambda_inside_payload_builder():
-    findings = _lint("""
-        def _shard_payload(plan):
-            return {"rebuild": lambda: plan}
-    """, rules=[REP104])
-    (finding,) = _hits(findings, "REP104")
-    assert "payload" in finding.message
-
-
-def test_rep104_clean_thread_pool_lambda_and_module_worker():
-    # The exact shape of engine/parallel.py: the same name `pool` binds a
-    # thread pool (lambda fine) in one branch and a process pool (module
-    # worker fine) in the other.
-    findings = _lint("""
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-        def _execute_shard(payload):
-            return payload
-
-        def run(payloads, executor):
-            if executor == "process":
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(_execute_shard, payloads))
-            with ThreadPoolExecutor() as pool:
-                return list(pool.map(lambda p: p, payloads))
-    """, rules=[REP104])
-    assert not _hits(findings, "REP104")
-
-
-# ---------------------------------------------------------------------------
 # REP105: cancellation discipline in the evaluation algorithms
 # ---------------------------------------------------------------------------
 
@@ -353,83 +292,6 @@ def test_rep106_clean_with_named_slack_or_epsilon_literal():
 
 
 # ---------------------------------------------------------------------------
-# REP107: swallowed exceptions in dispatch/worker paths
-# ---------------------------------------------------------------------------
-
-def test_rep107_flags_swallowed_exception_in_engine_path():
-    findings = _lint("""
-        def submit(task):
-            try:
-                send(task)
-            except Exception:
-                pass
-    """, path="src/repro/engine/cluster.py", rules=[REP107])
-    (finding,) = _hits(findings, "REP107")
-    assert "except Exception" in finding.message
-    assert "observable sink" in finding.hint
-
-
-def test_rep107_flags_bare_except_in_worker_function_anywhere():
-    # Outside engine/, the scope is keyed on the function name.
-    findings = _lint("""
-        def run_worker(tasks):
-            for task in tasks:
-                try:
-                    task()
-                except:
-                    continue
-    """, path="src/repro/service/helpers.py", rules=[REP107])
-    (finding,) = _hits(findings, "REP107")
-    assert "bare" in finding.message
-
-
-def test_rep107_clean_when_failure_is_recorded_or_reraised():
-    findings = _lint("""
-        def dispatch_shard(task, stats, result_queue, run):
-            try:
-                task()
-            except Exception as exc:
-                result_queue.put(("err", str(exc)))
-            try:
-                task()
-            except Exception:
-                stats.bump(task_failures=1)
-            try:
-                task()
-            except Exception:
-                run["task_failures"] += 1
-            try:
-                task()
-            except Exception:
-                cleanup()
-                raise
-    """, path="src/repro/engine/cluster.py", rules=[REP107])
-    assert not _hits(findings, "REP107")
-
-
-def test_rep107_ignores_typed_handlers_and_non_dispatch_scopes():
-    findings = _lint("""
-        def submit(task):
-            try:
-                task()
-            except ValueError:
-                pass
-
-        def parse(document):
-            try:
-                return loads(document)
-            except Exception:
-                return None
-    """, path="src/repro/service/helpers.py", rules=[REP107])
-    assert not _hits(findings, "REP107")
-
-
-def test_rep107_keeps_the_shipped_dispatch_paths_clean():
-    report = lint_paths(["src/repro/engine/"], rules=[REP107])
-    assert not [f for f in report.findings if not f.suppressed]
-
-
-# ---------------------------------------------------------------------------
 # REP108: counter dicts bypassing the metrics registry
 # ---------------------------------------------------------------------------
 
@@ -484,13 +346,10 @@ def test_rep108_leaves_rep101_containers_alone():
 
 
 def test_rep108_keeps_the_shipped_tree_clean():
+    # Not even a suppressed finding: the admission controller's counters,
+    # once the one sanctioned bypass, now live in a CounterTable too.
     report = lint_paths(["src/repro/"], rules=[REP108])
-    assert not [f for f in report.findings if not f.suppressed]
-    # The admission controller's event-loop counters are the one sanctioned
-    # bypass — present, suppressed, and justified.
-    suppressed = [f for f in report.findings if f.suppressed]
-    assert suppressed
-    assert all(f.justification for f in suppressed)
+    assert not report.findings
 
 
 # ---------------------------------------------------------------------------

@@ -183,21 +183,27 @@ def test_shannon_flow_certificates_are_memoized(s_box):
 
 def test_adaptive_panda_reports_flow_reuse(four_cycle):
     database = figure2_database()
-    _, cold = evaluate_adaptive(four_cycle, database)
-    assert cold.lp_cache_events.get("flow_builds", 0) >= 1
-    _, warm = evaluate_adaptive(four_cycle, database)
-    assert warm.lp_cache_events.get("flow_hits", 0) >= 1
-    assert "flow_builds" not in warm.lp_cache_events
-    assert "lp caches" in warm.describe()
+    clear_lp_caches()
+    before = LP_STATS.snapshot()
+    evaluate_adaptive(four_cycle, database)
+    cold = _events(before)
+    assert cold.get("flow_builds", 0) >= 1
+    before = LP_STATS.snapshot()
+    evaluate_adaptive(four_cycle, database)
+    warm = _events(before)
+    assert warm.get("flow_hits", 0) >= 1
+    assert "flow_builds" not in warm
 
 
 def test_estimate_costs_builds_one_region(four_cycle, s_box):
+    clear_lp_caches()
+    before = LP_STATS.snapshot()
     estimate = estimate_costs(four_cycle, s_box)
     assert estimate.fhtw.width == pytest.approx(2.0)
     assert estimate.subw.width == pytest.approx(1.5)
-    assert estimate.lp_cache_events.get("region_builds", 0) == 1
-    assert estimate.lp_cache_events.get("region_hits", 0) >= 4
-    assert "lp caches" in estimate.describe()
+    delta = _events(before)
+    assert delta.get("region_builds", 0) == 1
+    assert delta.get("region_hits", 0) >= 4
 
 
 # ---------------------------------------------------------------------------

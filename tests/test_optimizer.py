@@ -4,10 +4,10 @@ import pytest
 
 from repro.algorithms import evaluate_bruteforce
 from repro.datagen import hard_four_cycle_instance, random_graph_database
-from repro.optimizer import PlanKind, estimate_costs, plan, plan_and_execute
+from repro.optimizer import PlanKind, estimate_costs, plan
 from repro.paperdata import four_cycle_cardinality_statistics
 from repro.query import four_cycle_projected, path_query, triangle_query
-from repro.stats import collect_statistics, statistics_for_query
+from repro.stats import statistics_for_query
 
 
 def test_cost_estimate_for_the_four_cycle(four_cycle, s_box):
@@ -50,14 +50,6 @@ def test_planner_picks_adaptive_panda_for_the_projected_four_cycle(four_cycle):
     assert result.answer.rows == evaluate_bruteforce(four_cycle, database).rows
     # The executed adaptive plan really avoided the quadratic intermediates.
     assert result.counter.max_intermediate < (size / 2) ** 2
-
-
-def test_plan_and_execute_wrapper(four_cycle):
-    database = random_graph_database(four_cycle, 30, 8, seed=3)
-    stats = collect_statistics(database, four_cycle, include_degrees=False)
-    chosen, result = plan_and_execute(four_cycle, database, stats)
-    assert chosen.kind in (PlanKind.ADAPTIVE_PANDA, PlanKind.STATIC_TD)
-    assert result.answer.rows == evaluate_bruteforce(four_cycle, database).rows
 
 
 def test_planner_static_when_no_adaptive_gain():

@@ -21,6 +21,7 @@ import pytest
 from repro.datagen import random_graph_database
 from repro.engine import Engine
 from repro.engine.core import EngineStats
+from repro.lp import model as lp_model
 from repro.telemetry import CounterTable
 from repro.query import (
     four_cycle_projected,
@@ -226,9 +227,8 @@ def test_engine_stats_double_finish_is_atomic():
             barrier.wait()
             stats.bump(executions=1, plans_reused=1,
                        wall_time_seconds=0.25)
-            stats.absorb_events("storage_cache_events", {"index_builds": 1})
             table.add("hits")
-            table.add_many({"builds": 1, "seconds": 0.25})
+            table.add_many({"builds": 1, "index_builds": 1, "seconds": 0.25})
 
     threads = [threading.Thread(target=finisher) for _ in range(workers)]
     for thread in threads:
@@ -239,9 +239,9 @@ def test_engine_stats_double_finish_is_atomic():
     assert snapshot["executions"] == iterations * workers
     assert snapshot["plans_reused"] == iterations * workers
     assert snapshot["wall_time_seconds"] == pytest.approx(0.25 * iterations * workers)
-    assert snapshot["storage_cache_events"]["index_builds"] == iterations * workers
     assert table.snapshot() == {"hits": iterations * workers,
                                 "builds": iterations * workers,
+                                "index_builds": iterations * workers,
                                 "seconds": pytest.approx(0.25 * iterations * workers)}
 
 
@@ -277,3 +277,63 @@ def test_engine_stats_snapshot_is_consistent_under_writers():
     writer_thread.join()
     assert not inconsistencies
 
+
+
+# ---------------------------------------------------------------------------
+# the LP memos' LRU race (regression)
+# ---------------------------------------------------------------------------
+
+class _HookedKey:
+    """A cache key that runs ``hook`` on its ``on_hash``-th hash after
+    :meth:`arm`: a way to stop a thread between two dictionary steps."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.hashes = 0
+        self.hook = None
+        self.on_hash = 0
+
+    def arm(self, hook, on_hash: int) -> None:
+        self.hashes, self.hook, self.on_hash = 0, hook, on_hash
+
+    def __hash__(self) -> int:
+        self.hashes += 1
+        if self.hook is not None and self.hashes == self.on_hash:
+            self.hook()
+        return hash(self.name)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _HookedKey) and other.name == self.name
+
+
+def test_lp_memo_lookup_survives_a_concurrent_eviction(monkeypatch):
+    """A store on another worker thread that evicts the key a lookup has just
+    found must wait for that lookup.
+
+    ``BoundedCache.lookup`` finds the key, then marks it most recently used,
+    and each step hashes the probe (an equal key, not the stored object).
+    The probe's second hash falls between the two steps, and there it starts
+    a store of another key on a second thread and gives it half a second to
+    finish.  Without the LRU's lock that store evicts the key (capacity 1) and
+    the lookup raises ``KeyError``, which the service reports as a failed
+    query.  A random hammer hits this window about once per 100k lookups, so
+    the interleaving is forced instead, as the barrier forces it above.
+    """
+    monkeypatch.setattr(lp_model, "LP_STATS", CounterTable())
+    monkeypatch.setattr(lp_model, "_CACHE_CLEARERS", [])
+    cache = lp_model.BoundedCache("memo", 1)
+    probe, evictor = _HookedKey("found"), _HookedKey("evictor")
+    cache.store(_HookedKey("found"), "plan")
+    storer = threading.Thread(target=cache.store, args=(evictor, "other"))
+
+    def evict_meanwhile():
+        storer.start()
+        storer.join(timeout=0.5)
+
+    probe.arm(evict_meanwhile, on_hash=2)
+    assert cache.lookup(probe) == "plan"
+    storer.join(timeout=30)
+    assert not storer.is_alive()
+    assert cache.lookup(evictor) == "other"
+    assert cache.lookup(probe) is None  # evicted after the lookup
+    assert lp_model.LP_STATS.snapshot() == {"memo_builds": 2, "memo_hits": 2}

@@ -154,6 +154,49 @@ def test_create_tenant_rejects_an_unknown_executor():
     assert "acme" not in service.registry
 
 
+def test_malformed_request_numbers_are_bad_requests():
+    """Offsets, page sizes and timeouts are checked where a request enters:
+    a malformed one is a 400 naming the field, never a 500 after the query
+    ran, and never a page of size 0 whose cursor stops moving."""
+    text = "Q(X, Y, Z) :- R(X, Y), S(Y, Z), T(Z, X)"
+    database = random_graph_database(triangle_query(), size=30, domain=8,
+                                     seed=1)
+
+    async def main():
+        service = QueryService(ServiceConfig())
+        service.create_tenant("acme", database)
+        query = {"op": "query", "tenant": "acme", "query": text}
+        first = await service.handle(dict(query, page_size=3))
+        page = {"op": "page", "tenant": "acme",
+                "stream_id": first["result"]["stream_id"]}
+        cases = {
+            ("offset", -1): dict(page, offset=-1),
+            ("offset", "x"): dict(page, offset="x"),
+            ("page_size", 0): dict(page, page_size=0),
+            ("page_size", -3): dict(page, page_size=-3),
+            ("offest", 3): dict(page, offest=3),
+            ("timeout", "abc"): dict(query, timeout="abc"),
+            ("page_size", "query 0"): dict(query, page_size=0),
+        }
+        responses = {case: await service.handle(request)
+                     for case, request in cases.items()}
+        # GET /page carries its numbers as query-string text.
+        text_page = await service.handle(dict(page, offset="3",
+                                              page_size="2"))
+        executions = service.registry.get("acme").engine.stats.executions
+        await service.shutdown()
+        return responses, text_page, executions
+
+    responses, text_page, executions = asyncio.run(main())
+    for (field, value), response in responses.items():
+        assert not response["ok"], (field, value)
+        assert response["error"]["code"] == "bad-request", (field, value)
+        assert f"'{field}'" in response["error"]["message"]
+    assert text_page["ok"]
+    assert (text_page["result"]["offset"], text_page["result"]["cursor"]) == (3, 5)
+    assert executions == 1  # the query with page size 0 never ran
+
+
 def test_streaming_is_lazy_and_pages_reassemble_the_answer():
     query = triangle_query()
     database = random_graph_database(query, size=80, domain=14, seed=9,

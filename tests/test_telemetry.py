@@ -28,7 +28,7 @@ from repro.engine import Engine
 from repro.query import four_cycle_projected, triangle_query
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.service import DeadlineExceededError, QueryService, ServiceConfig, serve
-from repro.lp.model import lp_cache_stats
+from repro.lp.model import clear_lp_caches, lp_cache_stats
 from repro.relational.kernels import kernel_stats
 from repro.relational.storage import storage_stats
 from repro.telemetry import (
@@ -36,7 +36,6 @@ from repro.telemetry import (
     Tracer,
     get_registry,
     get_tracer,
-    using_tracing,
 )
 
 
@@ -100,32 +99,6 @@ def test_spans_close_exactly_once_even_on_exceptions():
         "error: ValueError"
 
 
-def test_disabled_tracer_returns_the_null_span():
-    tracer = Tracer(enabled=False)
-    span = tracer.span("anything")
-    assert not span and span.context() is None
-    with span:
-        assert tracer.span("child") is span  # the shared NULL_SPAN
-    assert tracer.stats()["traces"] == 0
-
-
-def test_sampling_is_deterministic_and_suppresses_descendants():
-    tracer = Tracer(sampling=0.5)
-    kept = []
-    for index in range(6):
-        with tracer.span("root") as root:
-            with tracer.span("child") as child:
-                if root:
-                    kept.append(index)
-                    assert child, "a sampled trace records its children"
-                else:
-                    assert not child, ("an unsampled trace must not leak "
-                                       "children as fresh roots")
-    assert kept == [1, 3, 5]  # the accumulator, not a PRNG
-    assert tracer.stats()["traces"] == 3
-    assert tracer.stats()["open_spans"] == 0
-
-
 def test_ring_buffer_eviction_is_counted():
     tracer = Tracer(capacity=2)
     for _ in range(5):
@@ -143,6 +116,7 @@ def test_counter_tables_move_and_are_sampled_verbatim():
     query = triangle_query()
     database = random_graph_database(query, size=60, domain=12, seed=5,
                                      backend="columnar")
+    clear_lp_caches()  # LP builds move only on cold caches
     registry = get_registry()
     built_before = registry.value("engine.stats.plans_built")
     lp_before, storage_before, kernel_before = (
@@ -410,22 +384,3 @@ def test_traced_request_through_http_yields_one_trace():
     # And the stats document carries the tracer/slow-log health block.
     assert stats["telemetry"]["tracer"]["open_spans"] == 0
     assert stats["telemetry"]["slow_log"]["recorded"] >= 1
-
-
-def test_tracing_disabled_keeps_the_service_flow_working():
-    query = triangle_query()
-    database = random_graph_database(query, size=40, domain=10, seed=3)
-
-    async def main():
-        service = QueryService()
-        service.create_tenant("acme", database)
-        with using_tracing(False):
-            result = await service.query("acme", query)
-        await service.shutdown()
-        return result
-
-    result = asyncio.run(main())
-    assert result.trace_id == ""
-    assert get_tracer().stats()["traces"] == 0
-    assert result.row_count == len(
-        set(Engine(database.copy()).execute(query).answer.rows))
