@@ -41,10 +41,11 @@ NumPy kernels over dictionary-encoded columns and memoizes their outputs
 across evaluations (the right choice for anything but tiny data)::
 
     from repro import Database, Relation
+    from repro.relational.storage import storage_stats
 
     edges = Relation("E", ("src", "dst"), [(1, 2), (2, 3)], backend="columnar")
     database = Database([edges], backend="columnar")   # pins every relation
-    database.cache_stats()                             # build/hit counters
+    storage_stats()                    # process-wide build/hit counters
 """
 
 from repro.query import (

@@ -53,9 +53,6 @@ class ModuleContext:
                 self._parents[child] = parent
 
     # ------------------------------------------------------------- traversal
-    def parent(self, node: ast.AST) -> ast.AST | None:
-        return self._parents.get(node)
-
     def ancestors(self, node: ast.AST) -> Iterable[ast.AST]:
         current = self._parents.get(node)
         while current is not None:
@@ -67,12 +64,6 @@ class ModuleContext:
         """The nearest ``def``/``async def`` the node's code runs inside."""
         for ancestor in self.ancestors(node):
             if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return ancestor
-        return None
-
-    def enclosing_class(self, node: ast.AST) -> ast.ClassDef | None:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, ast.ClassDef):
                 return ancestor
         return None
 

@@ -6,14 +6,12 @@ from repro.bounds.polymatroid import (
     PolymatroidProgram,
     ddr_polymatroid_bound,
     entropy_variable_name,
-    output_size_bound,
     polymatroid_bound,
 )
 from repro.bounds.lpnorm import (
     NormBoundComparison,
     add_measured_lp_norms,
     compare_with_and_without_norms,
-    lp_norm_bound,
 )
 
 __all__ = [
@@ -23,11 +21,9 @@ __all__ = [
     "EdgeCoverResult",
     "polymatroid_bound",
     "ddr_polymatroid_bound",
-    "output_size_bound",
     "PolymatroidProgram",
     "BoundResult",
     "entropy_variable_name",
-    "lp_norm_bound",
     "add_measured_lp_norms",
     "compare_with_and_without_norms",
     "NormBoundComparison",

@@ -24,7 +24,7 @@ from typing import Mapping
 
 from repro.lp.model import BoundedCache, LinearProgram
 from repro.query.cq import ConjunctiveQuery
-from repro.stats.constraints import ConstraintSet, log_with_base
+from repro.stats.constraints import ConstraintSet, guarding_atoms, log_with_base
 
 
 @dataclass
@@ -44,16 +44,15 @@ class EdgeCoverResult:
 def _atom_sizes(query: ConjunctiveQuery, statistics: ConstraintSet) -> dict[int, float]:
     """The cardinality bound of each atom, from the statistics.
 
-    An atom picks up the smallest cardinality constraint that covers all of
-    its variables and is either guarded by the atom's relation or unguarded.
+    An atom picks up the smallest cardinality constraint over exactly its
+    variables that speaks about it (:func:`~repro.stats.constraints.guarding_atoms`).
     """
     sizes: dict[int, float] = {}
+    cardinalities = [(constraint, guarding_atoms(query, constraint))
+                     for constraint in statistics.cardinality_constraints()]
     for index, atom in enumerate(query.atoms):
-        candidates = []
-        for constraint in statistics.cardinality_constraints():
-            guard_ok = constraint.guard is None or constraint.guard == atom.relation
-            if guard_ok and atom.varset <= constraint.target:
-                candidates.append(constraint.bound)
+        candidates = [constraint.bound for constraint, atoms in cardinalities
+                      if constraint.target == atom.varset and atom in atoms]
         if not candidates:
             raise ValueError(
                 f"no cardinality constraint covers atom {atom}; "

@@ -57,17 +57,8 @@ def add_measured_lp_norms(statistics: ConstraintSet, database: Database,
                 continue
             norm = relation.lp_norm_of_degrees(target, {given}, order)
             enriched.add_lp_norm(target, {given}, order, max(1.0, norm),
-                                 guard=atom.relation)
+                                 guard=atom)
     return enriched
-
-
-def lp_norm_bound(query: ConjunctiveQuery, statistics: ConstraintSet) -> BoundResult:
-    """The polymatroid bound with ℓp-norm constraints taken into account.
-
-    This is just the general polymatroid bound — the function exists to make
-    call sites that specifically exercise Section 9.2 self-documenting.
-    """
-    return polymatroid_bound(query, statistics)
 
 
 def compare_with_and_without_norms(query: ConjunctiveQuery,

@@ -256,8 +256,3 @@ def ddr_polymatroid_bound(targets: Sequence[Iterable[str]],
         polymatroid=builder.solution_polymatroid(solution),
         lp_summary=builder.program.describe(),
     )
-
-
-def output_size_bound(query: ConjunctiveQuery, statistics: ConstraintSet) -> float:
-    """Convenience wrapper: the worst-case output size bound in tuples."""
-    return polymatroid_bound(query, statistics).size_bound

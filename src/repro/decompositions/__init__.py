@@ -2,24 +2,20 @@
 
 from repro.decompositions.treedecomp import (
     TreeDecomposition,
-    decomposition_from_join_tree,
     trivial_decomposition,
 )
 from repro.decompositions.enumerate import (
     TooManyVariablesError,
     decomposition_from_elimination_order,
     enumerate_tree_decompositions,
-    free_connex_decompositions,
     nonredundant_decompositions,
 )
 
 __all__ = [
     "TreeDecomposition",
     "trivial_decomposition",
-    "decomposition_from_join_tree",
     "decomposition_from_elimination_order",
     "enumerate_tree_decompositions",
-    "free_connex_decompositions",
     "nonredundant_decompositions",
     "TooManyVariablesError",
 ]

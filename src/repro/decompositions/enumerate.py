@@ -20,6 +20,10 @@ from repro.decompositions.treedecomp import TreeDecomposition, trivial_decomposi
 from repro.query.cq import ConjunctiveQuery
 
 
+#: The largest query whose elimination orders are enumerated exhaustively.
+MAX_VARIABLES = 9
+
+
 class TooManyVariablesError(ValueError):
     """Raised when a query is too large for exhaustive TD enumeration."""
 
@@ -56,24 +60,20 @@ def decomposition_from_elimination_order(query: ConjunctiveQuery,
     return TreeDecomposition(bags)
 
 
-def enumerate_tree_decompositions(query: ConjunctiveQuery,
-                                  max_variables: int = 9,
-                                  include_trivial: bool = True,
-                                  only_nonredundant: bool = True) -> list[TreeDecomposition]:
+def enumerate_tree_decompositions(query: ConjunctiveQuery) -> list[TreeDecomposition]:
     """All free-connex tree decompositions of ``query`` (up to redundancy).
 
     Elimination orders permute the existential variables; the free variables
     stay in the final bag, which guarantees the free-connex property.  For
     Boolean and full queries all variables are permuted.  Decompositions that
-    are dominated by another decomposition are removed when
-    ``only_nonredundant`` is set (the default), because they cannot affect any
-    width computed in this library.
+    are dominated by another decomposition are removed, because they cannot
+    affect any width computed in this library.
     """
     variables = query.variables
-    if len(variables) > max_variables:
+    if len(variables) > MAX_VARIABLES:
         raise TooManyVariablesError(
             f"query has {len(variables)} variables; exhaustive TD enumeration is "
-            f"limited to {max_variables} (raise max_variables to override)")
+            f"limited to {MAX_VARIABLES}")
     if query.is_boolean or query.is_full:
         to_eliminate = sorted(variables)
     else:
@@ -94,14 +94,11 @@ def enumerate_tree_decompositions(query: ConjunctiveQuery,
             if not decomposition.is_free_connex_for(query.free_variables):
                 continue
             found.add(decomposition)
-    if include_trivial or not found:
-        trivial = trivial_decomposition(query)
-        if trivial.is_free_connex_for(query.free_variables):
-            found.add(trivial)
-    decompositions = sorted(found, key=lambda td: (len(td.bags), str(td)))
-    if only_nonredundant:
-        decompositions = nonredundant_decompositions(decompositions)
-    return decompositions
+    trivial = trivial_decomposition(query)
+    if trivial.is_free_connex_for(query.free_variables):
+        found.add(trivial)
+    return nonredundant_decompositions(
+        sorted(found, key=lambda td: (len(td.bags), str(td))))
 
 
 def nonredundant_decompositions(decompositions: Iterable[TreeDecomposition]) -> list[TreeDecomposition]:
@@ -125,9 +122,3 @@ def nonredundant_decompositions(decompositions: Iterable[TreeDecomposition]) -> 
             continue
         kept.append(candidate)
     return kept
-
-
-def free_connex_decompositions(query: ConjunctiveQuery,
-                               max_variables: int = 9) -> list[TreeDecomposition]:
-    """Alias matching the paper's ``TD(Q)`` notation."""
-    return enumerate_tree_decompositions(query, max_variables=max_variables)

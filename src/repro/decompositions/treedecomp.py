@@ -9,7 +9,7 @@ variables is added; for Boolean and full queries every TD is free-connex.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.query.cq import ConjunctiveQuery
 from repro.query.hypergraph import JoinTree, gyo_reduction, is_acyclic, is_free_connex
@@ -110,8 +110,3 @@ class TreeDecomposition:
 def trivial_decomposition(query: ConjunctiveQuery) -> TreeDecomposition:
     """The one-bag decomposition that puts every variable together."""
     return TreeDecomposition([query.variables])
-
-
-def decomposition_from_join_tree(nodes: Sequence[Iterable[str]]) -> TreeDecomposition:
-    """Wrap explicit bags (e.g. from a join tree of an acyclic query) as a TD."""
-    return TreeDecomposition(nodes)

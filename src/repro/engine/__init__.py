@@ -7,7 +7,6 @@ Public surface::
     engine = Engine(database)                    # owns the database
     prepared = engine.prepare(query)             # costed once, cached by shape
     result = prepared.execute()                  # runs the cached plan
-    batch = prepared.execute_many([db1, db2])    # one plan, many databases
     print(engine.stats.describe())               # plans reused, caches
 
 See :mod:`repro.engine.core` for the serving semantics and

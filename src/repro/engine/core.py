@@ -8,25 +8,26 @@ adaptive-PANDA per query; PRs 1–3 gave the storage and LP layers caches.  The
   variable-renaming-invariant — query fingerprint × the statistics
   fingerprint, with LRU eviction and build/hit counters, so repeated (or
   alpha-renamed) queries skip width computation, LP solving and TD
-  enumeration entirely;
+  enumeration entirely; concurrent misses on one key build the plan once;
 * **measured-statistics memoization** validated by the database's revision
   counter and backend identities, so ``prepare(query)`` with no explicit
   statistics re-measures only after the data actually changed;
-* **prepared queries** (:meth:`Engine.prepare`) whose ``execute`` /
-  ``execute_many`` re-validate against the database revision and re-resolve
-  transparently on staleness;
+* **prepared queries** (:meth:`Engine.prepare`) whose ``execute``
+  re-validates against the database revision and re-resolves transparently
+  on staleness;
 * :class:`EngineStats`: plans built/reused, statistics measured/reused,
   executions and wall time.  Storage, LP and kernel cache counters live once,
-  in their layers' process-wide tables (``Database.cache_stats``,
-  ``LP_STATS``, ``KERNEL_STATS``); ``explain(analyze=True)`` reports one
-  run's movements of them.
+  in their layers' process-wide tables (``STORAGE_STATS``, ``LP_STATS``,
+  ``KERNEL_STATS``); ``explain(analyze=True)`` reports one run's movements
+  of them.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.analysis.plan_verifier import assert_valid, verify_recipe
 from repro.engine.fingerprint import (
@@ -48,9 +49,10 @@ from repro.query.cq import ConjunctiveQuery
 from repro.relational.database import Database
 from repro.relational.kernels import KERNEL_STATS
 from repro.relational.operators import WorkCounter
+from repro.relational.storage import STORAGE_STATS
 from repro.stats.collect import collect_statistics
 from repro.stats.constraints import ConstraintSet
-from repro.telemetry.metrics import CounterTable, counter_delta, get_registry
+from repro.telemetry.metrics import CounterTable, get_registry
 from repro.telemetry.profiler import CardinalityProfile, plan_nodes
 from repro.telemetry.trace import get_tracer
 from repro.utils.cancellation import CancellationToken, QueryCancelledError
@@ -126,10 +128,8 @@ class EngineStats:
 class PreparedQuery:
     """A plan bound to an engine, re-validated against the database revision.
 
-    ``execute()`` runs the cached plan; ``execute_many(batch)`` runs the
-    same plan once per database in ``batch`` — the serving pattern for a
-    stream of snapshots or tenant databases that share one schema — or, with
-    no batch, once per engine database per repetition.
+    ``execute()`` runs the cached plan, re-resolving it first if the engine's
+    database moved on since it was prepared.
     """
 
     engine: "Engine"
@@ -144,21 +144,6 @@ class PreparedQuery:
                 ) -> ExecutionResult:
         self._refresh()
         return self.engine._execute_plan(self.plan, cancellation=cancellation)
-
-    def execute_many(self, batch: Iterable[Database] | None = None,
-                     repeat: int = 1) -> list[ExecutionResult]:
-        """Run the prepared plan over a batch of databases (or ``repeat`` times).
-
-        All runs reuse this one plan — no re-planning per database — which is
-        sound because the plan only depends on the query and the statistics;
-        pass databases that satisfy the prepared statistics for the cost
-        guarantees to carry over.
-        """
-        if batch is None:
-            return [self.execute() for _ in range(repeat)]
-        self._refresh()
-        return [self.engine._execute_plan(self.plan, database=database)
-                for database in batch]
 
     def _refresh(self) -> None:
         """Re-resolve statistics and plan if the engine database moved on."""
@@ -183,8 +168,6 @@ class Engine:
         The database the engine owns and serves queries against.
     plan_cache_size:
         LRU capacity of the plan cache (entries, not bytes).
-    max_variables, adaptive_threshold:
-        Planner configuration, part of the plan-cache key.
     measure_degrees:
         Whether auto-measured statistics include per-split max degrees
         (tighter plans, costlier measurement) or only cardinalities.
@@ -192,12 +175,8 @@ class Engine:
 
     def __init__(self, database: Database, *,
                  plan_cache_size: int = 128,
-                 max_variables: int = 9,
-                 adaptive_threshold: float = 1e-6,
                  measure_degrees: bool = False) -> None:
         self.database = database
-        self.max_variables = max_variables
-        self.adaptive_threshold = adaptive_threshold
         self.measure_degrees = measure_degrees
         self.plan_cache = PlanCache(plan_cache_size)
         self.stats = EngineStats()
@@ -205,6 +184,7 @@ class Engine:
         # backend snapshot per query shape ever seen — including superseded
         # backends and their memoized encodings — for the engine's lifetime.
         self._stats_memo: LruDict = LruDict(plan_cache_size)
+        self._plan_lock = threading.Lock()
 
     # ------------------------------------------------------------ statistics
     def measured_statistics(self, query: ConjunctiveQuery) -> ConstraintSet:
@@ -257,11 +237,6 @@ class Engine:
         return self.prepare(query, statistics=statistics).execute(
             cancellation=cancellation)
 
-    def execute_many(self, queries: Sequence[ConjunctiveQuery]
-                     ) -> list[ExecutionResult]:
-        """Serve a workload of queries; repeated shapes hit the plan cache."""
-        return [self.execute(query) for query in queries]
-
     def explain(self, query: ConjunctiveQuery,
                 statistics: ConstraintSet | None = None,
                 analyze: bool = False) -> dict:
@@ -286,7 +261,7 @@ class Engine:
         if not analyze:
             return doc
         tracer = get_tracer()
-        storage_before = self.database.cache_stats()
+        storage_before = STORAGE_STATS.snapshot()
         lp_before = LP_STATS.snapshot()
         kernel_before = KERNEL_STATS.snapshot()
         started = time.perf_counter()
@@ -304,8 +279,7 @@ class Engine:
                 "materializations": counter.materializations,
             },
             "cache_events": {
-                "storage": counter_delta(self.database.cache_stats(),
-                                         storage_before),
+                "storage": STORAGE_STATS.delta(storage_before),
                 "lp": LP_STATS.delta(lp_before),
                 "kernels": KERNEL_STATS.delta(kernel_before),
             },
@@ -315,73 +289,70 @@ class Engine:
         }
         return doc
 
-    def cache_stats(self) -> dict[str, int]:
-        """Plan-cache counters merged with the database's index counters."""
-        totals = self.plan_cache.cache_stats()
-        for event, count in self.database.cache_stats().items():
-            totals[event] = totals.get(event, 0) + count
-        return totals
-
-    def invalidate(self) -> None:
-        """Drop every cached plan and memoized statistic."""
-        self.plan_cache.clear()
-        self._stats_memo.clear()
-        self.stats.bump(invalidations=1)
-
     # -------------------------------------------------------------- internals
-    def _plan_key(self, query_digest: str, statistics_digest: str) -> tuple:
-        return (query_digest, statistics_digest,
-                self.max_variables, self.adaptive_threshold)
-
     def _resolve_plan(self, query: ConjunctiveQuery,
                       statistics: ConstraintSet) -> QueryPlan:
         tracer = get_tracer()
         query_digest, renaming = query_fingerprint(query)
         statistics_digest = statistics_fingerprint(statistics, renaming)
-        key = self._plan_key(query_digest, statistics_digest)
+        key = (query_digest, statistics_digest)
         with tracer.span("engine.plan_cache",
                          {"query": query.name}) as cache_span:
-            recipe = self.plan_cache.get(key)
-            rebuilt = (self._plan_from_recipe(recipe, query, statistics,
-                                              renaming)
-                       if recipe is not None else None)
-            cache_span.set("hit", rebuilt is not None)
-        if rebuilt is not None:
-            rebuilt.profile = recipe.profile
-            rebuilt.renaming = renaming
-            if recipe.profile is not None:
-                # A renamed twin may execute through this entry: make sure
-                # every node the rebuilt plan prices exists in the shared
-                # profile (idempotent for already-seeded nodes).
-                recipe.profile.seed(plan_nodes(rebuilt), statistics, renaming)
-            self.stats.bump(plans_reused=1)
-            return rebuilt
-        with tracer.span("engine.lp_solve", {"query": query.name}) as lp_span:
-            estimate = estimate_costs(query, statistics,
-                                      max_variables=self.max_variables)
-            chosen = choose_plan(query, statistics,
-                                 max_variables=self.max_variables,
-                                 adaptive_threshold=self.adaptive_threshold,
-                                 estimate=estimate)
-            lp_span.set("kind", chosen.kind.value)
-        chosen.fingerprint = plan_fingerprint(query_digest, statistics_digest)
-        profile = CardinalityProfile(chosen.fingerprint, chosen.kind.value)
-        profile.seed(plan_nodes(chosen), statistics, renaming)
-        chosen.profile = profile
-        chosen.renaming = renaming
-        fresh_recipe = self._recipe_from_plan(chosen, renaming)
-        # Statically verify the decision before it becomes a cache entry:
-        # a malformed recipe cached here would be rebuilt with
-        # ``validate=False`` on every later hit, returning wrong answers
-        # silently.
-        with tracer.span("engine.verify",
-                         {"fingerprint": fresh_recipe.fingerprint}):
-            assert_valid(f"plan recipe {fresh_recipe.fingerprint}",
-                         verify_recipe(fresh_recipe, query=query,
-                                       renaming=renaming))
-        self.plan_cache.put(key, fresh_recipe)
-        self.stats.bump(plans_built=1, plans_verified=1)
+            cached = self._cached_plan(key, query, statistics, renaming)
+            cache_span.set("hit", cached is not None)
+        if cached is not None:
+            return cached
+        # Single flight: a miss builds under the engine's plan lock, and a
+        # thread that missed while another was building re-reads the cache
+        # once it gets the lock instead of building the same plan again.
+        with self._plan_lock:
+            cached = self._cached_plan(key, query, statistics, renaming)
+            if cached is not None:
+                return cached
+            with tracer.span("engine.lp_solve",
+                             {"query": query.name}) as lp_span:
+                estimate = estimate_costs(query, statistics)
+                chosen = choose_plan(query, statistics, estimate=estimate)
+                lp_span.set("kind", chosen.kind.value)
+            chosen.fingerprint = plan_fingerprint(query_digest,
+                                                  statistics_digest)
+            profile = CardinalityProfile(chosen.fingerprint, chosen.kind.value)
+            profile.seed(plan_nodes(chosen), statistics, renaming)
+            chosen.profile = profile
+            chosen.renaming = renaming
+            fresh_recipe = self._recipe_from_plan(chosen, renaming)
+            # Statically verify the decision before it becomes a cache entry:
+            # a malformed recipe cached here would be rebuilt with
+            # ``validate=False`` on every later hit, returning wrong answers
+            # silently.
+            with tracer.span("engine.verify",
+                             {"fingerprint": fresh_recipe.fingerprint}):
+                assert_valid(f"plan recipe {fresh_recipe.fingerprint}",
+                             verify_recipe(fresh_recipe, query=query,
+                                           renaming=renaming))
+            self.plan_cache.put(key, fresh_recipe)
+            self.stats.bump(plans_built=1, plans_verified=1)
         return chosen
+
+    def _cached_plan(self, key: tuple, query: ConjunctiveQuery,
+                     statistics: ConstraintSet,
+                     renaming: dict[str, str]) -> QueryPlan | None:
+        """The plan cached under ``key`` rebound to ``query``, or ``None``."""
+        recipe = self.plan_cache.get(key)
+        if recipe is None:
+            return None
+        rebuilt = self._plan_from_recipe(recipe, query, statistics, renaming)
+        if rebuilt is None:
+            return None
+        rebuilt.profile = recipe.profile
+        rebuilt.renaming = renaming
+        if recipe.profile is not None:
+            # A renamed twin may execute through this entry: make sure
+            # every node the rebuilt plan prices exists in the shared
+            # profile (idempotent for already-seeded nodes).
+            recipe.profile.seed(plan_nodes(rebuilt), statistics, renaming)
+        self.stats.bump(plans_reused=1)
+        return rebuilt
 
     def _recipe_from_plan(self, chosen: QueryPlan,
                           renaming: dict[str, str]) -> PlanRecipe:
@@ -427,14 +398,11 @@ class Engine:
                             reason=recipe.reason,
                             decomposition=decomposition,
                             decompositions=decompositions,
-                            max_variables=self.max_variables,
                             validate=False,
                             fingerprint=recipe.fingerprint)
 
     def _execute_plan(self, chosen: QueryPlan,
-                      database: Database | None = None,
                       cancellation: CancellationToken | None = None) -> ExecutionResult:
-        database = self.database if database is None else database
         started = time.perf_counter()
         with get_tracer().span("engine.execute",
                                {"query": chosen.query.name,
@@ -444,7 +412,7 @@ class Engine:
                 if cancellation is not None:
                     cancellation.check()
                     counter = WorkCounter(cancellation=cancellation)
-                result = chosen.execute(database, counter=counter)
+                result = chosen.execute(self.database, counter=counter)
             except QueryCancelledError:
                 # A cancelled run still spent wall time; account for it
                 # (separately from successful executions) so the service's

@@ -2,7 +2,7 @@
 
 The cache stores :class:`PlanRecipe` objects — a plan *decision* expressed in
 the canonical variable space of :mod:`repro.engine.fingerprint` — keyed by
-``(query fingerprint, statistics fingerprint, planner configuration)``.  A
+``(query fingerprint, statistics fingerprint)``.  A
 recipe carries everything needed to rebuild an executable
 :class:`~repro.optimizer.planner.QueryPlan` without touching the width
 machinery: the plan kind, the winning decomposition's bags, the adaptive
@@ -57,16 +57,6 @@ class PlanCache:
         self.stats = CounterTable(
             {"plan_builds": 0, "plan_hits": 0, "plan_evictions": 0})
 
-    @property
-    def capacity(self) -> int:
-        return self._entries.capacity
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
-
     def get(self, key: tuple) -> PlanRecipe | None:
         """The cached recipe for ``key`` (marks it most recently used)."""
         recipe = self._entries.get(key)
@@ -78,10 +68,6 @@ class PlanCache:
         """Store a freshly built recipe, evicting the least recently used."""
         evictions = self._entries.put(key, recipe)
         self.stats.add_many({"plan_builds": 1, "plan_evictions": evictions})
-
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved — they tell the story)."""
-        self._entries.clear()
 
     def cache_stats(self) -> dict[str, int]:
         """Build/hit/eviction counters plus the current entry count."""

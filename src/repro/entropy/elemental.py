@@ -41,15 +41,6 @@ class ElementalInequality:
         """The value of the inequality's left-hand side on a set function."""
         return sum(coeff * set_function[subset] for subset, coeff in self.coefficients)
 
-    def residual_terms(self) -> dict[frozenset[str], int]:
-        """The *residual* form used in identity manipulations.
-
-        The residual of an inequality ``expr >= 0`` is ``−expr`` (which is
-        ``<= 0``); identities in Section 7 are written as
-        ``targets = sources + residuals``.
-        """
-        return {subset: -coeff for subset, coeff in self.coefficients}
-
     def __str__(self) -> str:
         parts = []
         for subset, coeff in self.coefficients:

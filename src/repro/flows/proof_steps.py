@@ -73,12 +73,6 @@ class ProofStepError(ValueError):
 class ProofStep:
     """Base class: every step consumes and produces multisets of terms."""
 
-    def consumed(self) -> list[Term]:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def produced(self) -> list[Term]:  # pragma: no cover - overridden
-        raise NotImplementedError
-
     def apply(self, terms: Counter) -> None:
         """Apply the step in place to a Counter of terms."""
         for term in self.consumed():

@@ -73,15 +73,6 @@ class ShannonFlowInequality:
     statistics: ConstraintSet
 
     # ------------------------------------------------------------ inspection
-    @property
-    def variables(self) -> frozenset[str]:
-        result: set[str] = set()
-        for target in self.targets:
-            result.update(target)
-        for constraint in self.sources:
-            result.update(constraint.variables)
-        return frozenset(result)
-
     def bound_exponent(self) -> Fraction:
         """``Σ w_{Y|X} log_N N_{Y|X}``: the exponent of the DDR size bound."""
         total = Fraction(0)
@@ -214,9 +205,6 @@ class IntegralShannonFlow:
         if any(count < 0 for count in self.witness.values()):
             return False
         return not self.identity_defect()
-
-    def total_target_multiplicity(self) -> int:
-        return sum(self.targets.values())
 
     def bound_exponent(self) -> float:
         """The per-copy exponent: ``(Σ_c count_c · log_N N_c) / denominator``."""

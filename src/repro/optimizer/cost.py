@@ -61,15 +61,15 @@ class CostEstimate:
         return "\n".join(lines)
 
 
-def estimate_costs(query: ConjunctiveQuery, statistics: ConstraintSet,
-                   max_variables: int = 9) -> CostEstimate:
+def estimate_costs(query: ConjunctiveQuery, statistics: ConstraintSet
+                   ) -> CostEstimate:
     """Compute every cost figure the planner needs.
 
     The TD enumeration is shared between the two width computations, and so
     is the compiled ``Γ_n ∧ S`` feasible region: the per-bag LPs of ``fhtw``
     and the per-selector LPs of ``subw`` re-solve one cached program.
     """
-    decompositions = enumerate_tree_decompositions(query, max_variables=max_variables)
+    decompositions = enumerate_tree_decompositions(query)
     atom_sets = [atom.varset for atom in query.atoms]
     fhtw = fractional_hypertree_width(query, statistics, decompositions=decompositions)
     subw = submodular_width(query, statistics, decompositions=decompositions)

@@ -42,6 +42,10 @@ from repro.stats.constraints import ConstraintSet
 from repro.telemetry.trace import get_tracer
 
 
+#: How far (on the log_N scale) ``subw`` must undercut ``fhtw`` before the
+#: planner pays for an adaptive PANDA plan.
+ADAPTIVE_THRESHOLD = 1e-6
+
 class PlanKind(str, Enum):
     """The three plan families the optimizer chooses between."""
 
@@ -122,7 +126,6 @@ def realize_plan(kind: PlanKind, query: ConjunctiveQuery,
                  estimate: CostEstimate | None = None,
                  decomposition: TreeDecomposition | None = None,
                  decompositions: Sequence[TreeDecomposition] = (),
-                 max_variables: int = 9,
                  validate: bool = True,
                  fingerprint: str = "") -> QueryPlan:
     """Build the executable :class:`QueryPlan` for an already-made decision.
@@ -139,7 +142,7 @@ def realize_plan(kind: PlanKind, query: ConjunctiveQuery,
             query, database, counter=counter)
     elif kind is PlanKind.ADAPTIVE_PANDA:
         runner = lambda database, counter=None: _run_adaptive(  # noqa: E731
-            query, database, statistics, max_variables,
+            query, database, statistics,
             decompositions=decompositions or None, counter=counter)
     elif kind is PlanKind.STATIC_TD:
         if decomposition is None:
@@ -155,8 +158,6 @@ def realize_plan(kind: PlanKind, query: ConjunctiveQuery,
 
 
 def plan(query: ConjunctiveQuery, statistics: ConstraintSet,
-         max_variables: int = 9,
-         adaptive_threshold: float = 1e-6,
          estimate: CostEstimate | None = None) -> QueryPlan:
     """Choose a plan for ``query`` under ``statistics``.
 
@@ -166,7 +167,7 @@ def plan(query: ConjunctiveQuery, statistics: ConstraintSet,
     TD enumeration happen exactly once per plan.
     """
     if estimate is None:
-        estimate = estimate_costs(query, statistics, max_variables=max_variables)
+        estimate = estimate_costs(query, statistics)
     elif estimate.query != query:
         # The decompositions and widths below are only meaningful for the
         # query they were costed on; silently accepting a mismatch would
@@ -177,22 +178,20 @@ def plan(query: ConjunctiveQuery, statistics: ConstraintSet,
     if estimate.is_acyclic and estimate.is_free_connex:
         return realize_plan(
             PlanKind.YANNAKAKIS, query, statistics, estimate=estimate,
-            reason="the query is free-connex acyclic: Yannakakis runs in O(N + OUT)",
-            max_variables=max_variables)
-    if estimate.adaptive_gain > adaptive_threshold:
+            reason="the query is free-connex acyclic: Yannakakis runs in O(N + OUT)")
+    if estimate.adaptive_gain > ADAPTIVE_THRESHOLD:
         return realize_plan(
             PlanKind.ADAPTIVE_PANDA, query, statistics, estimate=estimate,
             decompositions=estimate.decompositions,
             reason=(f"subw = {estimate.subw_exponent:.4g} < fhtw = "
                     f"{estimate.fhtw_exponent:.4g}: data partitioning across multiple "
-                    "tree decompositions is strictly better than any single one"),
-            max_variables=max_variables)
+                    "tree decompositions is strictly better than any single one"))
     return realize_plan(
         PlanKind.STATIC_TD, query, statistics, estimate=estimate,
         decomposition=estimate.fhtw.best_decomposition,
         reason=(f"a single tree decomposition already attains the submodular width "
                 f"({estimate.fhtw_exponent:.4g})"),
-        max_variables=max_variables, validate=False)
+        validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ def _run_static(query: ConjunctiveQuery, database: Database,
 
 
 def _run_adaptive(query: ConjunctiveQuery, database: Database,
-                  statistics: ConstraintSet, max_variables: int,
+                  statistics: ConstraintSet,
                   decompositions: Sequence[TreeDecomposition] | None = None,
                   counter: WorkCounter | None = None) -> ExecutionResult:
     counter = counter if counter is not None else WorkCounter()
@@ -238,7 +237,6 @@ def _run_adaptive(query: ConjunctiveQuery, database: Database,
         answer, report = evaluate_adaptive(query, database,
                                            statistics=statistics,
                                            decompositions=decompositions,
-                                           max_variables=max_variables,
                                            counter=counter)
         span.set("rows_out", len(answer))
         span.set("max_intermediate", report.max_intermediate)

@@ -69,7 +69,6 @@ class AdaptiveReport:
 def evaluate_adaptive(query: ConjunctiveQuery, database: Database,
                       statistics: ConstraintSet | None = None,
                       decompositions: Sequence[TreeDecomposition] | None = None,
-                      max_variables: int = 9,
                       counter: WorkCounter | None = None) -> tuple[Relation, AdaptiveReport]:
     """Evaluate a CQ with the adaptive (multi-TD) PANDA plan.
 
@@ -83,7 +82,7 @@ def evaluate_adaptive(query: ConjunctiveQuery, database: Database,
     if statistics is None:
         statistics = collect_statistics(database, query, include_degrees=False)
     if decompositions is None:
-        decompositions = enumerate_tree_decompositions(query, max_variables=max_variables)
+        decompositions = enumerate_tree_decompositions(query)
     decompositions = list(decompositions)
     if not decompositions:
         raise ValueError("the query admits no free-connex tree decomposition")

@@ -39,7 +39,6 @@ tuple-at-a-time reference algebra, as does any step whose kernel declines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from repro.ddr.rule import DisjunctiveDatalogRule
 from repro.flows.proof_sequence import ProofSequence, construct_proof_sequence
@@ -59,7 +58,11 @@ from repro.panda.measures import ConditionalMeasure, UnconditionalMeasure, compo
 from repro.query.cq import ConjunctiveQuery
 from repro.relational.database import Database
 from repro.relational.relation import Relation
-from repro.stats.constraints import ConstraintSet, DegreeConstraint
+from repro.stats.constraints import (
+    ConstraintSet,
+    DegreeConstraint,
+    guarding_atoms,
+)
 from repro.telemetry.trace import get_tracer
 from repro.utils.varsets import format_varset
 
@@ -175,11 +178,7 @@ def _initial_entries(query: ConjunctiveQuery, database: Database,
 def _guard_relation(query: ConjunctiveQuery, database: Database,
                     constraint: DegreeConstraint) -> Relation:
     """The relation (with atom-variable columns) that guards a constraint."""
-    candidates = []
-    for atom in query.atoms:
-        if constraint.variables <= atom.varset:
-            if constraint.guard is None or constraint.guard == atom.relation:
-                candidates.append(atom)
+    candidates = guarding_atoms(query, constraint)
     if not candidates:
         raise PandaExecutionError(
             f"no atom of {query.name} guards the constraint {constraint}")

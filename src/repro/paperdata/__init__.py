@@ -4,7 +4,6 @@ from repro.paperdata.figure2 import (
     figure2_database,
     figure2_expected_output,
     figure2_marginal_probabilities,
-    figure2_output_probabilities,
     four_cycle_cardinality_statistics,
     four_cycle_full_statistics,
 )
@@ -12,7 +11,6 @@ from repro.paperdata.figure2 import (
 __all__ = [
     "figure2_database",
     "figure2_expected_output",
-    "figure2_output_probabilities",
     "figure2_marginal_probabilities",
     "four_cycle_cardinality_statistics",
     "four_cycle_full_statistics",

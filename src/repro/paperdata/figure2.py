@@ -36,11 +36,6 @@ def figure2_expected_output() -> list[tuple]:
     return [(1, "p", 3, "i"), (1, "q", 5, "i"), (1, "q", 5, "j")]
 
 
-def figure2_output_probabilities() -> dict[tuple, Fraction]:
-    """The uniform output distribution of Figure 2 (each output tuple has mass 1/3)."""
-    return {row: Fraction(1, 3) for row in figure2_expected_output()}
-
-
 def figure2_marginal_probabilities() -> dict[str, dict[tuple, Fraction]]:
     """The red marginal annotations of Figure 2, per input relation.
 

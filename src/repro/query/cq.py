@@ -12,7 +12,7 @@ A CQ with ``F = ∅`` is *Boolean*; a CQ with ``F = V`` (all variables) is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.utils.varsets import format_varset, varset
@@ -142,10 +142,6 @@ class ConjunctiveQuery:
     def atoms_for_relation(self, relation: str) -> tuple[Atom, ...]:
         """All atoms over a given relation symbol."""
         return tuple(atom for atom in self.atoms if atom.relation == relation)
-
-    def atom_varsets(self) -> tuple[frozenset[str], ...]:
-        """The variable sets of the atoms, in atom order."""
-        return tuple(atom.varset for atom in self.atoms)
 
     def canonicalize(self) -> tuple["ConjunctiveQuery", dict[str, str]]:
         """A variable-renaming-invariant canonical form, plus the renaming.

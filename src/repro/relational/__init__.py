@@ -22,16 +22,9 @@ from repro.relational.storage import (
     get_default_backend,
     resolve_annotated_backend,
 )
-from repro.relational.relation import Relation, relation_from_pairs
+from repro.relational.relation import Relation
 from repro.relational.database import Database, database_from_edges
-from repro.relational.operators import (
-    WorkCounter,
-    cartesian_product,
-    join_all,
-    project,
-    semijoin_reduce,
-    union_all,
-)
+from repro.relational.operators import WorkCounter, join_all
 from repro.relational.semiring import (
     BOOLEAN_SEMIRING,
     BUILTIN_SEMIRINGS,
@@ -59,15 +52,10 @@ __all__ = [
     "kernel_stats",
     "KERNEL_STATS",
     "Relation",
-    "relation_from_pairs",
     "Database",
     "database_from_edges",
     "WorkCounter",
     "join_all",
-    "project",
-    "semijoin_reduce",
-    "cartesian_product",
-    "union_all",
     "Semiring",
     "AnnotatedRelation",
     "BOOLEAN_SEMIRING",

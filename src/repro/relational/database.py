@@ -45,11 +45,6 @@ class Database:
                 self.add(relation)
 
     @property
-    def backend_kind(self) -> str | None:
-        """The storage engine every relation is pinned to (None = mixed)."""
-        return self._backend_kind
-
-    @property
     def revision(self) -> int:
         """A counter bumped whenever a relation is registered or replaced.
 
@@ -85,13 +80,6 @@ class Database:
         for cached_key in [k for k in self._annotated_cache if k[0] == key]:
             del self._annotated_cache[cached_key]
 
-    def with_backend(self, backend: str) -> "Database":
-        """This database with every relation converted to ``backend``."""
-        converted = Database(backend=backend)
-        for name, relation in self._relations.items():
-            converted.add(relation, name=name)
-        return converted
-
     def __contains__(self, name: str) -> bool:
         return name in self._relations
 
@@ -117,22 +105,6 @@ class Database:
         if not self._relations:
             return 0
         return max(len(relation) for relation in self._relations.values())
-
-    def cache_stats(self) -> dict[str, int]:
-        """Aggregate index build/hit counters across the stored relations.
-
-        Includes the counters of memoized annotated bindings (the FAQ
-        engine's factors), so semiring workloads surface their index reuse
-        through the same interface as set-semantics ones.
-        """
-        totals: dict[str, int] = {}
-        for relation in self._relations.values():
-            for event, count in relation.storage_stats.items():
-                totals[event] = totals.get(event, 0) + count
-        for annotated, _ in self._annotated_cache.values():
-            for event, count in annotated.storage_stats.items():
-                totals[event] = totals.get(event, 0) + count
-        return totals
 
     # -------------------------------------------------------------- bindings
     def bind_atom(self, atom: Atom) -> Relation:
@@ -175,7 +147,8 @@ class Database:
 
         This is where the FAQ engine gets its factors.  Bindings are memoized
         per ``(relation, variables, semiring name, weight key)`` — but only
-        when the paired annotated engine caches indexes (so the ``dict``
+        when the paired annotated engine runs the kernels and memoizes its
+        indexes (so the ``dict``
         reference engine faithfully keeps the seed's rebuild-per-run costs)
         and the annotation is reproducible: the default ``one`` annotation
         (``weight is None``) or a ``weight`` function the caller names with a
@@ -199,7 +172,7 @@ class Database:
                     return annotated
         annotated = AnnotatedRelation.from_relation(self.bind_atom(atom),
                                                     semiring, weight=weight)
-        if cache_key is not None and annotated._backend.caches_indexes:
+        if cache_key is not None and annotated._backend.supports_kernels:
             # Annotated relations are immutable through their facade API, so
             # the cache can hand out the same facade (and its warm indexes).
             annotated._backend.share()

@@ -49,11 +49,11 @@ back to the reference Python path.  Each call counts ``<op>_kernels`` or
 ``<op>_fallbacks`` (plus ``translation_builds`` and
 ``compose_entries_examined``) in the process-wide :data:`KERNEL_STATS`
 table, which :func:`kernel_stats` reads and ``/metrics`` samples as
-``kernel.<key>``.  The per-backend encode counters — ``dictionary_builds``
-for a column encoded from Python values, ``dictionary_wraps`` for one wrapped
-around codes a kernel already produced, ``dictionary_hits`` — flow through
-``Database.cache_stats`` and :func:`~repro.relational.storage.storage_stats`
-like every other index counter.
+``kernel.<key>``.  The encode counters — ``dictionary_builds`` for a column
+encoded from Python values, ``dictionary_wraps`` for one wrapped around
+codes a kernel already produced, ``dictionary_hits`` — flow through
+:mod:`repro.relational.storage`'s ``storage_stats`` like every other
+index counter.
 
 The backend alone selects the kernels: they run whenever every operand's
 backend advertises ``supports_kernels`` (the columnar engines), and never on
@@ -394,15 +394,6 @@ def decode_rows(tables, code_arrays, length: int) -> list[tuple]:
     for zero columns), decoded by fancy-indexing each table's decode array."""
     pieces = [table.decode_array()[codes] for table, codes in zip(tables, code_arrays)]
     return list(zip(*pieces)) if pieces else [()] * length
-
-
-def take_rows(backend, indices, width: int) -> list[tuple]:
-    """Materialise ``backend``'s rows at ``indices`` via decode columns."""
-    if width == 0:
-        return [() for _ in range(int(indices.size))]
-    pieces = [backend.dictionary(p).object_column()[indices]
-              for p in range(width)]
-    return list(zip(*pieces))
 
 
 def gather_encoded(backend, indices, width: int):

@@ -1,17 +1,15 @@
 """Free-standing relational operators used by the evaluation algorithms.
 
-These functions complement the methods on :class:`~repro.relational.relation.Relation`
-with multi-way variants (joining a list of relations, semijoin-reducing a set
-of relations to global consistency) and with an instrumented join that counts
+The :class:`WorkCounter` every evaluation algorithm accounts into, and
+:func:`join_all`, the multi-way join the brute-force oracle runs; it counts
 intermediate tuples — the quantity the paper's cost model bounds.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.relational.relation import Relation
 
@@ -133,88 +131,3 @@ def join_all(relations: Sequence[Relation],
         if counter is not None:
             counter.record(result, note=f"join step -> {result.columns}")
     return result.copy(name)
-
-
-def project(relation: Relation, columns: Iterable[str], name: str | None = None) -> Relation:
-    """Projection preserving the relation's column order.
-
-    Requesting a column the relation does not have is an immediate, clearly
-    attributed error (rather than a deferred ``KeyError`` from deep inside
-    :meth:`Relation.project`).
-    """
-    columns = list(columns)
-    missing = [c for c in columns if c not in relation.column_set]
-    if missing:
-        raise KeyError(
-            f"cannot project relation {relation.name!r} onto {columns}: "
-            f"missing columns {missing} (available: {list(relation.columns)})"
-        )
-    ordered = [c for c in relation.columns if c in set(columns)]
-    return relation.project(ordered, name=name)
-
-
-def semijoin_reduce(relations: Sequence[Relation],
-                    counter: WorkCounter | None = None) -> list[Relation]:
-    """Full semijoin reduction to (pairwise) consistency.
-
-    Semijoins relations against their schema-overlapping neighbours until no
-    relation shrinks.  For acyclic joins arranged along a join tree the
-    classical Yannakakis algorithm needs only two passes; this generic version
-    is used when no join tree is available (e.g. to clean up PANDA's bag
-    relations) and always terminates because sizes only decrease.
-
-    Instead of re-scanning all pairs after every change (O(n²) per pass), a
-    worklist tracks which relations may still shrink: when relation ``j``
-    shrinks, only the neighbours of ``j`` — the relations ``j`` can filter —
-    are revisited.  The fixpoint (the unique maximal pairwise-consistent
-    sub-instance) is the same as the all-pairs version's.
-    """
-    current = [relation.copy() for relation in relations]
-    neighbours: list[list[int]] = [
-        [j for j, other in enumerate(relations)
-         if j != i and (relations[i].column_set & other.column_set)]
-        for i in range(len(relations))
-    ]
-    pending = deque(range(len(current)))
-    queued = set(pending)
-    while pending:
-        i = pending.popleft()
-        queued.discard(i)
-        for j in neighbours[i]:
-            reduced = current[i].semijoin(current[j])
-            if len(reduced) < len(current[i]):
-                current[i] = reduced
-                if counter is not None:
-                    counter.record(reduced, note=f"semijoin {reduced.name}")
-                # i shrank, so every relation i can filter may shrink too.
-                for k in neighbours[i]:
-                    if k not in queued:
-                        pending.append(k)
-                        queued.add(k)
-    return current
-
-
-def cartesian_product(left: Relation, right: Relation,
-                      name: str | None = None) -> Relation:
-    """Cartesian product of two relations over disjoint schemas."""
-    if left.column_set & right.column_set:
-        raise ValueError("cartesian_product requires disjoint schemas")
-    rows = [l + r for l in left for r in right]
-    return Relation(name or f"({left.name} × {right.name})",
-                    left.columns + right.columns, rows)
-
-
-def empty_like(relation: Relation, name: str | None = None) -> Relation:
-    """An empty relation with the same schema."""
-    return Relation(name or relation.name, relation.columns, [])
-
-
-def union_all(relations: Sequence[Relation], columns: Sequence[str],
-              name: str = "∪") -> Relation:
-    """Union of relations projected onto a common column list."""
-    result = Relation(name, tuple(columns), [])
-    for relation in relations:
-        projected = relation.project(columns)
-        for row in projected:
-            result.add(row)
-    return result

@@ -93,11 +93,6 @@ class Relation:
         """The storage engine this relation lives on ('set', 'columnar', ...)."""
         return self._backend.kind
 
-    @property
-    def storage_stats(self) -> dict[str, int]:
-        """Index build/hit counters of the underlying backend."""
-        return self._backend.stats.snapshot()
-
     def with_backend(self, kind: str) -> "Relation":
         """This relation converted to another storage backend (same rows)."""
         if kind == self._backend.kind:
@@ -395,9 +390,3 @@ class Relation:
         """The rows as dictionaries, sorted for deterministic display."""
         return [dict(zip(self.columns, row))
                 for row in sorted(self._backend.iter_rows(), key=repr)]
-
-
-def relation_from_pairs(name: str, columns: Sequence[str],
-                        pairs: Iterable[tuple]) -> Relation:
-    """Convenience constructor used heavily by tests and data generators."""
-    return Relation(name, columns, pairs)

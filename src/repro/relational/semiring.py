@@ -232,11 +232,6 @@ class AnnotatedRelation(Generic[K]):
         """The annotated storage engine this relation lives on."""
         return self._backend.kind
 
-    @property
-    def storage_stats(self) -> dict[str, int]:
-        """Index build/hit counters of the underlying annotated backend."""
-        return self._backend.stats.snapshot()
-
     def with_backend(self, kind: str) -> "AnnotatedRelation[K]":
         """This annotated relation converted to another storage engine."""
         backend_class = resolve_annotated_backend(kind)

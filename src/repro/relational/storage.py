@@ -35,8 +35,7 @@ annotations, with :class:`DictAnnotatedBackend` as the reference and
 memoizing ⊕-marginal group-bys.  Semiring-annotated relations, FAQ factors
 and PANDA's measure tables are all facades over it.
 
-Every build and memo hit records a counter in the backend's
-:attr:`StorageBackend.stats` table and in the process-wide
+Every build and memo hit records a counter in the process-wide
 :data:`STORAGE_STATS` (read with :func:`storage_stats`).
 """
 
@@ -48,7 +47,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as _np
 
 from repro.relational import kernels
-from repro.telemetry.metrics import CounterTable, get_registry
+from repro.telemetry.metrics import get_registry
 
 
 IndexKey = tuple[int, ...]
@@ -83,7 +82,6 @@ class StorageBackend:
 
     def __init__(self) -> None:
         self.shared = False
-        self.stats = CounterTable()
 
     # -- bookkeeping ---------------------------------------------------------
     def share(self) -> "StorageBackend":
@@ -92,7 +90,6 @@ class StorageBackend:
         return self
 
     def _count(self, event: str) -> None:
-        self.stats.add(event)
         STORAGE_STATS.add(event)
 
     # -- core storage (must be implemented) -----------------------------------
@@ -338,24 +335,19 @@ class ColumnDictionary:
     the deterministic :func:`_dictionary_sort_key` order (not first
     appearance), so equal column contents always produce equal codes.  For
     the vectorized kernels the dictionary also materialises (lazily,
-    cached):
-
-    * :meth:`codes_array` — the codes as an ``int64`` NumPy array;
-    * :meth:`object_column` — the fully decoded column (fancy-indexable,
-      zips back into the original Python value objects).
+    cached) :meth:`codes_array`, the codes as an ``int64`` NumPy array.
 
     Decoding and translating between code spaces go through the table
     (``table.decode``, ``table.translate_to``), where they are shared and
     memoized.
     """
 
-    __slots__ = ("table", "_codes", "_codes_array", "_column")
+    __slots__ = ("table", "_codes", "_codes_array")
 
     def __init__(self, table: CodeTable, codes=None, codes_array=None) -> None:
         self.table = table
         self._codes: list[int] | None = codes
         self._codes_array = codes_array
-        self._column = None
 
     @classmethod
     def from_values(cls, values: Iterable) -> "ColumnDictionary":
@@ -382,12 +374,6 @@ class ColumnDictionary:
         if self._codes_array is None:
             self._codes_array = _np.array(self._codes, dtype=_np.int64)
         return self._codes_array
-
-    def object_column(self):
-        """The fully decoded column (original value objects), cached."""
-        if self._column is None:
-            self._column = self.table.decode_array()[self.codes_array()]
-        return self._column
 
 
 class ColumnarBackend(StorageBackend):
@@ -557,21 +543,19 @@ class AnnotatedBackend:
     algebra operation spawns a fresh backend), so annotated backends are
     shared structurally between facades without needing the plain backends'
     copy-on-write machinery; every build and memo hit records a counter in
-    :attr:`stats`.
+    :data:`STORAGE_STATS`.
     """
 
     kind: str = "abstract"
-    #: Whether :meth:`~repro.relational.database.Database.annotated_atom`
-    #: memoizes bindings on this engine, so warm evaluations reuse the
-    #: backend's memoized marginals and kernel structures.
-    caches_indexes: bool = False
     #: Whether the vectorized kernel path may run against this backend (see
-    #: :attr:`StorageBackend.supports_kernels`).
+    #: :attr:`StorageBackend.supports_kernels`).  Such a backend memoizes its
+    #: marginals and kernel structures, so
+    #: :meth:`~repro.relational.database.Database.annotated_atom` memoizes
+    #: bindings on it and warm evaluations reuse them.
     supports_kernels: bool = False
 
     def __init__(self) -> None:
         self.shared = False
-        self.stats = CounterTable()
 
     # -- bookkeeping ---------------------------------------------------------
     def share(self) -> "AnnotatedBackend":
@@ -580,7 +564,6 @@ class AnnotatedBackend:
         return self
 
     def _count(self, event: str) -> None:
-        self.stats.add(event)
         STORAGE_STATS.add(event)
 
     # -- core storage (must be implemented) -----------------------------------
@@ -699,7 +682,6 @@ class ColumnarAnnotatedBackend(AnnotatedBackend):
     """
 
     kind = "columnar"
-    caches_indexes = True
     supports_kernels = True
 
     def __init__(self, pairs: Iterable[tuple[tuple, object]] = ()) -> None:

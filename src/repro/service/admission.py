@@ -108,12 +108,6 @@ class AdmissionController:
             self._global.release()
             self._tenant_sem(tenant).release()
 
-    def waiting(self, tenant: str | None = None) -> int:
-        """Currently queued queries — globally, or for one tenant."""
-        if tenant is None:
-            return self._waiting_global
-        return self._waiting_tenant.get(tenant, 0)
-
     def stats(self) -> dict:
         """Counters plus the live queue depths (an internally consistent
         snapshot: taken on the event loop, where all updates happen)."""

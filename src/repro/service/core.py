@@ -37,6 +37,7 @@ from repro.query.parser import QueryParseError, parse_query
 from repro.relational.database import Database
 from repro.relational.kernels import kernel_stats
 from repro.relational.relation import Relation
+from repro.relational.storage import storage_stats
 from repro.service.admission import AdmissionController
 from repro.service.errors import (
     AdmissionRejectedError,
@@ -146,13 +147,13 @@ class QueryService:
 
     # -------------------------------------------------------------- tenants
     def create_tenant(self, name: str, database: Database, *,
-                      plan_cache_size: int = 128, max_variables: int = 9,
+                      plan_cache_size: int = 128,
                       measure_degrees: bool = False) -> Tenant:
         if self._closing:
             raise ServiceUnavailableError("service is shutting down")
         return self.registry.create(
             name, database, plan_cache_size=plan_cache_size,
-            max_variables=max_variables, measure_degrees=measure_degrees)
+            measure_degrees=measure_degrees)
 
     def drop_tenant(self, name: str) -> None:
         self.registry.drop(name)
@@ -320,8 +321,8 @@ class QueryService:
 
         ``totals`` re-aggregates the per-tenant
         :class:`~repro.engine.core.EngineStats` snapshots; the process-global
-        LP and kernel counters ride along so one document answers "how much
-        reuse did every cache layer see".
+        LP, kernel and storage counters ride along so one document answers
+        "how much reuse did every cache layer see".
         """
         tenants = self.registry.snapshot()
         totals: dict[str, float] = {}
@@ -344,6 +345,7 @@ class QueryService:
             "totals": totals,
             "lp_cache": lp_cache_stats(),
             "kernels": kernel_stats(),
+            "storage": storage_stats(),
             "telemetry": {
                 "tracer": get_tracer().stats(),
                 "slow_log": self.slow_log.stats(),
@@ -430,17 +432,8 @@ class QueryService:
         if op == "create_tenant":
             self._require(request, "name", "relations")
             database = database_from_payload(request)
-            engine_opts = request.get("engine", {})
-            allowed = {"plan_cache_size", "max_variables", "measure_degrees"}
-            unknown = set(engine_opts) - allowed
-            if unknown:
-                raise BadRequestError(
-                    f"unknown engine options: {sorted(unknown)}")
-            try:
-                tenant = self.create_tenant(request["name"], database,
-                                            **engine_opts)
-            except ValueError as exc:  # e.g. a plan cache with no capacity
-                raise BadRequestError(str(exc)) from exc
+            tenant = self.create_tenant(request["name"], database,
+                                        **_engine_options(request))
             return {"tenant": tenant.name,
                     "relations": database.summary()}
         if op == "drop_tenant":
@@ -511,6 +504,30 @@ def _integer_field(request: dict, name: str, minimum: int) -> int | None:
         raise BadRequestError(
             f"{name!r} must be an integer >= {minimum}, not {value!r}")
     return number
+
+
+def _engine_options(request: dict) -> dict:
+    """``request["engine"]`` checked into :meth:`QueryService.create_tenant`
+    keyword arguments: ``plan_cache_size`` an integer ``>= 1`` and
+    ``measure_degrees`` a bool, both optional."""
+    options = request.get("engine", {})
+    if not isinstance(options, dict):
+        raise BadRequestError(
+            f"'engine' must be an object of engine options, not {options!r}")
+    unknown = set(options) - {"plan_cache_size", "measure_degrees"}
+    if unknown:
+        raise BadRequestError(f"unknown engine options: {sorted(unknown)}")
+    checked = {}
+    size = _integer_field(options, "plan_cache_size", minimum=1)
+    if size is not None:
+        checked["plan_cache_size"] = size
+    if "measure_degrees" in options:
+        if not isinstance(options["measure_degrees"], bool):
+            raise BadRequestError(
+                "'measure_degrees' must be true or false, "
+                f"not {options['measure_degrees']!r}")
+        checked["measure_degrees"] = options["measure_degrees"]
+    return checked
 
 
 def _timeout_field(request: dict) -> float | None:

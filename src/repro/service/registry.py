@@ -38,10 +38,6 @@ class Tenant:
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
 
-    @property
-    def database(self) -> Database:
-        return self.engine.database
-
     def bump(self, **deltas: int) -> None:
         with self._lock:
             for name, delta in deltas.items():
@@ -57,7 +53,7 @@ class Tenant:
         return {
             "outcomes": self.outcomes(),
             "engine": self.engine.stats.as_dict(),
-            "caches": self.engine.cache_stats(),
+            "caches": self.engine.plan_cache.cache_stats(),
             "database": self.engine.database.summary(),
         }
 
@@ -91,11 +87,10 @@ class TenantRegistry:
         return name in self._tenants
 
     def create(self, name: str, database: Database, *,
-               plan_cache_size: int = 128, max_variables: int = 9,
+               plan_cache_size: int = 128,
                measure_degrees: bool = False) -> Tenant:
         """Register ``name`` with a fresh engine over ``database``."""
         engine = Engine(database, plan_cache_size=plan_cache_size,
-                        max_variables=max_variables,
                         measure_degrees=measure_degrees)
         tenant = Tenant(name=name, engine=engine)
         with self._lock:

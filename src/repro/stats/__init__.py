@@ -4,6 +4,7 @@ from repro.stats.constraints import (
     ConstraintSet,
     DegreeConstraint,
     LpNormConstraint,
+    guarding_atoms,
     identical_cardinalities,
     log_with_base,
     statistics_for_query,
@@ -17,6 +18,7 @@ __all__ = [
     "identical_cardinalities",
     "statistics_for_query",
     "log_with_base",
+    "guarding_atoms",
     "collect_statistics",
     "validate",
     "satisfies",

@@ -12,11 +12,15 @@ bounds on real instances.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
 
 from repro.query.cq import ConjunctiveQuery
 from repro.relational.database import Database
-from repro.stats.constraints import ConstraintSet, DegreeConstraint, LpNormConstraint
+from repro.stats.constraints import (
+    ConstraintSet,
+    DegreeConstraint,
+    LpNormConstraint,
+    guarding_atoms,
+)
 
 
 def collect_statistics(database: Database, query: ConjunctiveQuery,
@@ -54,7 +58,7 @@ def collect_statistics(database: Database, query: ConjunctiveQuery,
         # in log space only, where ``log_with_base`` already maps any bound
         # <= 1 to exponent 0 for the polymatroid LP.
         statistics.add_cardinality(atom.varset, len(bound_relation),
-                                   guard=atom.relation)
+                                   guard=atom)
         if not include_degrees or len(variables) < 2:
             continue
         for given_size in range(1, len(variables)):
@@ -63,11 +67,11 @@ def collect_statistics(database: Database, query: ConjunctiveQuery,
                 target_set = atom.varset - given_set
                 degree = bound_relation.degree(target_set, given_set)
                 statistics.add_degree(target_set, given_set, degree,
-                                      guard=atom.relation)
+                                      guard=atom)
                 if include_l2_norms and len(given_set) == 1:
                     norm = bound_relation.lp_norm_of_degrees(target_set, given_set, 2.0)
                     statistics.add_lp_norm(target_set, given_set, 2.0, norm,
-                                           guard=atom.relation)
+                                           guard=atom)
     return statistics
 
 
@@ -75,13 +79,14 @@ def validate(database: Database, query: ConjunctiveQuery,
              statistics: ConstraintSet) -> list[str]:
     """Return a list of violated constraints (empty when ``D |= S``).
 
-    A constraint with a guard is checked against that relation; a guard-less
-    constraint is checked against every atom whose variables contain the
-    constraint's variables (it must hold on all of them).
+    Each constraint is checked against every atom it speaks about
+    (:func:`~repro.stats.constraints.guarding_atoms`): the atom it was
+    measured on, the atoms of its guard relation, or, unguarded, every atom
+    whose variables contain the constraint's variables.
     """
     violations: list[str] = []
     for constraint in statistics:
-        for atom in _guarding_atoms(query, constraint):
+        for atom in guarding_atoms(query, constraint):
             relation = database.bind_atom(atom)
             if isinstance(constraint, DegreeConstraint):
                 actual = relation.degree(constraint.target, constraint.given)
@@ -103,13 +108,3 @@ def satisfies(database: Database, query: ConjunctiveQuery,
     """``True`` when the database satisfies every constraint (``D |= S``)."""
     return not validate(database, query, statistics)
 
-
-def _guarding_atoms(query: ConjunctiveQuery, constraint) -> Iterable:
-    """The atoms a constraint should be checked against."""
-    if constraint.guard is not None:
-        atoms = [atom for atom in query.atoms if atom.relation == constraint.guard
-                 and constraint.variables <= atom.varset]
-        if atoms:
-            return atoms
-        return []
-    return [atom for atom in query.atoms if constraint.variables <= atom.varset]

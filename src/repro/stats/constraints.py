@@ -32,13 +32,17 @@ class DegreeConstraint:
     ``|π_target(guard)| <= bound``.  ``guard`` is the name of the relation the
     statistic was measured on; it is optional for purely symbolic statistics
     but required by the PANDA executor (which needs to know which relation to
-    read the initial sub-probability measure from).
+    read the initial sub-probability measure from).  ``guard_variables`` is
+    the variable tuple of the atom it was measured on, when known: a relation
+    that appears in several atoms (a self-join) has different degrees in
+    each, and :func:`guarding_atoms` resolves the guard to that atom alone.
     """
 
     target: frozenset[str]
     given: frozenset[str]
     bound: float
     guard: str | None = None
+    guard_variables: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.target & self.given:
@@ -86,6 +90,7 @@ class LpNormConstraint:
     order: float
     bound: float
     guard: str | None = None
+    guard_variables: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.target & self.given:
@@ -106,13 +111,41 @@ class LpNormConstraint:
         """The equivalent degree constraint when ``order == inf``."""
         if self.order != float("inf"):
             raise ValueError("only the ℓ∞ norm is a plain degree constraint")
-        return DegreeConstraint(self.target, self.given, self.bound, self.guard)
+        return DegreeConstraint(self.target, self.given, self.bound, self.guard,
+                                self.guard_variables)
 
     def __str__(self) -> str:
         guard = f" in {self.guard}" if self.guard else ""
         order = "∞" if self.order == float("inf") else f"{self.order:g}"
         return (f"||deg({format_varset(self.target)} | {format_varset(self.given)})"
                 f"||_{order} <= {self.bound:g}{guard}")
+
+
+def guarding_atoms(query, constraint) -> list:
+    """The atoms of ``query`` a constraint speaks about.
+
+    A constraint measured on an atom (``guard_variables`` set) resolves to
+    exactly that atom; a guard given only as a relation name (hand-written
+    statistics) to every atom of that relation containing the constraint's
+    variables; an unguarded constraint to every atom containing them.
+    """
+    def guards(atom) -> bool:
+        if constraint.guard is None:
+            return True
+        return constraint.guard == atom.relation and (
+            constraint.guard_variables is None
+            or constraint.guard_variables == atom.variables)
+
+    return [atom for atom in query.atoms
+            if constraint.variables <= atom.varset and guards(atom)]
+
+
+def _guard_fields(guard) -> tuple[str | None, tuple[str, ...] | None]:
+    """``(relation name, atom variables)`` of a guard given as a relation
+    name, an :class:`~repro.query.cq.Atom`, or ``None``."""
+    if guard is None or isinstance(guard, str):
+        return guard, None
+    return guard.relation, tuple(guard.variables)
 
 
 def log_with_base(value: float, base: float) -> float:
@@ -156,32 +189,32 @@ class ConstraintSet:
         else:
             raise TypeError(f"unsupported constraint type: {type(constraint)!r}")
 
+    # A ``guard`` is a relation name or the atom the statistic was measured
+    # on (which also records the atom's variables, see ``guarding_atoms``).
     def add_cardinality(self, variables: Iterable[str] | str, bound: float,
-                        guard: str | None = None) -> DegreeConstraint:
+                        guard=None) -> DegreeConstraint:
         """Add ``|π_variables(guard)| <= bound`` and return the constraint."""
-        constraint = DegreeConstraint(varset(variables), frozenset(), bound, guard)
-        self.add(constraint)
-        return constraint
+        return self.add_degree(variables, (), bound, guard)
 
     def add_degree(self, target: Iterable[str] | str, given: Iterable[str] | str,
-                   bound: float, guard: str | None = None) -> DegreeConstraint:
+                   bound: float, guard=None) -> DegreeConstraint:
         """Add ``deg_guard(target | given) <= bound`` and return the constraint."""
-        constraint = DegreeConstraint(varset(target), varset(given), bound, guard)
+        constraint = DegreeConstraint(varset(target), varset(given), bound,
+                                      *_guard_fields(guard))
         self.add(constraint)
         return constraint
 
     def add_functional_dependency(self, given: Iterable[str] | str,
                                   target: Iterable[str] | str,
-                                  guard: str | None = None) -> DegreeConstraint:
+                                  guard=None) -> DegreeConstraint:
         """Add the FD ``given -> target`` on the guard relation."""
         return self.add_degree(target, given, 1.0, guard)
 
     def add_lp_norm(self, target: Iterable[str] | str, given: Iterable[str] | str,
-                    order: float, bound: float,
-                    guard: str | None = None) -> LpNormConstraint:
+                    order: float, bound: float, guard=None) -> LpNormConstraint:
         """Add an ℓ_order norm constraint on a degree vector."""
         constraint = LpNormConstraint(varset(target), varset(given), float(order),
-                                      bound, guard)
+                                      bound, *_guard_fields(guard))
         self.add(constraint)
         return constraint
 
@@ -237,15 +270,20 @@ class ConstraintSet:
 
         descriptors = []
         for constraint in self:
+            # The guard atom's variables keep their order: R(A,B) and R(B,A)
+            # are different atoms.
+            guard = (constraint.guard or "",
+                     tuple(rename(variable)
+                           for variable in constraint.guard_variables or ()))
             if isinstance(constraint, DegreeConstraint):
                 descriptors.append(("deg", mapped(constraint.target),
                                     mapped(constraint.given),
-                                    repr(constraint.bound), constraint.guard or ""))
+                                    repr(constraint.bound), guard))
             else:
                 descriptors.append(("lpnorm", mapped(constraint.target),
                                     mapped(constraint.given),
                                     repr(constraint.order),
-                                    repr(constraint.bound), constraint.guard or ""))
+                                    repr(constraint.bound), guard))
         return descriptors
 
     def fingerprint(self) -> str:

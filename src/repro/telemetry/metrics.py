@@ -2,10 +2,9 @@
 
 Every layer counts into a :class:`CounterTable`: the LP substrate
 (:func:`repro.lp.model.lp_cache_stats`), the vectorized kernels
-(:func:`repro.relational.kernels.kernel_stats`), each storage backend and
-their process-wide sum (:func:`repro.relational.storage.storage_stats`), the
-plan cache, and :class:`~repro.engine.core.EngineStats` with its
-process-wide totals.
+(:func:`repro.relational.kernels.kernel_stats`), the storage backends
+(:mod:`repro.relational.storage`'s ``storage_stats``), the plan cache, and
+:class:`~repro.engine.core.EngineStats` with its process-wide totals.
 
 The process-wide tables belong to the :class:`MetricsRegistry`
 (:meth:`MetricsRegistry.table`), which samples each one under its prefix

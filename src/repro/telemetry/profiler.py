@@ -33,7 +33,7 @@ the example script print today.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -141,14 +141,6 @@ class CardinalityProfile:
         """One document per node: the polymatroid estimate next to what the
         executions actually materialised."""
         return [node.as_dict() for node in self.nodes()]
-
-    def as_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "plan_kind": self.plan_kind,
-            "executions": self.executions,
-            "nodes": self.estimated_vs_observed(),
-        }
 
     def describe(self) -> str:
         """A fixed-width estimated-vs-observed table (the example script)."""

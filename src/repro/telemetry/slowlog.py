@@ -72,9 +72,3 @@ class SlowQueryLog:
                 "recorded": self.recorded,
                 "dropped": self.dropped,
             }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.recorded = 0
-            self.dropped = 0

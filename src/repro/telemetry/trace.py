@@ -210,13 +210,6 @@ class Tracer:
         with self._lock:
             return list(self._records)
 
-    def open_spans(self, trace_id: str | None = None) -> int:
-        with self._lock:
-            if trace_id is not None:
-                record = self._records.get(trace_id)
-                return record.open_spans if record is not None else 0
-            return sum(record.open_spans for record in self._records.values())
-
     def export_trace(self, trace_id: str) -> dict | None:
         """The trace as a JSON-able document (spans sorted by start time,
         durations and start offsets precomputed)."""
@@ -234,10 +227,6 @@ class Tracer:
                                if doc.get("end") is not None else None)
         return {"trace_id": trace_id, "spans": spans,
                 "open_spans": open_spans}
-
-    def export_all(self) -> list[dict]:
-        docs = [self.export_trace(tid) for tid in self.trace_ids()]
-        return [doc for doc in docs if doc is not None]
 
     def stats(self) -> dict:
         """Ring-buffer and integrity counters (for ``/stats`` and tests)."""
@@ -282,4 +271,3 @@ def _tracer_samples() -> list[Sample]:
 
 
 get_registry().register_source("tracer", _tracer_samples)
-

@@ -50,10 +50,6 @@ class CancellationToken:
         return self._cancelled
 
     @property
-    def reason(self) -> str | None:
-        return self._reason
-
-    @property
     def deadline_exceeded(self) -> bool:
         """True when the trip came from the deadline, not an explicit cancel."""
         return self._cancelled and self._reason is not None \

@@ -34,9 +34,6 @@ class LruDict:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
     def get(self, key):
         """The entry for ``key`` (marked most recently used), or ``None``."""
         with self._lock:

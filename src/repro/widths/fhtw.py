@@ -93,14 +93,14 @@ def decomposition_cost(decomposition: TreeDecomposition,
 
 
 def fractional_hypertree_width(query: ConjunctiveQuery, statistics: ConstraintSet,
-                               decompositions: Sequence[TreeDecomposition] | None = None,
-                               max_variables: int = 9) -> FhtwResult:
+                               decompositions: Sequence[TreeDecomposition] | None = None
+                               ) -> FhtwResult:
     """Compute ``fhtw(Q, S)`` by enumerating free-connex tree decompositions.
 
     One shared ``Γ_n ∧ S`` region serves every bag of every decomposition.
     """
     if decompositions is None:
-        decompositions = enumerate_tree_decompositions(query, max_variables=max_variables)
+        decompositions = enumerate_tree_decompositions(query)
     if not decompositions:
         raise ValueError("the query admits no free-connex tree decomposition")
     builder = PolymatroidProgram.shared(query.variables, statistics)

@@ -31,7 +31,6 @@ from repro.decompositions.enumerate import enumerate_tree_decompositions
 from repro.decompositions.treedecomp import TreeDecomposition
 from repro.query.cq import ConjunctiveQuery
 from repro.stats.constraints import ConstraintSet
-from repro.utils.varsets import format_varset
 
 
 @dataclass
@@ -40,10 +39,6 @@ class SelectorBound:
 
     selector: tuple[frozenset[str], ...]
     bound: BoundResult
-
-    def describe(self) -> str:
-        bags = " ∨ ".join(format_varset(bag) for bag in self.selector)
-        return f"[{bags}] -> {self.bound.exponent:.4g}"
 
 
 @dataclass
@@ -62,20 +57,13 @@ class SubwResult:
     def size_bound(self, statistics: ConstraintSet) -> float:
         return statistics.size_from_exponent(self.width)
 
-    def describe(self) -> str:
-        lines = [f"subw = {self.width:.4g} over {len(self.decompositions)} decompositions "
-                 f"and {len(self.selector_bounds)} bag selectors"]
-        for entry in self.selector_bounds:
-            lines.append(f"  {entry.describe()}")
-        return "\n".join(lines)
-
 
 def submodular_width(query: ConjunctiveQuery, statistics: ConstraintSet,
-                     decompositions: Sequence[TreeDecomposition] | None = None,
-                     max_variables: int = 9) -> SubwResult:
+                     decompositions: Sequence[TreeDecomposition] | None = None
+                     ) -> SubwResult:
     """Compute ``subw(Q, S)``: one objective per bag selector, one shared region."""
     if decompositions is None:
-        decompositions = enumerate_tree_decompositions(query, max_variables=max_variables)
+        decompositions = enumerate_tree_decompositions(query)
     decompositions = list(decompositions)
     if not decompositions:
         raise ValueError("the query admits no free-connex tree decomposition")
@@ -89,12 +77,12 @@ def submodular_width(query: ConjunctiveQuery, statistics: ConstraintSet,
                       selector_bounds=bounds)
 
 
-def width_gap(query: ConjunctiveQuery, statistics: ConstraintSet,
-              max_variables: int = 9) -> tuple[float, float]:
+def width_gap(query: ConjunctiveQuery, statistics: ConstraintSet
+              ) -> tuple[float, float]:
     """Convenience helper returning ``(subw, fhtw)``; subw <= fhtw always holds."""
     from repro.widths.fhtw import fractional_hypertree_width
 
-    decompositions = enumerate_tree_decompositions(query, max_variables=max_variables)
+    decompositions = enumerate_tree_decompositions(query)
     sub = submodular_width(query, statistics, decompositions=decompositions)
     frac = fractional_hypertree_width(query, statistics, decompositions=decompositions)
     return sub.width, frac.width

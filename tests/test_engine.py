@@ -36,8 +36,8 @@ from repro.query.library import (
     two_path_projected,
 )
 from repro.relational import Relation, WorkCounter
+from repro.relational.storage import STORAGE_STATS
 from repro.stats import collect_statistics, statistics_for_query
-from repro.telemetry.metrics import counter_delta
 
 
 def _renamed_four_cycle() -> ConjunctiveQuery:
@@ -199,6 +199,55 @@ def test_prepare_costs_the_query_exactly_once(four_cycle, monkeypatch):
     assert result.answer.rows == evaluate_bruteforce(four_cycle, database).rows
 
 
+def test_concurrent_misses_on_one_key_build_the_plan_once(four_cycle, s_box,
+                                                          monkeypatch):
+    """A thread that misses the plan cache while another thread builds the
+    same plan waits for that build and reuses it instead of building twice.
+
+    The first thread is held inside the cost estimate until the second has
+    missed the cache, so the two misses always overlap."""
+    import repro.engine.core as engine_core
+    from repro.engine.plan_cache import PlanCache
+
+    building = threading.Event()
+    second_missed = threading.Event()
+    real_estimate = engine_core.estimate_costs
+    real_get = PlanCache.get
+
+    def held_estimate(*args, **kwargs):
+        if threading.current_thread().name == "first":
+            building.set()
+            second_missed.wait(timeout=60)
+        return real_estimate(*args, **kwargs)
+
+    def watched_get(self, key):
+        recipe = real_get(self, key)
+        if recipe is None and threading.current_thread().name == "second":
+            second_missed.set()
+        return recipe
+
+    monkeypatch.setattr(engine_core, "estimate_costs", held_estimate)
+    monkeypatch.setattr(PlanCache, "get", watched_get)
+    engine = Engine(hard_four_cycle_instance(20))
+    plans = {}
+
+    def prepare():
+        name = threading.current_thread().name
+        plans[name] = engine.prepare(four_cycle, statistics=s_box).plan
+
+    first = threading.Thread(target=prepare, name="first")
+    second = threading.Thread(target=prepare, name="second")
+    first.start()
+    assert building.wait(timeout=60)
+    second.start()
+    first.join()
+    second.join()
+    assert second_missed.is_set()
+    assert engine.stats.plans_built == 1
+    assert engine.stats.plans_reused == 1
+    assert plans["first"].fingerprint == plans["second"].fingerprint
+
+
 # ---------------------------------------------------------------------------
 # parity: library x backends x fresh / cached / uncached
 # ---------------------------------------------------------------------------
@@ -251,29 +300,17 @@ def test_engine_parity_across_paths(query, size, domain, backend):
     assert stats.wall_time_seconds > 0
 
 
-def test_prepared_execute_many_over_a_batch(four_cycle):
-    engine = Engine(hard_four_cycle_instance(20))
-    prepared = engine.prepare(four_cycle)
-    batch = [hard_four_cycle_instance(10), hard_four_cycle_instance(16)]
-    results = prepared.execute_many(batch)
-    for database, result in zip(batch, results):
-        assert result.answer.rows == evaluate_bruteforce(four_cycle, database).rows
-    # One plan served the whole batch.
-    assert engine.stats.plans_built == 1
-    assert engine.stats.executions == 2
-
-
-def test_engine_execute_many_reuses_plans(four_cycle):
+def test_engine_repeated_execute_reuses_plans(four_cycle):
     engine = Engine(hard_four_cycle_instance(20, backend="columnar"))
     clear_lp_caches()
-    storage_before = engine.database.cache_stats()
+    storage_before = STORAGE_STATS.snapshot()
     lp_before = LP_STATS.snapshot()
-    results = engine.execute_many([four_cycle] * 3)
+    results = [engine.execute(four_cycle) for _ in range(3)]
     assert engine.stats.plans_built == 1
     assert engine.stats.plans_reused == 2
     assert len({frozenset(result.answer.rows) for result in results}) == 1
     # Serving moved the storage and LP layers' own counters.
-    storage = counter_delta(engine.database.cache_stats(), storage_before)
+    storage = STORAGE_STATS.delta(storage_before)
     assert any(event.endswith("_hits") and count > 0
                for event, count in storage.items())
     assert any(event.endswith("_builds") for event in LP_STATS.delta(lp_before))

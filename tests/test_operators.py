@@ -1,16 +1,6 @@
-"""Unit tests for the free-standing relational operators and the work counter."""
+"""Unit tests for the multi-way join and the work counter."""
 
-import pytest
-
-from repro.relational import (
-    Relation,
-    WorkCounter,
-    cartesian_product,
-    join_all,
-    project,
-    semijoin_reduce,
-    union_all,
-)
+from repro.relational import Relation, WorkCounter, join_all
 
 
 def test_join_all_and_counter():
@@ -39,90 +29,3 @@ def test_work_counter_merge():
     assert first.max_intermediate == 3
     assert len(first.notes) == 2
 
-
-def test_project_keeps_relation_order():
-    r = Relation("R", ("a", "b", "c"), [(1, 2, 3)])
-    assert project(r, ["c", "a"]).columns == ("a", "c")
-
-
-def test_semijoin_reduce_reaches_consistency():
-    r = Relation("R", ("x", "y"), [(1, "a"), (2, "b"), (3, "c")])
-    s = Relation("S", ("y", "z"), [("a", 10), ("b", 20)])
-    t = Relation("T", ("z", "w"), [(10, "w1")])
-    reduced = semijoin_reduce([r, s, t])
-    assert reduced[0].rows == frozenset({(1, "a")})
-    assert reduced[1].rows == frozenset({("a", 10)})
-    assert reduced[2].rows == frozenset({(10, "w1")})
-
-
-def test_project_rejects_missing_columns_up_front():
-    r = Relation("R", ("a", "b"), [(1, 2)])
-    with pytest.raises(KeyError) as excinfo:
-        project(r, ["a", "zz", "ww"])
-    message = str(excinfo.value)
-    assert "'R'" in message
-    assert "zz" in message and "ww" in message
-
-
-def _all_pairs_semijoin_reduce(relations):
-    """The original O(n²)-per-pass reference fixpoint, for comparison."""
-    current = [relation.copy() for relation in relations]
-    changed = True
-    while changed:
-        changed = False
-        for i, left in enumerate(current):
-            for j, right in enumerate(current):
-                if i == j or not (left.column_set & right.column_set):
-                    continue
-                reduced = left.semijoin(right)
-                if len(reduced) < len(left):
-                    current[i] = reduced
-                    left = reduced
-                    changed = True
-    return current
-
-
-def test_semijoin_reduce_worklist_matches_all_pairs_fixpoint():
-    """The worklist version reaches the same fixpoint as the all-pairs loop.
-
-    The chain is built so that the emptiness of the last relation has to
-    propagate all the way back to the first one through several rounds.
-    """
-    import random
-
-    rng = random.Random(5)
-    relations = []
-    for index in range(5):
-        rows = [(rng.randrange(8), rng.randrange(8)) for _ in range(20)]
-        relations.append(Relation(f"R{index}", (f"x{index}", f"x{index + 1}"), rows))
-    # A cycle-closing relation adds a second propagation path.
-    relations.append(Relation("C", ("x5", "x0"),
-                              [(rng.randrange(8), rng.randrange(8))
-                               for _ in range(6)]))
-    expected = _all_pairs_semijoin_reduce(relations)
-    actual = semijoin_reduce(relations)
-    assert [rel.rows for rel in actual] == [rel.rows for rel in expected]
-    # Degenerate chains: an empty relation empties every connected neighbour.
-    chain = [
-        Relation("A", ("x", "y"), [(1, 2), (2, 3)]),
-        Relation("B", ("y", "z"), [(2, 5), (3, 6)]),
-        Relation("D", ("z", "w"), []),
-    ]
-    drained = semijoin_reduce(chain)
-    assert all(len(rel) == 0 for rel in drained)
-
-
-def test_cartesian_product_requires_disjoint_schemas():
-    a = Relation("A", ("x",), [(1,), (2,)])
-    b = Relation("B", ("y",), [(10,), (20,)])
-    product = cartesian_product(a, b)
-    assert len(product) == 4
-    with pytest.raises(ValueError):
-        cartesian_product(a, Relation("C", ("x",), [(3,)]))
-
-
-def test_union_all_projects_to_common_columns():
-    a = Relation("A", ("x", "y"), [(1, 2)])
-    b = Relation("B", ("y", "x"), [(4, 3)])
-    merged = union_all([a, b], columns=("x", "y"))
-    assert merged.rows == frozenset({(1, 2), (3, 4)})

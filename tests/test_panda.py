@@ -18,10 +18,11 @@ from repro.panda import (
     evaluate_ddr,
 )
 from repro.panda.executor import PandaExecutionError
-from repro.query import four_cycle_boolean, four_cycle_projected, triangle_query
+from repro.optimizer import PlanKind, realize_plan
+from repro.query import four_cycle_boolean, four_cycle_projected, parse_query, triangle_query
 from repro.relational import Database, Relation, kernels
 from repro.relational.kernels import KERNEL_STATS, kernel_stats
-from repro.stats import collect_statistics, statistics_for_query
+from repro.stats import collect_statistics, statistics_for_query, validate
 from repro.utils.varsets import varset
 
 
@@ -319,3 +320,34 @@ def test_adaptive_regression_threshold_above_true_one_over_b(four_cycle):
     # Every bag of some decomposition must cover the body tuple (0,0,0,0).
     assert any(all(report.bag_sizes[bag] >= 1 for bag in decomposition.bags)
                for decomposition in report.decompositions)
+
+
+def _self_join_instance(backend):
+    """``R`` twice over one variable set, in both column orders."""
+    query = parse_query("Q(A, B, C) :- R(A, B), S(B, C, D), R(B, A)")
+    database = Database([
+        Relation("R", ("a", "b"), [(0, 4), (1, 1), (3, 1)], backend=backend),
+        Relation("S", ("a", "b", "c"), [(1, 1, 2), (1, 1, 3), (1, 3, 3)],
+                 backend=backend),
+    ])
+    return query, database
+
+
+@pytest.mark.parametrize("backend", ["set", "columnar"])
+def test_adaptive_panda_binds_each_statistic_to_its_own_self_join_atom(backend):
+    """``deg(A | B) <= 1`` holds on ``R(B, A)`` but not on ``R(A, B)``: the
+    measure built from it must read the atom it was measured on, or
+    truncation at ``1/B`` drops the answers."""
+    query, database = _self_join_instance(backend)
+    truth = evaluate_bruteforce(query, database)
+    assert truth.rows == frozenset({(1, 1, 1), (1, 1, 3)})
+    statistics = collect_statistics(database, query)
+    chosen = realize_plan(PlanKind.ADAPTIVE_PANDA, query, statistics,
+                          reason="forced")
+    assert chosen.execute(database).answer.rows == truth.rows
+
+
+@pytest.mark.parametrize("backend", ["set", "columnar"])
+def test_measured_self_join_statistics_validate_on_their_database(backend):
+    query, database = _self_join_instance(backend)
+    assert validate(database, query, collect_statistics(database, query)) == []

@@ -154,6 +154,55 @@ def test_create_tenant_rejects_an_unknown_executor():
     assert "acme" not in service.registry
 
 
+@pytest.mark.parametrize("engine, field", [
+    (5, "'engine'"),
+    ({"plan_cache_size": "abc"}, "'plan_cache_size'"),
+    ({"plan_cache_size": 0}, "'plan_cache_size'"),
+    ({"plan_cache_size": True}, "'plan_cache_size'"),
+    ({"max_variables": "x"}, "['max_variables']"),
+    ({"max_variables": 9}, "['max_variables']"),
+    ({"measure_degrees": "yes"}, "'measure_degrees'"),
+])
+def test_create_tenant_checks_engine_options(engine, field):
+    """An ill-typed or unknown engine option is a 400 naming it: never a 500
+    from deep inside the engine, and never a tenant created anyway."""
+    database = random_graph_database(triangle_query(), size=20, domain=6,
+                                     seed=5)
+    request = dict(_tenant_payload("acme", database), op="create_tenant",
+                   engine=engine)
+
+    async def main():
+        service = QueryService(ServiceConfig())
+        response = await service.handle(request)
+        await service.shutdown()
+        return service, response
+
+    service, response = asyncio.run(main())
+    assert not response["ok"]
+    assert response["error"]["code"] == "bad-request"
+    assert field in response["error"]["message"]
+    assert "acme" not in service.registry
+
+
+def test_create_tenant_applies_checked_engine_options():
+    database = random_graph_database(triangle_query(), size=20, domain=6,
+                                     seed=5)
+    request = dict(_tenant_payload("acme", database), op="create_tenant",
+                   engine={"plan_cache_size": "4", "measure_degrees": True})
+
+    async def main():
+        service = QueryService(ServiceConfig())
+        response = await service.handle(request)
+        engine = service.registry.get("acme").engine
+        await service.shutdown()
+        return response, engine
+
+    response, engine = asyncio.run(main())
+    assert response["ok"]
+    assert engine.plan_cache._entries.capacity == 4
+    assert engine.measure_degrees is True
+
+
 def test_malformed_request_numbers_are_bad_requests():
     """Offsets, page sizes and timeouts are checked where a request enters:
     a malformed one is a 400 naming the field, never a 500 after the query
