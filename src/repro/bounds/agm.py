@@ -44,15 +44,17 @@ class EdgeCoverResult:
 def _atom_sizes(query: ConjunctiveQuery, statistics: ConstraintSet) -> dict[int, float]:
     """The cardinality bound of each atom, from the statistics.
 
-    An atom picks up the smallest cardinality constraint over exactly its
-    variables that speaks about it (:func:`~repro.stats.constraints.guarding_atoms`).
+    An atom picks up the smallest cardinality constraint that covers all of
+    its variables and is either unguarded or guards that atom
+    (:func:`~repro.stats.constraints.guarding_atoms`).
     """
     sizes: dict[int, float] = {}
     cardinalities = [(constraint, guarding_atoms(query, constraint))
                      for constraint in statistics.cardinality_constraints()]
     for index, atom in enumerate(query.atoms):
         candidates = [constraint.bound for constraint, atoms in cardinalities
-                      if constraint.target == atom.varset and atom in atoms]
+                      if atom.varset <= constraint.target
+                      and (constraint.guard is None or atom in atoms)]
         if not candidates:
             raise ValueError(
                 f"no cardinality constraint covers atom {atom}; "

@@ -305,8 +305,16 @@ class Engine:
         # Single flight: a miss builds under the engine's plan lock, and a
         # thread that missed while another was building re-reads the cache
         # once it gets the lock instead of building the same plan again.
+        # The lock is per engine, so misses on different keys wait for each
+        # other too. ``engine.plan_wait`` times the wait plus the re-read;
+        # its ``hit`` says whether the waiter reused the other thread's plan.
+        wait_span = tracer.span("engine.plan_wait", {"query": query.name})
         with self._plan_lock:
-            cached = self._cached_plan(key, query, statistics, renaming)
+            cached = None
+            try:
+                cached = self._cached_plan(key, query, statistics, renaming)
+            finally:
+                wait_span.finish(hit=cached is not None)
             if cached is not None:
                 return cached
             with tracer.span("engine.lp_solve",

@@ -114,7 +114,7 @@ def _memo(backend, key, build):
     of a backend's stored rows (plus the target dictionaries' ``uid``s baked
     into ``key``), so they are cached like the backends' dictionaries — until
     the next mutation — and repeated evaluations only pay the probes.
-    Build/hit counters flow through the backend's ``stats`` like every other
+    Build/hit counters go to ``STORAGE_STATS`` like every other
     index counter.  ``None`` results (pack overflow) are not cached; those
     callers fall back anyway.
     """

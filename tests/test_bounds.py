@@ -79,6 +79,12 @@ def test_agm_bound_requires_sizes_for_every_atom():
         agm_bound(query, stats)
 
 
+def test_agm_bound_sizes_atoms_from_an_unguarded_constraint_over_more_variables():
+    stats = ConstraintSet(base=100)
+    stats.add_cardinality("XYZ", 100)
+    assert agm_bound(triangle_query(), stats).exponent == pytest.approx(1.5, abs=1e-6)
+
+
 def test_agm_matches_polymatroid_for_cardinality_only_statistics():
     """With only cardinality constraints the polymatroid bound collapses to AGM."""
     for query in (triangle_query(), four_cycle_full(), loomis_whitney_query(3)):

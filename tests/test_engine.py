@@ -38,6 +38,7 @@ from repro.query.library import (
 from repro.relational import Relation, WorkCounter
 from repro.relational.storage import STORAGE_STATS
 from repro.stats import collect_statistics, statistics_for_query
+from repro.telemetry import get_tracer
 
 
 def _renamed_four_cycle() -> ConjunctiveQuery:
@@ -230,10 +231,13 @@ def test_concurrent_misses_on_one_key_build_the_plan_once(four_cycle, s_box,
     monkeypatch.setattr(PlanCache, "get", watched_get)
     engine = Engine(hard_four_cycle_instance(20))
     plans = {}
+    traces = {}
 
     def prepare():
         name = threading.current_thread().name
-        plans[name] = engine.prepare(four_cycle, statistics=s_box).plan
+        with get_tracer().span("test.prepare") as root:
+            traces[name] = root.trace_id
+            plans[name] = engine.prepare(four_cycle, statistics=s_box).plan
 
     first = threading.Thread(target=prepare, name="first")
     second = threading.Thread(target=prepare, name="second")
@@ -245,6 +249,13 @@ def test_concurrent_misses_on_one_key_build_the_plan_once(four_cycle, s_box,
     assert second_missed.is_set()
     assert engine.stats.plans_built == 1
     assert engine.stats.plans_reused == 1
+    # Each thread's trace records its wait for the plan lock, and whether
+    # it reused the plan built while it waited.
+    waits = {name: [span["attrs"]["hit"]
+                    for span in get_tracer().export_trace(trace)["spans"]
+                    if span["name"] == "engine.plan_wait"]
+             for name, trace in traces.items()}
+    assert waits == {"first": [False], "second": [True]}
     assert plans["first"].fingerprint == plans["second"].fingerprint
 
 
