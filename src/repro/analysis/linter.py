@@ -2,9 +2,9 @@
 
 The runtime never re-checks the invariants its correctness rests on — that a
 shared counter is only moved under its lock, that an ``async def`` never
-blocks the event loop, that a backend mutation clears the memos derived from
-it.  This module is the *framework* half of enforcing them statically: it
-parses each source file once, hands the tree to every registered
+blocks the event loop, that a database change bumps the revision its caches
+are validated by.  This module is the *framework* half of enforcing them
+statically: it parses each source file once, hands the tree to every registered
 :class:`LintRule` (the repo-specific rules live in
 :mod:`repro.analysis.rules`) and reconciles the findings with justified
 inline suppressions.

@@ -11,11 +11,10 @@ Every rule here is a post-mortem turned executable:
   loop; a single blocking call (``time.sleep``, sync sockets, subprocess,
   file IO) inside an ``async def`` stalls *all* tenants, which no test
   notices at small scale.
-* **REP103** — the columnar backends memoize indexes/kernel tables and the
-  engine validates prepared queries against ``Database.revision``; a
-  mutation path that forgets to clear memos or bump the revision serves
-  answers from a stale index.  (PR 1/PR 5 built the memo layers; the engine's
-  revision-validated prepared queries came in PR 4.)
+* **REP103** — relations are immutable, so ``Database.revision`` is the one
+  signal that invalidates the engine's statistics memo and prepared
+  queries; a ``Database`` mutation path that forgets to bump it serves
+  answers planned against the old contents.
 * **REP105** — cooperative cancellation (PR 6) only works if every unbounded
   loop in the evaluation algorithms consults ``WorkCounter.check()``; a loop
   that forgets makes deadline overshoot unbounded.
@@ -213,83 +212,39 @@ def _writes_attribute(method: ast.FunctionDef, attribute: str) -> bool:
     return False
 
 
-def _calls_method(method: ast.FunctionDef, name: str) -> bool:
-    for node in ast.walk(method):
-        if isinstance(node, ast.Call) and \
-                _self_attribute(node.func) == name:
-            return True
-    return False
-
-
-_INVALIDATION_EXEMPT = frozenset({"_invalidate", "share",
-                                  "__getstate__", "__setstate__"}
-                                 | _SETUP_FUNCTIONS)
-
-
 def _check_cache_invalidation(context: ModuleContext) -> list[Finding]:
     findings: list[Finding] = []
     for klass in ast.walk(context.tree):
-        if not isinstance(klass, ast.ClassDef):
+        # Relations are immutable, so Database mutation paths are the only
+        # change there is: each must bump the revision counter that the
+        # statistics memo and prepared-query validation read.
+        if not (isinstance(klass, ast.ClassDef) and klass.name == "Database"):
             continue
-        methods = {node.name: node for node in klass.body
-                   if isinstance(node, ast.FunctionDef)}
-        # Backend discipline: a class with an `_invalidate` memo-clearer must
-        # call it from every method that mutates non-memo (source) state.
-        invalidate = methods.get("_invalidate")
-        if invalidate is not None:
-            memo_attrs = {attr for _, attr in _method_mutations(invalidate)}
-            for node in ast.walk(invalidate):
-                if isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = node.targets if isinstance(node, ast.Assign) \
-                        else [node.target]
-                    for target in targets:
-                        attr = _self_attribute(target)
-                        if attr is not None:
-                            memo_attrs.add(attr)
-            for name, method in methods.items():
-                if name in _INVALIDATION_EXEMPT:
-                    continue
-                source_mutations = [
-                    (node, attr) for node, attr in _method_mutations(method)
-                    if attr not in memo_attrs]
-                if source_mutations and not _calls_method(method, "_invalidate"):
-                    node, attr = source_mutations[0]
-                    findings.append(REP103.finding(
-                        context, node,
-                        f"{klass.name}.{name} mutates source state "
-                        f"`self.{attr}` without calling self._invalidate(): "
-                        "memoized indexes/kernel tables keep serving the "
-                        "pre-mutation data"))
-        # Engine discipline: Database mutation paths must bump the revision
-        # counter that prepared-query validation reads.
-        if klass.name == "Database":
-            for name, method in methods.items():
-                if name in _SETUP_FUNCTIONS:
-                    continue
-                relation_mutations = [
-                    (node, attr) for node, attr in _method_mutations(method)
-                    if attr == "_relations"]
-                if relation_mutations and \
-                        not _writes_attribute(method, "_revision"):
-                    node, _ = relation_mutations[0]
-                    findings.append(REP103.finding(
-                        context, node,
-                        f"Database.{name} mutates self._relations without "
-                        "bumping self._revision: prepared queries keep "
-                        "serving plans validated against the old contents",
-                        hint="increment `self._revision` on every mutation "
-                             "path so PreparedQuery._refresh re-resolves"))
+        for method in klass.body:
+            if not isinstance(method, ast.FunctionDef) or \
+                    method.name in _SETUP_FUNCTIONS:
+                continue
+            relation_mutations = [
+                (node, attr) for node, attr in _method_mutations(method)
+                if attr == "_relations"]
+            if relation_mutations and \
+                    not _writes_attribute(method, "_revision"):
+                node, _ = relation_mutations[0]
+                findings.append(REP103.finding(
+                    context, node,
+                    f"Database.{method.name} mutates self._relations without "
+                    "bumping self._revision: prepared queries keep "
+                    "serving plans validated against the old contents"))
     return findings
 
 
 REP103 = register_rule(LintRule(
     id="REP103",
     name="cache-invalidation-discipline",
-    summary="backend mutation paths must clear kernel/index memos "
-            "(self._invalidate()) and Database mutations must bump "
-            "self._revision",
-    hint="call `self._invalidate()` after mutating backend source state; "
-         "memo attributes are exactly those cleared inside _invalidate",
+    summary="Database mutations must bump self._revision, the one "
+            "cache-invalidation signal",
+    hint="increment `self._revision` on every mutation path so the "
+         "statistics memo and PreparedQuery._refresh re-resolve",
     history="the PR 1/PR 5 memo layers and PR 4's revision-validated "
             "prepared queries: a forgotten invalidation serves stale indexes",
     check=_check_cache_invalidation,

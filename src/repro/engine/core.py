@@ -10,8 +10,9 @@ adaptive-PANDA per query; PRs 1–3 gave the storage and LP layers caches.  The
   alpha-renamed) queries skip width computation, LP solving and TD
   enumeration entirely; concurrent misses on one key build the plan once;
 * **measured-statistics memoization** validated by the database's revision
-  counter and backend identities, so ``prepare(query)`` with no explicit
-  statistics re-measures only after the data actually changed;
+  counter (relations are immutable, so :meth:`Database.add` is the only
+  change), so ``prepare(query)`` with no explicit statistics re-measures
+  only after the data actually changed;
 * **prepared queries** (:meth:`Engine.prepare`) whose ``execute``
   re-validates against the database revision and re-resolves transparently
   on staleness;
@@ -138,7 +139,6 @@ class PreparedQuery:
     plan: QueryPlan
     _explicit_statistics: bool
     _revision: int
-    _snapshot: tuple
 
     def execute(self, cancellation: CancellationToken | None = None
                 ) -> ExecutionResult:
@@ -148,15 +148,13 @@ class PreparedQuery:
     def _refresh(self) -> None:
         """Re-resolve statistics and plan if the engine database moved on."""
         engine = self.engine
-        if (engine.database.revision == self._revision
-                and engine.database.backend_snapshot() == self._snapshot):
+        if engine.database.revision == self._revision:
             return
         engine.stats.bump(invalidations=1)
         if not self._explicit_statistics:
             self.statistics = engine.measured_statistics(self.query)
         self.plan = engine._resolve_plan(self.query, self.statistics)
         self._revision = engine.database.revision
-        self._snapshot = engine.database.backend_snapshot()
 
 
 class Engine:
@@ -180,9 +178,8 @@ class Engine:
         self.measure_degrees = measure_degrees
         self.plan_cache = PlanCache(plan_cache_size)
         self.stats = EngineStats()
-        # LRU-bounded like the plan cache: an unbounded memo would pin one
-        # backend snapshot per query shape ever seen — including superseded
-        # backends and their memoized encodings — for the engine's lifetime.
+        # LRU-bounded like the plan cache: an unbounded memo would keep one
+        # statistics set per query shape ever seen for the engine's lifetime.
         self._stats_memo: LruDict = LruDict(plan_cache_size)
         self._plan_lock = threading.Lock()
 
@@ -190,15 +187,13 @@ class Engine:
     def measured_statistics(self, query: ConjunctiveQuery) -> ConstraintSet:
         """Statistics measured on the engine's database, memoized per query.
 
-        Entries are validated by the database revision *and* the stored
-        relations' backend identities, so both :meth:`Database.add` and
-        copy-on-write row mutation invalidate them.
+        Entries are validated by the database revision, so
+        :meth:`Database.add` invalidates them.
         """
         memo = self._stats_memo.get(query)
-        snapshot = self.database.backend_snapshot()
         if memo is not None:
-            revision, seen_snapshot, statistics = memo
-            if revision == self.database.revision and seen_snapshot == snapshot:
+            revision, statistics = memo
+            if revision == self.database.revision:
                 self.stats.bump(statistics_reused=1)
                 return statistics
         with get_tracer().span("engine.statistics",
@@ -206,7 +201,7 @@ class Engine:
                                 "degrees": self.measure_degrees}):
             statistics = collect_statistics(
                 self.database, query, include_degrees=self.measure_degrees)
-        self._stats_memo.put(query, (self.database.revision, snapshot, statistics))
+        self._stats_memo.put(query, (self.database.revision, statistics))
         self.stats.bump(statistics_measured=1)
         return statistics
 
@@ -221,8 +216,7 @@ class Engine:
         return PreparedQuery(engine=self, query=query, statistics=statistics,
                              plan=chosen,
                              _explicit_statistics=explicit,
-                             _revision=self.database.revision,
-                             _snapshot=self.database.backend_snapshot())
+                             _revision=self.database.revision)
 
     def execute(self, query: ConjunctiveQuery,
                 statistics: ConstraintSet | None = None,

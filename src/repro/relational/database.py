@@ -9,9 +9,9 @@ The database is also the engine-level cache boundary: atom bindings are
 memoized (a bound atom is a rename, which shares the stored relation's
 storage backend), so every consumer of the same atom — statistics collection,
 PANDA partitioning, the join algorithms — hits the same backend and therefore
-the same memoized encodings.  Cache entries are validated by backend identity and
-drop out automatically when a relation is replaced or mutated (copy-on-write
-forks change the backend object).
+the same memoized encodings.  Relations are immutable, so the only way to
+change what a database holds is :meth:`Database.add`, which drops the
+replaced name's cache entries and bumps :attr:`Database.revision`.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ class Database:
                  backend: str | None = None) -> None:
         self._relations: dict[str, Relation] = {}
         self._backend_kind = backend
-        self._bind_cache: dict[tuple, tuple[Relation, object]] = {}
-        self._annotated_cache: dict[tuple, tuple] = {}
+        self._bind_cache: dict[tuple, Relation] = {}
+        self._annotated_cache: dict[tuple, object] = {}
         self._revision = 0
         if isinstance(relations, Mapping):
             for name, relation in relations.items():
@@ -48,25 +48,12 @@ class Database:
     def revision(self) -> int:
         """A counter bumped whenever a relation is registered or replaced.
 
-        The engine keys its measured-statistics memo and prepared-query
-        validity on it: a prepared plan observed at revision ``r`` is
+        Relations are immutable, so this is the one invalidation signal: the
+        engine keys its measured-statistics memo and prepared-query validity
+        on it, and a prepared plan observed at revision ``r`` is
         transparently re-resolved once the database moves past ``r``.
-        (Facade-level row mutation forks the relation's backend instead of
-        going through :meth:`add`; consumers that need to see those too
-        should also compare :meth:`backend_snapshot`.)
         """
         return self._revision
-
-    def backend_snapshot(self) -> tuple[tuple[str, object], ...]:
-        """``(name, backend object)`` pairs, for identity-based cache validation.
-
-        Copy-on-write mutation replaces a relation's backend object, so a
-        snapshot captured alongside a derived result (memoized statistics, a
-        prepared query) stays valid exactly as long as every stored relation
-        still carries the same backend.
-        """
-        return tuple((name, self._relations[name]._backend)
-                     for name in self.relation_names())
 
     def add(self, relation: Relation, name: str | None = None) -> None:
         """Register a relation under ``name`` (defaults to the relation's name)."""
@@ -112,21 +99,15 @@ class Database:
 
         Binding is positional: the i-th column of the stored relation becomes
         the i-th variable of the atom.  Bindings are memoized per
-        ``(relation, variables)`` pair; the bound facade shares the stored
-        relation's backend, so its memoized encodings are shared across every
-        query that binds the same atom.
+        ``(relation, variables)`` pair and the cached facade itself is
+        returned; it shares the stored relation's backend, so its memoized
+        encodings are shared across every query that binds the same atom.
         """
-        relation = self[atom.relation]
         cache_key = (atom.relation, tuple(atom.variables))
         cached = self._bind_cache.get(cache_key)
         if cached is not None:
-            bound, stored_backend = cached
-            if relation._backend is stored_backend:
-                # Hand out a fresh facade sharing the cached backend: callers
-                # get independent snapshot semantics (mutating one bound
-                # relation forks only that facade) while memoized encodings
-                # stay shared.
-                return bound.copy(bound.name)
+            return cached
+        relation = self[atom.relation]
         if len(relation.columns) != len(atom.variables):
             raise ValueError(
                 f"atom {atom} has arity {len(atom.variables)} but relation "
@@ -134,8 +115,8 @@ class Database:
             )
         mapping = dict(zip(relation.columns, atom.variables))
         bound = relation.rename(mapping, name=str(atom))
-        self._bind_cache[cache_key] = (bound, relation._backend)
-        return bound.copy(bound.name)
+        self._bind_cache[cache_key] = bound
+        return bound
 
     def bind_query(self, query: ConjunctiveQuery) -> list[Relation]:
         """Bind every atom of ``query``, in atom order."""
@@ -152,13 +133,11 @@ class Database:
         reference engine faithfully keeps the seed's rebuild-per-run costs)
         and the annotation is reproducible: the default ``one`` annotation
         (``weight is None``) or a ``weight`` function the caller names with a
-        stable ``weight_key``.  Cache entries are validated by the stored
-        relation's backend identity, exactly like :meth:`bind_atom`, so
-        copy-on-write mutation drops them automatically.
+        stable ``weight_key``.  Like :meth:`bind_atom`'s, the entries drop out
+        when :meth:`add` replaces the relation.
         """
         from repro.relational.semiring import AnnotatedRelation
 
-        relation = self[atom.relation]
         cache_key = None
         # A falsy weight_key (None, "") means "unnamed weight function" — two
         # different unnamed functions must never share a cache slot.
@@ -167,16 +146,11 @@ class Database:
                          None if weight is None else weight_key)
             cached = self._annotated_cache.get(cache_key)
             if cached is not None:
-                annotated, stored_backend = cached
-                if relation._backend is stored_backend:
-                    return annotated
+                return cached
         annotated = AnnotatedRelation.from_relation(self.bind_atom(atom),
                                                     semiring, weight=weight)
         if cache_key is not None and annotated._backend.supports_kernels:
-            # Annotated relations are immutable through their facade API, so
-            # the cache can hand out the same facade (and its warm indexes).
-            annotated._backend.share()
-            self._annotated_cache[cache_key] = (annotated, relation._backend)
+            self._annotated_cache[cache_key] = annotated
         return annotated
 
     def restrict_to_query(self, query: ConjunctiveQuery) -> "Database":
@@ -186,8 +160,7 @@ class Database:
                         backend=self._backend_kind)
 
     def copy(self) -> "Database":
-        return Database({name: rel.copy() for name, rel in self._relations.items()},
-                        backend=self._backend_kind)
+        return Database(self._relations, backend=self._backend_kind)
 
     def summary(self) -> dict[str, int]:
         """Relation sizes, for display and logging."""

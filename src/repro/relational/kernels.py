@@ -5,7 +5,7 @@ NumPy over their dictionary-encoded ``int64`` code arrays (see
 :class:`~repro.relational.storage.ColumnDictionary`):
 
 * **encode** — each base column is dictionary-encoded once (cached on the
-  backend and shared copy-on-write with it) into a
+  immutable backend, so every facade sharing it reuses the encoding) into a
   :class:`~repro.relational.storage.CodeTable`; codes of one side are
   translated into the other side's code space through a table memoized on
   the code table, so equality of codes is equality of values;
@@ -112,8 +112,8 @@ def _memo(backend, key, build):
 
     Packed key arrays, sort permutations and member bitmaps are pure functions
     of a backend's stored rows (plus the target dictionaries' ``uid``s baked
-    into ``key``), so they are cached like the backends' dictionaries — until
-    the next mutation — and repeated evaluations only pay the probes.
+    into ``key``), so they are cached like the backends' dictionaries — for
+    the backend's lifetime — and repeated evaluations only pay the probes.
     Build/hit counters go to ``STORAGE_STATS`` like every other
     index counter.  ``None`` results (pack overflow) are not cached; those
     callers fall back anyway.

@@ -10,10 +10,10 @@ Physical storage is delegated to a pluggable
 :class:`~repro.relational.storage.StorageBackend` (see that module for the
 set-of-tuples reference backend and the kernel-backed columnar backend), and
 the backend alone decides whether an operator runs as a vectorized kernel or
-as the tuple-at-a-time reference.  The facade shares backends structurally:
-``rename``/``copy`` and no-op algebra results reuse the same backend object,
-so an encoding built once is hit again by every later consumer.  Sharing is
-made safe by copy-on-write: mutating a shared backend forks it first.
+as the tuple-at-a-time reference.  A relation is immutable once built, so
+the facade shares backends structurally: ``rename``/``copy`` and no-op
+algebra results reuse the same backend object, and an encoding built once is
+hit again by every later consumer.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class Relation:
             return NotImplemented
         return self.columns == other.columns and self._backend.row_set() == other._backend.row_set()
 
-    def __hash__(self) -> int:  # pragma: no cover - relations are mutable-ish
+    def __hash__(self) -> int:  # pragma: no cover - equality is by rows, not cheap to hash
         raise TypeError("Relation objects are not hashable")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -137,49 +137,28 @@ class Relation:
         except ValueError as exc:
             raise KeyError(f"relation {self.name!r} has no column {column!r}") from exc
 
-    def add(self, row: tuple) -> None:
-        """Insert one row (idempotent under set semantics).
-
-        Mutation is copy-on-write: when the backend is structurally shared
-        with another facade (via :meth:`copy`, :meth:`rename` or a cached
-        bind), it is forked first so the other facade keeps its snapshot.
-        """
-        row = tuple(row)
-        if len(row) != len(self.columns):
-            raise ValueError(
-                f"row {row!r} does not match the arity of relation {self.name!r}"
-            )
-        if self._backend.shared:
-            self._backend = self._backend.fork()
-        self._backend.add(row)
-
     def copy(self, name: str | None = None) -> "Relation":
-        return Relation._from_backend(name or self.name, self.columns,
-                                      self._backend.share())
+        return Relation._from_backend(name or self.name, self.columns, self._backend)
 
     # --------------------------------------------------------------- algebra
     def rename(self, mapping: Mapping[str, str], name: str | None = None) -> "Relation":
         """Rename columns according to ``mapping`` (missing columns unchanged).
 
-        The result shares this relation's backend (copy-on-write), so
-        encodings built against either facade serve both.
+        The result shares this relation's backend, so encodings built
+        against either facade serve both.
         """
         new_columns = tuple(mapping.get(column, column) for column in self.columns)
         if len(set(new_columns)) != len(new_columns):
             raise ValueError(
                 f"relation {self.name!r} has duplicate column names: {new_columns}")
-        return Relation._from_backend(name or self.name, new_columns,
-                                      self._backend.share())
+        return Relation._from_backend(name or self.name, new_columns, self._backend)
 
     def project(self, columns: Sequence[str], name: str | None = None) -> "Relation":
         """Project (with duplicate elimination) onto ``columns``."""
         indices = tuple(self.column_index(column) for column in columns)
-        if indices == tuple(range(len(self.columns))):
-            return Relation._from_backend(name or f"π({self.name})",
-                                          tuple(columns), self._backend.share())
-        projected = self._backend.project_backend(indices)
-        return Relation._from_backend(name or f"π({self.name})", tuple(columns),
-                                      projected.share())
+        backend = (self._backend if indices == tuple(range(len(self.columns)))
+                   else self._backend.project_backend(indices))
+        return Relation._from_backend(name or f"π({self.name})", tuple(columns), backend)
 
     def select(self, predicate: Callable[[dict], bool],
                name: str | None = None) -> "Relation":

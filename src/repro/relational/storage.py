@@ -17,16 +17,13 @@ is the only thing that selects its code path:
   lazily realised dictionary-encoded columns.  Its operators run as the
   vectorized kernels of :mod:`repro.relational.kernels`, whose outputs
   (dictionaries, packed keys, sort permutations, distinct projections) are
-  memoized until the next mutation.  Where a kernel declines (say, a packed
-  key space past its limit), the operator falls back to the same uncached
-  reference algorithm the set backend runs.
+  memoized for the backend's lifetime.  Where a kernel declines (say, a
+  packed key space past its limit), the operator falls back to the same
+  uncached reference algorithm the set backend runs.
 
-Backends are shared *structurally* between facades: renaming or copying a
-relation reuses the same backend (so encodings built while collecting
-statistics are also hit by the executor).  Mutation goes through
-copy-on-write — a facade that wants to ``add`` a row to a shared backend
-forks it first — so sharing is never observable through the ``Relation``
-API.
+A backend is immutable once built, so it is shared *structurally* between
+facades: renaming or copying a relation reuses the same backend (so
+encodings built while collecting statistics are also hit by the executor).
 
 The same split exists for *annotated* (weighted) relations: the
 :class:`AnnotatedBackend` interface maps duplicate-free rows to semiring
@@ -80,15 +77,6 @@ class StorageBackend:
     #: suites always have an untouched semantics reference.
     supports_kernels: bool = False
 
-    def __init__(self) -> None:
-        self.shared = False
-
-    # -- bookkeeping ---------------------------------------------------------
-    def share(self) -> "StorageBackend":
-        """Mark this backend as structurally shared and return it."""
-        self.shared = True
-        return self
-
     def _count(self, event: str) -> None:
         STORAGE_STATS.add(event)
 
@@ -103,14 +91,6 @@ class StorageBackend:
         raise NotImplementedError
 
     def contains(self, row: tuple) -> bool:
-        raise NotImplementedError
-
-    def add(self, row: tuple) -> None:
-        """Insert one row (idempotent) and invalidate every cache."""
-        raise NotImplementedError
-
-    def fork(self) -> "StorageBackend":
-        """An independent, unshared copy (for copy-on-write mutation)."""
         raise NotImplementedError
 
     def spawn(self, rows: Iterable[tuple], assume_unique: bool = False) -> "StorageBackend":
@@ -208,8 +188,7 @@ class SetBackend(StorageBackend):
     kind = "set"
 
     def __init__(self, rows: Iterable[tuple] = (), assume_unique: bool = False) -> None:
-        super().__init__()
-        self._rows: set[tuple] = set(rows)
+        self._rows: frozenset[tuple] = frozenset(rows)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -218,16 +197,10 @@ class SetBackend(StorageBackend):
         return iter(self._rows)
 
     def row_set(self) -> frozenset[tuple]:
-        return frozenset(self._rows)
+        return self._rows
 
     def contains(self, row: tuple) -> bool:
         return row in self._rows
-
-    def add(self, row: tuple) -> None:
-        self._rows.add(row)
-
-    def fork(self) -> "SetBackend":
-        return SetBackend(self._rows)
 
 
 _table_uids = itertools.count()
@@ -384,7 +357,7 @@ class ColumnarBackend(StorageBackend):
     dictionary-encoded columns are realised lazily, per column, on first use
     by a kernel, so short-lived intermediate relations never pay the
     encoding cost.  The dictionaries, the kernels' memos and the distinct
-    projections are kept until the next mutation; the tuple-at-a-time
+    projections are kept for the backend's lifetime; the tuple-at-a-time
     access structures a declining kernel falls back to are the base class's
     uncached reference algorithm.
     """
@@ -393,19 +366,8 @@ class ColumnarBackend(StorageBackend):
     supports_kernels = True
 
     def __init__(self, rows: Iterable[tuple] = (), assume_unique: bool = False) -> None:
-        super().__init__()
-        if assume_unique:
-            self._rows: list[tuple] | None = list(rows)
-            self._rowset: set[tuple] | None = None
-        else:
-            seen: set[tuple] = set()
-            unique: list[tuple] = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    unique.append(row)
-            self._rows = unique
-            self._rowset = seen
+        self._rows: list[tuple] | None = (
+            list(rows) if assume_unique else list(dict.fromkeys(rows)))
         self._length = len(self._rows)
         #: Encoded-only state: ``(code tables, int64 code arrays)`` when the
         #: backend was built by :meth:`from_encoded`.
@@ -432,7 +394,6 @@ class ColumnarBackend(StorageBackend):
         """
         backend = cls()
         backend._rows = None
-        backend._rowset = None
         backend._length = int(length)
         backend._encoded = (list(tables), list(code_arrays))
         return backend
@@ -445,7 +406,7 @@ class ColumnarBackend(StorageBackend):
         return self._rows
 
     def __len__(self) -> int:
-        return len(self._rows) if self._rows is not None else self._length
+        return self._length
 
     def iter_rows(self) -> Iterator[tuple]:
         return iter(self._row_list())
@@ -455,31 +416,8 @@ class ColumnarBackend(StorageBackend):
             self._frozen = frozenset(self._row_list())
         return self._frozen
 
-    def _ensure_rowset(self) -> set[tuple]:
-        if self._rowset is None:
-            self._rowset = set(self._row_list())
-        return self._rowset
-
     def contains(self, row: tuple) -> bool:
-        return row in self._ensure_rowset()
-
-    def add(self, row: tuple) -> None:
-        rowset = self._ensure_rowset()
-        if row in rowset:
-            return
-        rowset.add(row)
-        self._row_list().append(row)
-        self._invalidate()
-
-    def _invalidate(self) -> None:
-        self._frozen = None
-        self._encoded = None
-        self._dictionaries.clear()
-        self._projections.clear()
-        self._kernel_memos.clear()
-
-    def fork(self) -> "ColumnarBackend":
-        return ColumnarBackend(self._row_list(), assume_unique=True)
+        return row in self.row_set()
 
     # -- dictionary encoding -----------------------------------------------------
     def dictionary(self, position: int) -> ColumnDictionary:
@@ -541,9 +479,8 @@ class AnnotatedBackend:
 
     Annotated relations are immutable through their facade APIs (every
     algebra operation spawns a fresh backend), so annotated backends are
-    shared structurally between facades without needing the plain backends'
-    copy-on-write machinery; every build and memo hit records a counter in
-    :data:`STORAGE_STATS`.
+    shared structurally between facades, like the plain ones; every build
+    and memo hit records a counter in :data:`STORAGE_STATS`.
     """
 
     kind: str = "abstract"
@@ -553,15 +490,6 @@ class AnnotatedBackend:
     #: :meth:`~repro.relational.database.Database.annotated_atom` memoizes
     #: bindings on it and warm evaluations reuse them.
     supports_kernels: bool = False
-
-    def __init__(self) -> None:
-        self.shared = False
-
-    # -- bookkeeping ---------------------------------------------------------
-    def share(self) -> "AnnotatedBackend":
-        """Mark this backend as structurally shared and return it."""
-        self.shared = True
-        return self
 
     def _count(self, event: str) -> None:
         STORAGE_STATS.add(event)
@@ -653,7 +581,6 @@ class DictAnnotatedBackend(AnnotatedBackend):
     kind = "dict"
 
     def __init__(self, pairs: Iterable[tuple[tuple, object]] = ()) -> None:
-        super().__init__()
         self._annotations: dict[tuple, object] = dict(pairs)
 
     def __len__(self) -> int:
@@ -685,7 +612,6 @@ class ColumnarAnnotatedBackend(AnnotatedBackend):
     supports_kernels = True
 
     def __init__(self, pairs: Iterable[tuple[tuple, object]] = ()) -> None:
-        super().__init__()
         self._annotations: dict[tuple, object] | None = dict(pairs)
         self._length = len(self._annotations)
         #: Encoded-only state: ``(code tables, int64 code arrays)`` when the

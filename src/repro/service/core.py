@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 
 from repro.lp.model import lp_cache_stats
 from repro.query.cq import ConjunctiveQuery
-from repro.query.parser import QueryParseError, parse_query
+from repro.query.parser import parse_query
 from repro.relational.database import Database
 from repro.relational.kernels import kernel_stats
 from repro.relational.relation import Relation
-from repro.relational.storage import storage_stats
+from repro.relational.storage import BACKENDS, storage_stats
 from repro.service.admission import AdmissionController
 from repro.service.errors import (
     AdmissionRejectedError,
@@ -138,7 +138,7 @@ class QueryService:
         self._idle = asyncio.Event()
         self._idle.set()
         self._closing = False
-        self.started_at = time.time()
+        self.started_at = time.monotonic()
         self.slow_log = SlowQueryLog(
             threshold_seconds=self.config.slow_query_seconds,
             capacity=self.config.slow_log_capacity)
@@ -174,7 +174,7 @@ class QueryService:
         if self._closing:
             raise ServiceUnavailableError("service is shutting down")
         tenant = self.registry.get(tenant_name)
-        parsed = self._parse(query)
+        parsed = self._parse(query, tenant)
         effective_timeout = (self.config.default_timeout
                              if timeout is None else timeout)
         token = (CancellationToken.with_timeout(effective_timeout)
@@ -244,13 +244,29 @@ class QueryService:
         finally:
             self._track(token, -1)
 
-    def _parse(self, query: ConjunctiveQuery | str) -> ConjunctiveQuery:
-        if isinstance(query, ConjunctiveQuery):
-            return query
-        try:
-            return parse_query(query)
-        except QueryParseError as exc:
-            raise InvalidQueryError(str(exc)) from exc
+    @staticmethod
+    def _parse(query: ConjunctiveQuery | str, tenant: Tenant) -> ConjunctiveQuery:
+        """``query`` parsed, with every atom checked against the tenant's
+        relations before admission: a query the engine cannot run is an
+        ``invalid-query``, never an execution failure."""
+        if isinstance(query, str):
+            try:
+                query = parse_query(query)
+            except ValueError as exc:  # QueryParseError or a rejected atom
+                raise InvalidQueryError(str(exc)) from exc
+        elif not isinstance(query, ConjunctiveQuery):
+            raise InvalidQueryError(f"'query' must be query text, not {query!r}")
+        database = tenant.engine.database
+        for atom in query.atoms:
+            if atom.relation not in database:
+                raise InvalidQueryError(
+                    f"atom {atom} names no relation of tenant {tenant.name!r}")
+            arity = len(database[atom.relation].columns)
+            if arity != len(atom.variables):
+                raise InvalidQueryError(
+                    f"atom {atom} has arity {len(atom.variables)} but relation "
+                    f"{atom.relation!r} has arity {arity}")
+        return query
 
     def _track(self, token: CancellationToken, delta: int) -> None:
         self._active += delta
@@ -289,7 +305,7 @@ class QueryService:
         if self._closing:
             raise ServiceUnavailableError("service is shutting down")
         tenant = self.registry.get(tenant_name)
-        parsed = self._parse(query)
+        parsed = self._parse(query, tenant)
         loop = asyncio.get_running_loop()
         try:
             async with self.admission.slot(tenant_name):
@@ -334,7 +350,7 @@ class QueryService:
         return {
             "service": {
                 "config": self.config.as_dict(),
-                "uptime_seconds": time.time() - self.started_at,
+                "uptime_seconds": time.monotonic() - self.started_at,
                 "closing": self._closing,
                 "tenants": len(self.registry),
                 "open_streams": len(self._streams),
@@ -430,21 +446,23 @@ class QueryService:
         if op == "tenants":
             return {"tenants": self.registry.names()}
         if op == "create_tenant":
-            self._require(request, "name", "relations")
+            self._require(request, "name", "relations",
+                          optional=("backend", "engine"))
+            name = _string_field(request, "name")
+            options = _engine_options(request)
             database = database_from_payload(request)
-            tenant = self.create_tenant(request["name"], database,
-                                        **_engine_options(request))
+            tenant = self.create_tenant(name, database, **options)
             return {"tenant": tenant.name,
                     "relations": database.summary()}
         if op == "drop_tenant":
             self._require(request, "name")
-            self.drop_tenant(request["name"])
+            self.drop_tenant(_string_field(request, "name"))
             return {"tenant": request["name"], "dropped": True}
         if op == "query":
             self._require(request, "tenant", "query",
                           optional=("timeout", "page_size"))
             result = await self.query(
-                request["tenant"], request["query"],
+                _string_field(request, "tenant"), request["query"],
                 timeout=_timeout_field(request),
                 page_size=_integer_field(request, "page_size", minimum=1))
             return result.to_dict()
@@ -452,7 +470,8 @@ class QueryService:
             self._require(request, "tenant", "stream_id",
                           optional=("offset", "page_size"))
             page = self.fetch_page(
-                request["tenant"], request["stream_id"],
+                _string_field(request, "tenant"),
+                _string_field(request, "stream_id"),
                 offset=_integer_field(request, "offset", minimum=0) or 0,
                 page_size=_integer_field(request, "page_size", minimum=1))
             return page.to_dict()
@@ -465,8 +484,8 @@ class QueryService:
         if op == "explain":
             self._require(request, "tenant", "query", optional=("analyze",))
             return await self.explain(
-                request["tenant"], request["query"],
-                analyze=bool(request.get("analyze", False)))
+                _string_field(request, "tenant"), request["query"],
+                analyze=_bool_field(request, "analyze") or False)
         raise BadRequestError(f"unknown op {op!r}")
 
     @staticmethod
@@ -521,13 +540,26 @@ def _engine_options(request: dict) -> dict:
     size = _integer_field(options, "plan_cache_size", minimum=1)
     if size is not None:
         checked["plan_cache_size"] = size
-    if "measure_degrees" in options:
-        if not isinstance(options["measure_degrees"], bool):
-            raise BadRequestError(
-                "'measure_degrees' must be true or false, "
-                f"not {options['measure_degrees']!r}")
-        checked["measure_degrees"] = options["measure_degrees"]
+    measure_degrees = _bool_field(options, "measure_degrees")
+    if measure_degrees is not None:
+        checked["measure_degrees"] = measure_degrees
     return checked
+
+
+def _string_field(request: dict, name: str) -> str:
+    """``request[name]``, which must be a string (a name or an id)."""
+    value = request[name]
+    if not isinstance(value, str):
+        raise BadRequestError(f"{name!r} must be a string, not {value!r}")
+    return value
+
+
+def _bool_field(request: dict, name: str) -> bool | None:
+    """``request[name]``, which must be true or false (``None`` if absent)."""
+    value = request.get(name)
+    if value is not None and not isinstance(value, bool):
+        raise BadRequestError(f"{name!r} must be true or false, not {value!r}")
+    return value
 
 
 def _timeout_field(request: dict) -> float | None:
@@ -546,20 +578,37 @@ def _timeout_field(request: dict) -> float | None:
 def database_from_payload(request: dict) -> Database:
     """Build a :class:`Database` from a JSON tenant-creation document.
 
-    ``relations`` maps name → ``{"columns": [...], "rows": [[...], ...]}``;
-    JSON arrays become the hashable row tuples relations require.
+    ``relations`` maps name → ``{"columns": [...], "rows": [[...], ...]}``
+    with column names as strings and row values as JSON scalars; JSON arrays
+    become the hashable row tuples relations require.  Any other shape is a
+    bad request.
     """
     relations = request.get("relations")
     if not isinstance(relations, dict):
         raise BadRequestError("'relations' must map names to column/row docs")
     backend = request.get("backend")
+    if backend is not None and not (isinstance(backend, str)
+                                    and backend in BACKENDS):
+        raise BadRequestError(
+            f"'backend' must be one of {sorted(BACKENDS)}, not {backend!r}")
     database = Database(backend=backend)
     for name, doc in relations.items():
-        try:
-            columns = tuple(doc["columns"])
-            rows = [tuple(row) for row in doc["rows"]]
-        except (TypeError, KeyError) as exc:
+        columns = doc.get("columns") if isinstance(doc, dict) else None
+        rows = doc.get("rows") if isinstance(doc, dict) else None
+        if not (isinstance(columns, list)
+                and all(isinstance(column, str) for column in columns)
+                and isinstance(rows, list)
+                and all(isinstance(row, list) for row in rows)):
             raise BadRequestError(
-                f"relation {name!r} needs 'columns' and 'rows'") from exc
-        database.add(Relation(name, columns, rows, backend=backend), name=name)
+                f"relation {name!r} needs 'columns' (a list of names) and "
+                "'rows' (a list of value lists)")
+        try:
+            relation = Relation(name, columns, map(tuple, rows), backend=backend)
+        except ValueError as exc:  # wrong arity, duplicate column names
+            raise BadRequestError(str(exc)) from exc
+        except TypeError as exc:  # a nested array or object as a value
+            raise BadRequestError(
+                f"relation {name!r}: row values must be JSON scalars ({exc})"
+            ) from exc
+        database.add(relation, name=name)
     return database

@@ -9,6 +9,7 @@ fault test replays identically.
 
 from __future__ import annotations
 
+from repro.relational.relation import Relation
 from repro.relational.storage import StorageBackend
 
 #: The index-building methods FlakyBackend can be told to fail.
@@ -18,17 +19,16 @@ ALL_INDEX_METHODS = ("hash_index", "key_set", "group_index", "trie")
 class FlakyBackend(StorageBackend):
     """A delegating backend that raises on the k-th index build.
 
-    ``share()`` returns the wrapper itself (mirroring the base-class
-    contract), so the failure follows the relation through every renamed
-    facade the evaluator creates.  ``supports_kernels`` stays ``False``: the
-    point is to fail inside the tuple-at-a-time index machinery.
+    Renamed facades share their backend, so the failure follows the
+    relation through every bound atom the evaluator creates.
+    ``supports_kernels`` stays ``False``: the point is to fail inside the
+    tuple-at-a-time index machinery.
     """
 
     supports_kernels = False
 
     def __init__(self, inner: StorageBackend, fail_on: tuple[str, ...],
                  after: int = 1) -> None:
-        super().__init__()
         self._inner = inner
         self._fail_on = fail_on
         self._after = after
@@ -47,11 +47,6 @@ class FlakyBackend(StorageBackend):
                 raise RuntimeError(
                     f"injected fault: {method} build #{self.index_calls}")
 
-    def share(self) -> "FlakyBackend":
-        self.shared = True
-        self._inner.share()
-        return self
-
     def heal(self) -> None:
         """Stop injecting faults (the 'operator replaced the disk' event)."""
         self._fail_on = ()
@@ -68,12 +63,6 @@ class FlakyBackend(StorageBackend):
 
     def contains(self, row):
         return self._inner.contains(row)
-
-    def add(self, row):
-        self._inner.add(row)
-
-    def fork(self):
-        return FlakyBackend(self._inner.fork(), self._fail_on, self._after)
 
     def spawn(self, rows, assume_unique=False):
         return self._inner.spawn(rows, assume_unique=assume_unique)
@@ -110,6 +99,8 @@ def flaky_database(query, *, after: int = 1, size: int = 50, domain: int = 12,
 
     database = random_graph_database(query, size=size, domain=domain, seed=seed)
     name = database.relation_names()[0]
-    flaky = FlakyBackend(database[name]._backend, methods, after)
-    database[name]._backend = flaky
+    relation = database[name]
+    flaky = FlakyBackend(relation._backend, methods, after)
+    database.add(Relation._from_backend(relation.name, relation.columns, flaky),
+                 name=name)
     return database, flaky

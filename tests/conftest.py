@@ -103,4 +103,4 @@ def stepping_clock(monkeypatch):
     deadline has passed by the first check after it is set: deadline tests
     trip without racing wall time."""
     monkeypatch.setattr(cancellation, "time",
-                        SimpleNamespace(time=itertools.count(0.0, 1.0).__next__))
+                        SimpleNamespace(monotonic=itertools.count(0.0, 1.0).__next__))

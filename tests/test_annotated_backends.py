@@ -167,7 +167,9 @@ def test_annotated_binding_cache_drops_on_mutation():
     database = random_graph_database(query, 15, 6, seed=2, backend="columnar")
     atom = query.atoms[0]
     before = database.annotated_atom(atom, COUNTING_SEMIRING)
-    database[atom.relation].add((99, 98))
+    stored = database[atom.relation]
+    database.add(Relation(atom.relation, stored.columns,
+                          list(stored) + [(99, 98)], backend="columnar"))
     after = database.annotated_atom(atom, COUNTING_SEMIRING)
     assert after is not before
     assert len(after) == len(before) + 1

@@ -170,19 +170,6 @@ def test_degree_edge_cases_empty_given_and_target(kind):
 
 
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
-def test_mutation_invalidates_cached_indexes(kind):
-    relation = Relation("R", ("x", "y"), [(1, "a"), (2, "b")], backend=kind)
-    assert relation.degree(["y"], ["x"]) == 1
-    relation.add((1, "c"))
-    assert relation.degree(["y"], ["x"]) == 2
-    # Copy-on-write: a shared backend forks instead of mutating the sharer.
-    snapshot = relation.copy("snapshot")
-    relation.add((1, "d"))
-    assert snapshot.degree(["y"], ["x"]) == 2
-    assert relation.degree(["y"], ["x"]) == 3
-
-
-@pytest.mark.parametrize("kind", BACKEND_KINDS)
 def test_empty_semijoin_never_touches_the_other_side(kind):
     """Semijoining an empty relation (PANDA's empty bags) builds nothing on
     the relation it filters against."""

@@ -42,18 +42,16 @@ def test_bind_query_and_restrict(figure2_db):
 
 
 def test_bound_atoms_are_independent_snapshots(figure2_db):
-    """Cached bindings share indexes but not mutations."""
+    """A binding is cached until Database.add replaces its relation."""
     atom = Atom("R", ("X", "Y"))
     first = figure2_db.bind_atom(atom)
-    second = figure2_db.bind_atom(atom)
-    first.add((42, "new"))
-    assert (42, "new") in first
-    assert (42, "new") not in second
-    assert (42, "new") not in figure2_db["R"]
-    # After mutating the stored relation, fresh bindings see the new row.
-    figure2_db["R"].add((43, "stored"))
-    assert (43, "stored") in figure2_db.bind_atom(atom)
-    assert (43, "stored") not in second
+    assert figure2_db.bind_atom(atom) is first
+    stored = figure2_db["R"]
+    figure2_db.add(Relation("R", stored.columns, list(stored) + [(43, "stored")]))
+    rebound = figure2_db.bind_atom(atom)
+    assert rebound is not first
+    assert (43, "stored") in rebound
+    assert (43, "stored") not in first
 
 
 def test_relation_rejects_rows_alongside_backend_instance():
@@ -65,8 +63,12 @@ def test_relation_rejects_rows_alongside_backend_instance():
 
 def test_copy_is_independent(figure2_db):
     copy = figure2_db.copy()
-    copy["R"].add((99, "zz"))
+    copy.add(Relation("Extra", ("a",), [(1,)]))
+    copy.add(Relation("R", ("x", "y"), [(99, "zz")]))
+    assert "Extra" not in figure2_db
     assert (99, "zz") not in figure2_db["R"]
+    assert figure2_db.bind_atom(Atom("R", ("X", "Y"))) is not \
+        copy.bind_atom(Atom("R", ("X", "Y")))
 
 
 def test_database_from_edges_defaults():

@@ -164,39 +164,6 @@ def test_rep102_clean_await_and_sync_context():
 # REP103: cache-invalidation discipline
 # ---------------------------------------------------------------------------
 
-def test_rep103_flags_mutation_without_invalidate():
-    findings = _lint("""
-        class Backend:
-            def _invalidate(self):
-                self._index_cache.clear()
-                self._kernel_memo = None
-
-            def add_row(self, row):
-                self._rows.append(row)
-    """, rules=[REP103])
-    (finding,) = _hits(findings, "REP103")
-    assert "add_row" in finding.message
-    assert "_rows" in finding.message
-
-
-def test_rep103_clean_when_mutation_invalidates():
-    findings = _lint("""
-        class Backend:
-            def _invalidate(self):
-                self._index_cache.clear()
-                self._kernel_memo = None
-
-            def add_row(self, row):
-                self._rows.append(row)
-                self._invalidate()
-
-            def warm(self):
-                # Touching only memo attributes needs no invalidation.
-                self._kernel_memo = self._build()
-    """, rules=[REP103])
-    assert not _hits(findings, "REP103")
-
-
 def test_rep103_flags_database_mutation_without_revision_bump():
     findings = _lint("""
         class Database:

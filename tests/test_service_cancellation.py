@@ -56,7 +56,9 @@ def test_token_deadline_and_explicit_cancel(stepping_clock):
     assert token.cancelled and not token.deadline_exceeded
 
     expired = CancellationToken.with_timeout(0.0)
-    with pytest.raises(QueryCancelledError):
+    # The reason names the timeout given, not the reading it fell on.
+    with pytest.raises(QueryCancelledError,
+                       match=r"^deadline exceeded after 0 s$"):
         expired.check()
     assert expired.deadline_exceeded
 
@@ -157,6 +159,7 @@ def test_service_deadline_maps_to_typed_error_and_counters(stepping_clock):
     service, response = asyncio.run(main())
     assert response["ok"] is False
     assert response["error"]["code"] == "deadline-exceeded"
+    assert response["error"]["message"] == "deadline exceeded after 0.05 s"
     tenant = service.registry.get("acme")
     assert tenant.cancelled == 2 and tenant.completed == 1
     assert tenant.engine.stats.cancelled_executions == 2

@@ -246,6 +246,79 @@ def test_malformed_request_numbers_are_bad_requests():
     assert executions == 1  # the query with page size 0 never ran
 
 
+def _tenant(relations=None, **fields) -> dict:
+    doc = {"op": "create_tenant", "name": "bad",
+           "relations": relations or {"R": {"columns": ["a", "b"],
+                                            "rows": [[1, 2]]}}}
+    return dict(doc, **fields)
+
+
+def _relation(columns, rows) -> dict:
+    return {"R": {"columns": columns, "rows": rows}}
+
+
+_TRIANGLE = "Q(X, Y, Z) :- R(X, Y), S(Y, Z), T(Z, X)"
+
+
+@pytest.mark.parametrize("request_doc, code", [
+    pytest.param(_tenant(_relation(["a", "b"], [[1, 2], [3]])),
+                 "bad-request", id="row-arity"),
+    pytest.param(_tenant(_relation(["a", "a"], [[1, 2]])),
+                 "bad-request", id="duplicate-columns"),
+    pytest.param(_tenant(_relation(["a", "b"], [[1, [2]]])),
+                 "bad-request", id="nested-array-value"),
+    pytest.param(_tenant(_relation(["a", "b"], [[1, {"v": 2}]])),
+                 "bad-request", id="nested-object-value"),
+    pytest.param(_tenant(backend="nope"), "bad-request", id="unknown-backend"),
+    pytest.param(_tenant(backend=5), "bad-request", id="numeric-backend"),
+    pytest.param(_tenant(_relation("xy", [["1", "2"]])),
+                 "bad-request", id="string-columns"),
+    pytest.param(_tenant(_relation(["a", "b"], ["12"])),
+                 "bad-request", id="string-row"),
+    pytest.param(_tenant(name=5), "bad-request", id="numeric-name"),
+    pytest.param(_tenant(backnd="columnar"), "bad-request",
+                 id="misspelled-backend"),
+    pytest.param({"op": "query", "tenant": "acme", "query": 5},
+                 "invalid-query", id="numeric-query"),
+    pytest.param({"op": "query", "tenant": ["acme"], "query": _TRIANGLE},
+                 "bad-request", id="list-tenant"),
+    pytest.param({"op": "drop_tenant", "name": ["acme"]},
+                 "bad-request", id="drop-list-name"),
+    pytest.param({"op": "page", "tenant": "acme", "stream_id": ["acme-1"]},
+                 "bad-request", id="list-stream-id"),
+    pytest.param({"op": "query", "tenant": "acme", "query": "Q(X) :- R(X, X)"},
+                 "invalid-query", id="repeated-variable"),
+    pytest.param({"op": "query", "tenant": "acme",
+                  "query": "Q(X, Y) :- R(X, Y), Missing(Y, X)"},
+                 "invalid-query", id="unknown-relation"),
+    pytest.param({"op": "query", "tenant": "acme",
+                  "query": "Q(X, Y) :- R(X, Y, Z)"},
+                 "invalid-query", id="atom-arity"),
+    pytest.param({"op": "explain", "tenant": "acme", "query": _TRIANGLE,
+                  "analyze": "yes"}, "bad-request", id="string-analyze"),
+])
+def test_malformed_requests_are_client_errors(request_doc, code):
+    """Every malformed request is a 400 (``bad-request`` or
+    ``invalid-query``) decided before the engine runs: never a 500, and never
+    a tenant created from a document that does not mean what it says."""
+    database = random_graph_database(triangle_query(), size=20, domain=6,
+                                     seed=5)
+
+    async def main():
+        service = QueryService(ServiceConfig())
+        service.create_tenant("acme", database)
+        response = await service.handle(request_doc)
+        engine = service.registry.get("acme").engine
+        await service.shutdown()
+        return service, response, engine.stats.executions
+
+    service, response, executions = asyncio.run(main())
+    assert not response["ok"]
+    assert response["error"]["code"] == code, response["error"]
+    assert service.registry.names() == ["acme"]
+    assert executions == 0
+
+
 def test_streaming_is_lazy_and_pages_reassemble_the_answer():
     query = triangle_query()
     database = random_graph_database(query, size=80, domain=14, seed=9,
